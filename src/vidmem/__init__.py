@@ -12,12 +12,12 @@ from .harness import (FeatureModelConfig, SplitSpec, SyntheticCorpusSpec,
                       run_feature_experiment, run_full_experiment, split)
 from .metrics import srcc
 from .regress import (LinearModel, Standardizer, SvrModel, fit_linear,
-                      fit_standardizer, fit_svr, predict)
-from .textmodel import (BowVectorizer, GruRegressor, TokenSequence, TrainConfig,
-                        embed, gru_train, tokenize)
+                      fit_standardizer, fit_svr)
+from .textmodel import (GruRegressor, TokenSequence, TrainConfig, embed, gru_train,
+                        tokenize)
 
 __all__ = [
-    "AnnotationLog", "BowVectorizer", "CaptionSet", "Corpus", "DecayFit",
+    "AnnotationLog", "CaptionSet", "Corpus", "DecayFit",
     "EnsembleWeights", "FeatureModelConfig", "FeatureSet", "GruRegressor",
     "LabelTable", "LinearModel", "Observation", "PredictionTable", "SplitSpec",
     "Standardizer", "SvrModel", "SyntheticCorpusSpec", "TokenSequence",
@@ -25,7 +25,7 @@ __all__ = [
     "apply_weights", "embed", "enumerate_simplex", "fit_decay", "fit_linear",
     "fit_standardizer", "fit_svr", "generate_synthetic", "grid_search",
     "gru_train", "load_annotations_csv", "load_captions_csv",
-    "load_feature_csv", "load_labels_csv", "load_word_vectors", "predict",
+    "load_feature_csv", "load_labels_csv", "load_word_vectors",
     "run_ensemble_experiment", "run_feature_experiment", "run_full_experiment",
     "split", "srcc", "tokenize",
 ]

@@ -4,7 +4,6 @@ evaluation, ensemble weight search, full experiments, and synthetic data."""
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -12,7 +11,7 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import regress
-from .aggregate import PredictionTable, clamp_unit
+from .aggregate import PredictionTable
 from .corpus import Corpus, load_labels_csv
 from .decay import adjust_labels, fit_decay
 from .ensemble import grid_search
@@ -24,32 +23,6 @@ from .metrics import srcc
 from .textmodel import GruRegressor
 
 LINEAR_ALIASES = {"bayes": "bayes_ridge"}
-
-
-def _save_any_model(model, path):
-    if isinstance(model, GruRegressor):
-        doc = {"family": "gru", **model.to_dict()}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-    else:
-        regress.save_model(model, path)
-
-
-def _load_any_model(path):
-    with open(path) as fh:
-        doc = json.load(fh)
-    if doc.get("family") == "gru":
-        return GruRegressor.from_dict(doc)
-    return regress.model_from_dict(doc)
-
-
-def _load_pred_csv(path):
-    scores = {}
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if row:
-                scores[row[0]] = float(row[1])
-    return scores
 
 
 def cmd_adjust_labels(args):
@@ -91,12 +64,12 @@ def cmd_train(args):
     config = FeatureModelConfig(feature=feature_name, model=kind, hyper=hyper)
     ids = list(labels.scores)
     model = train_feature_model(c, config, labels, ids, seed=args.seed)
-    _save_any_model(model, args.out)
+    regress.save_model(model, args.out)
     print(f"trained {kind} on {len(ids)} videos -> {args.out}")
 
 
 def cmd_predict(args):
-    model = _load_any_model(args.model)
+    model = regress.load_model(args.model)
     kind = "gru" if isinstance(model, GruRegressor) else "other"
     c, feature_name = _corpus_for_model(args, kind)
     if args.ids:
@@ -112,8 +85,8 @@ def cmd_predict(args):
 
 
 def cmd_evaluate(args):
-    pred = _load_pred_csv(args.pred)
-    truth = _load_pred_csv(args.truth)
+    pred = corpus_mod.load_prediction_csv(args.pred)
+    truth = corpus_mod.load_prediction_csv(args.truth)
     ids = sorted(set(pred) & set(truth))
     if len(ids) < 2:
         raise SystemExit("need at least 2 common video ids")
@@ -124,7 +97,7 @@ def cmd_evaluate(args):
 def cmd_ensemble_search(args):
     tables = []
     for path in args.pred:
-        scores = _load_pred_csv(path)
+        scores = corpus_mod.load_prediction_csv(path)
         tables.append(PredictionTable(model_name=Path(path).stem, scores=scores,
                                       coverage={v: "direct" for v in scores},
                                       aggregation="median"))

@@ -247,6 +247,19 @@ def load_labels_csv(path, term):
     return LabelTable(term=term, scores=scores)
 
 
+def load_prediction_csv(path):
+    """Load `video_id,score` label rows or `video_id,score,coverage` rows as
+    written by `write_prediction_csv`; any finite score is accepted."""
+    scores: dict[str, float] = {}
+    for line_no, row in _read_csv_rows(path):
+        if len(row) not in (2, 3):
+            raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(row)}")
+        scores[row[0].strip()] = _parse_float(row[1], path, line_no, "score")
+    if not scores:
+        raise ParseError(path, 0, "empty prediction file")
+    return scores
+
+
 def load_word_vectors(path):
     """Load a `token f0 ... f(D-1)` text file; D is inferred from line 1."""
     vectors: dict[str, np.ndarray] = {}

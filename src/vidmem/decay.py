@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .aggregate import clamp_unit
 from .corpus import AnnotationLog, LabelTable
 
 DEGENERATE_WARNING = "all delays equal the target duration; decay rate not identifiable"
@@ -93,5 +94,4 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10,
 
 def adjust_labels(fit: DecayFit, term: str = "short") -> LabelTable:
     """Export fitted m_T values, clamped into [0, 1], as a label table."""
-    clamped = {vid: min(1.0, max(0.0, m)) for vid, m in fit.m_t.items()}
-    return LabelTable(term=term, scores=clamped)
+    return LabelTable(term=term, scores={vid: clamp_unit(m) for vid, m in fit.m_t.items()})

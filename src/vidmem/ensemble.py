@@ -102,6 +102,10 @@ def apply_weights(weights: EnsembleWeights, tables) -> PredictionTable:
     if names != weights.model_names:
         raise ValueError(f"table order {names} does not match weights {weights.model_names}")
     ids = list(tables[0].scores)
+    for table in tables[1:]:
+        missing = [vid for vid in ids if vid not in table.scores]
+        if missing:
+            raise ValueError(f"table {table.model_name!r} missing ids {missing[:5]}")
     scores = {
         vid: sum(w * tb.scores[vid] for w, tb in zip(weights.weights, tables))
         for vid in ids

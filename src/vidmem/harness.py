@@ -1,7 +1,8 @@
-"""Experiment orchestration: seeded id-level splits, multi-seed per-feature
-runs with mean/variance SRCC reporting, ensemble grid-search experiments,
-and synthetic corpus generation used as the test oracle for the decay fit
-and the end-to-end pipeline.
+"""Experiment orchestration: seeded id-level splits, one fit pass that trains
+and validates each (config, seed, term) model once, the two reports read
+from those fits (multi-seed per-feature mean/variance SRCC, and ensemble
+grid search), and synthetic corpus generation used as the test oracle for
+the decay fit and the end-to-end pipeline.
 
 All randomness flows from named seeds, so results are byte-identical across
 runs and across worker counts.
@@ -22,7 +23,7 @@ from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
 from .regress import LINEAR_KINDS, fit_linear, fit_svr
-from .textmodel import GruRegressor, TrainConfig, embed, gru_train
+from .textmodel import GruRegressor, TrainConfig, embed, gru_train, tokenize
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -189,7 +190,6 @@ def _caption_samples(corpus, labels, ids):
         if vid not in labels.scores:
             continue
         for cap in caps:
-            from .textmodel import tokenize
             samples.append((vid, embed(tokenize(cap), corpus.word_vectors), labels.scores[vid]))
     if not samples:
         raise ValueError("no caption samples in the training split")
@@ -223,7 +223,6 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
     """Per-row predictions aggregated to one score per requested video."""
     per_row: dict[str, list[float]] = {}
     if config.model == "gru":
-        from .textmodel import tokenize
         for vid in ids:
             caps = corpus.captions.captions.get(vid, ())
             if caps:
@@ -257,51 +256,66 @@ def _run_jobs(jobs, worker_fn, workers):
         return list(pool.map(worker_fn, jobs))
 
 
-def run_feature_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
-                           train_fraction=0.8, aggregation="median",
-                           workers=1) -> dict:
-    """Per-feature protocol: for every config and seed, train on the split,
-    aggregate per video, score validation SRCC per term; report mean and
-    population variance over seeds plus the best feature per modality."""
+def _config_key(config: FeatureModelConfig):
+    hyper = json.dumps(config.hyper, sort_keys=True, default=repr)
+    return config.feature, config.model, hyper
+
+
+def _fit_all(corpus: Corpus, configs, seeds, train_fraction, aggregation, workers) -> dict:
+    """Train every distinct (config, seed, term) once on the seed's split and
+    predict its validation ids.
+
+    Returns {(config key, seed, term): (model, validation PredictionTable)};
+    a fit that raised stores its exception instead, so one failure does not
+    abort the other fits.
+    """
     ids = corpus.video_ids
-    terms = sorted(corpus.labels)
-    seeds = list(seeds)
+    unique = {_config_key(config): config for config in configs}
+    jobs = [(key, seed, term) for key in unique for seed in seeds
+            for term in sorted(corpus.labels)]
 
-    jobs = [(ci, seed) for ci in range(len(configs)) for seed in seeds]
-
-    def one_job(job):
-        ci, seed = job
-        config = configs[ci]
-        sp = split(ids, seed, train_fraction)
-        out = {}
-        for term in terms:
-            labels = corpus.labels[term]
-            model = train_feature_model(corpus, config, labels, sp.train_ids, seed)
-            table = predict_table(corpus, config, model, sp.valid_ids, aggregation)
-            vids = [v for v in sp.valid_ids if v in labels.scores]
-            out[term] = srcc([table.scores[v] for v in vids],
-                             [labels.scores[v] for v in vids])
-        return out
-
-    results: dict[tuple, dict | Exception] = {}
-    def safe(job):
+    def fit(job):
+        key, seed, term = job
+        config = unique[key]
         try:
-            return one_job(job)
-        except Exception as exc:  # a failed row must not abort the run
+            sp = split(ids, seed, train_fraction)
+            model = train_feature_model(corpus, config, corpus.labels[term],
+                                        sp.train_ids, seed)
+            return model, predict_table(corpus, config, model, sp.valid_ids, aggregation)
+        except Exception as exc:  # the feature report records it, the ensemble raises it
             return exc
-    for job, res in zip(jobs, _run_jobs(jobs, safe, workers)):
-        results[job] = res
 
+    return dict(zip(jobs, _run_jobs(jobs, fit, workers)))
+
+
+def _validation_srcc(fit, labels: LabelTable):
+    """SRCC of a stored fit on its validation ids, or the exception that
+    fitting, predicting or scoring raised."""
+    if isinstance(fit, Exception):
+        return fit
+    _, table = fit
+    vids = [v for v in table.scores if v in labels.scores]
+    try:
+        return srcc([table.scores[v] for v in vids], [labels.scores[v] for v in vids])
+    except Exception as exc:  # e.g. constant predictions
+        return exc
+
+
+def _feature_report(corpus: Corpus, configs, fits, seeds, train_fraction,
+                    aggregation) -> dict:
+    terms = sorted(corpus.labels)
     rows = []
-    for ci, config in enumerate(configs):
+    for config in configs:
+        key = _config_key(config)
         row = {"feature": config.feature, "model": config.model, "terms": {}, "error": None}
-        failures = [str(results[(ci, s)]) for s in seeds
-                    if isinstance(results[(ci, s)], Exception)]
-        if failures:
+        scores = {(seed, term): _validation_srcc(fits[key, seed, term], corpus.labels[term])
+                  for seed in seeds for term in terms}
+        failures = [str(s) for s in scores.values() if isinstance(s, Exception)]
+        if failures:  # the first failure in seed-then-term order
             row["error"] = failures[0]
         else:
             for term in terms:
-                per_seed = [results[(ci, s)][term] for s in seeds]
+                per_seed = [scores[seed, term] for seed in seeds]
                 mean, var = _mean_variance(per_seed)
                 row["terms"][term] = {"per_seed": per_seed, "mean": mean, "variance": var}
         rows.append(row)
@@ -329,60 +343,77 @@ def _subset_labels(table, ids):
                       scores={v: table.scores[v] for v in ids if v in table.scores})
 
 
+def _ensemble_report(corpus: Corpus, configs, fits, seeds, bucket, train_fraction,
+                     aggregation, test_labels) -> dict:
+    ids = corpus.video_ids
+    keys = [_config_key(config) for config in configs]
+    rows = []
+    for seed in seeds:
+        sp = split(ids, seed, train_fraction)
+        for term in sorted(corpus.labels):
+            stored = [fits[key, seed, term] for key in keys]
+            for fit in stored:  # the first failure in config order
+                if isinstance(fit, Exception):
+                    raise fit
+            labels = corpus.labels[term]
+            weights = grid_search([table for _, table in stored],
+                                  _subset_labels(labels, sp.valid_ids), bucket)
+            row = {"seed": seed, "term": term,
+                   "model_names": list(weights.model_names),
+                   "weights": list(weights.weights),
+                   "validation_srcc": weights.validation_srcc,
+                   "test_srcc": None}
+            if test_labels is not None and term in test_labels:
+                test_tab = test_labels[term]
+                test_ids = list(test_tab.scores)
+                tables = [predict_table(corpus, config, model, test_ids, aggregation)
+                          for config, (model, _) in zip(configs, stored)]
+                combined = apply_weights(weights, tables)
+                row["test_srcc"] = srcc([combined.scores[v] for v in test_ids],
+                                        [test_tab.scores[v] for v in test_ids])
+            rows.append(row)
+    return {"kind": "ensemble_experiment", "seeds": seeds, "bucket": bucket,
+            "train_fraction": train_fraction, "aggregation": aggregation,
+            "rows": rows}
+
+
+def run_feature_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
+                           train_fraction=0.8, aggregation="median",
+                           workers=1) -> dict:
+    """Per-feature protocol: for every config and seed, train on the split,
+    aggregate per video, score validation SRCC per term; report mean and
+    population variance over seeds plus the best feature per modality.
+    A config that fails records its first error instead of aborting the run."""
+    seeds = list(seeds)
+    fits = _fit_all(corpus, configs, seeds, train_fraction, aggregation, workers)
+    return _feature_report(corpus, configs, fits, seeds, train_fraction, aggregation)
+
+
 def run_ensemble_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
                             bucket=0.05, train_fraction=0.8,
                             aggregation="median", test_labels=None,
                             workers=1) -> dict:
     """Ensemble protocol: per seed and term, train the selected per-modality
     models, grid-search simplex weights on the validation split, and
-    optionally score a held-out test label table."""
-    ids = corpus.video_ids
-    terms = sorted(corpus.labels)
+    optionally score a held-out test label table.  Any failure raises."""
     seeds = list(seeds)
-
-    jobs = [(seed, term) for seed in seeds for term in terms]
-
-    def one_job(job):
-        seed, term = job
-        labels = corpus.labels[term]
-        sp = split(ids, seed, train_fraction)
-        models = [train_feature_model(corpus, cfg, labels, sp.train_ids, seed)
-                  for cfg in configs]
-        valid_tables = [predict_table(corpus, cfg, model, sp.valid_ids, aggregation)
-                        for cfg, model in zip(configs, models)]
-        weights = grid_search(valid_tables, _subset_labels(labels, sp.valid_ids), bucket)
-        row = {"seed": seed, "term": term,
-               "model_names": list(weights.model_names),
-               "weights": list(weights.weights),
-               "validation_srcc": weights.validation_srcc,
-               "test_srcc": None}
-        if test_labels is not None and term in test_labels:
-            test_tab = test_labels[term]
-            test_ids = list(test_tab.scores)
-            tables = [predict_table(corpus, cfg, model, test_ids, aggregation)
-                      for cfg, model in zip(configs, models)]
-            combined = apply_weights(weights, tables)
-            row["test_srcc"] = srcc([combined.scores[v] for v in test_ids],
-                                    [test_tab.scores[v] for v in test_ids])
-        return row
-
-    rows = _run_jobs(jobs, one_job, workers)
-    return {"kind": "ensemble_experiment", "seeds": seeds, "bucket": bucket,
-            "train_fraction": train_fraction, "aggregation": aggregation,
-            "rows": rows}
+    fits = _fit_all(corpus, configs, seeds, train_fraction, aggregation, workers)
+    return _ensemble_report(corpus, configs, fits, seeds, bucket, train_fraction,
+                            aggregation, test_labels)
 
 
 def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs,
                         seeds=DEFAULT_SEEDS, bucket=0.05, train_fraction=0.8,
                         aggregation="median", test_labels=None, workers=1) -> dict:
-    feature_report = run_feature_experiment(
-        corpus, feature_configs, seeds=seeds, train_fraction=train_fraction,
-        aggregation=aggregation, workers=workers)
-    ensemble_report = run_ensemble_experiment(
-        corpus, ensemble_configs, seeds=seeds, bucket=bucket,
-        train_fraction=train_fraction, aggregation=aggregation,
-        test_labels=test_labels, workers=workers)
-    return {"features": feature_report, "ensemble": ensemble_report}
+    """Both protocols over one set of fits: a config that appears in both
+    lists is trained once per seed and term."""
+    seeds = list(seeds)
+    fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), seeds,
+                    train_fraction, aggregation, workers)
+    return {"features": _feature_report(corpus, feature_configs, fits, seeds,
+                                        train_fraction, aggregation),
+            "ensemble": _ensemble_report(corpus, ensemble_configs, fits, seeds, bucket,
+                                         train_fraction, aggregation, test_labels)}
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textmodel import GruRegressor
+
 
 class SingularMatrixError(ValueError):
     """OLS normal equations are singular; ridge regularization would help."""
@@ -342,16 +344,13 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
                              "kkt_violation": float(max(m_val - M_val, 0.0))})
 
 
-def predict(model, X):
-    """Raw (unclamped) scores from a fitted linear or SVR model."""
-    return model.predict(X)
-
-
 # ---------------------------------------------------------------------------
 # model artifacts
 # ---------------------------------------------------------------------------
 
 def model_to_dict(model) -> dict:
+    if isinstance(model, GruRegressor):
+        return {"family": "gru", **model.to_dict()}
     std = {"means": model.standardizer.means.tolist(),
            "stds": model.standardizer.stds.tolist()}
     if isinstance(model, LinearModel):
@@ -367,7 +366,9 @@ def model_to_dict(model) -> dict:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
-def model_from_dict(doc) -> LinearModel | SvrModel:
+def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
+    if doc["family"] == "gru":
+        return GruRegressor.from_dict(doc)
     std = Standardizer(means=np.asarray(doc["standardizer"]["means"], dtype=float),
                        stds=np.asarray(doc["standardizer"]["stds"], dtype=float))
     if doc["family"] == "linear":

@@ -1,6 +1,6 @@
-"""Caption pipeline: tokenizer, word-vector lookup, bag-of-words baseline,
-and a GRU regressor (dense head, inverted dropout, Adam, early stopping)
-implemented directly in numpy with hand-written backprop through time.
+"""Caption pipeline: tokenizer, word-vector lookup, and a GRU regressor
+(dense head, inverted dropout, Adam, early stopping) implemented directly in
+numpy with hand-written backprop through time.
 """
 
 from __future__ import annotations
@@ -54,34 +54,6 @@ def embed(tokens, table: WordVectorTable) -> TokenSequence:
         else:
             vectors[i] = vec
     return TokenSequence(tokens=tuple(tokens), vectors=vectors, oov_count=oov)
-
-
-class BowVectorizer:
-    """Token-count vectorizer; vocabulary fixed from training captions."""
-
-    def __init__(self, vocabulary: dict[str, int]):
-        indices = sorted(vocabulary.values())
-        if indices != list(range(len(vocabulary))):
-            raise ValueError("vocabulary indices must be a permutation of 0..|vocab|-1")
-        self.vocabulary = dict(vocabulary)
-
-    @classmethod
-    def fit(cls, captions) -> "BowVectorizer":
-        vocab: dict[str, int] = {}
-        for caption in captions:
-            for tok in tokenize(caption):
-                if tok not in vocab:
-                    vocab[tok] = len(vocab)
-        return cls(vocab)
-
-    def transform(self, captions) -> np.ndarray:
-        counts = np.zeros((len(captions), len(self.vocabulary)))
-        for i, caption in enumerate(captions):
-            for tok in tokenize(caption):
-                j = self.vocabulary.get(tok)
-                if j is not None:  # unseen tokens are dropped
-                    counts[i, j] += 1.0
-        return counts
 
 
 @dataclass

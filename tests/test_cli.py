@@ -140,6 +140,27 @@ def test_experiment_command_writes_reports(synth_dir, tmp_path):
     assert (tmp_path / "out" / "report.json").read_bytes() == first
 
 
+@pytest.mark.parametrize("line, message", [("v0001", "expected 2 or 3 fields, got 1"),
+                                           ("v0001,high", "non-numeric score: 'high'"),
+                                           ("v0001,nan,direct", "non-finite score: 'nan'")])
+def test_malformed_prediction_csv_reports_line(synth_dir, tmp_path, capsys, line, message):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("v0000,0.5,direct\n" + line + "\n")
+    truth = str(synth_dir / "labels_short.csv")
+    for argv in (["evaluate", "--pred", str(pred), "--truth", truth],
+                 ["ensemble-search", "--pred", str(pred), "--truth", truth,
+                  "--out", str(tmp_path / "w.json")]):
+        assert main(argv) == 1
+        assert f"error: {pred}:2: {message}" in capsys.readouterr().err
+
+
+def test_prediction_csv_scores_outside_unit_interval_accepted(tmp_path, capsys):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("v0000,-3.0\nv0001,7.5,direct\n")
+    assert main(["evaluate", "--pred", str(pred), "--truth", str(pred)]) == 0
+    assert capsys.readouterr().out.strip() == "1.000000"
+
+
 def test_bad_input_returns_error_code(tmp_path, capsys):
     missing = tmp_path / "nope.csv"
     code = main(["adjust-labels", "--annotations", str(missing),

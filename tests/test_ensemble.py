@@ -125,3 +125,10 @@ class TestApplyWeights:
         w = EnsembleWeights(("other",), (1.0,), 0.05, 0.5)
         with pytest.raises(ValueError):
             apply_weights(w, [t1])
+
+    def test_table_missing_ids_rejected(self):
+        t1 = table("m1", {"a": 0.2, "b": 0.7})
+        t2 = table("m2", {"a": 0.9})
+        w = EnsembleWeights(("m1", "m2"), (0.5, 0.5), 0.05, 0.5)
+        with pytest.raises(ValueError, match=r"table 'm2' missing ids \['b'\]"):
+            apply_weights(w, [t1, t2])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from vidmem import harness
 from vidmem.corpus import Corpus, FeatureSet, LabelTable
 from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec,
                             generate_synthetic, predict_table, report_to_json,
@@ -128,6 +129,45 @@ class TestEnsembleExperiment:
                                          test_labels=test_tab)
         for row in report["rows"]:
             assert row["test_srcc"] is not None
+
+
+class TestTrainOnce:
+    def test_each_fit_trained_once(self, small_corpus, monkeypatch):
+        calls = []
+        original = harness.train_feature_model
+
+        def counting(corpus, config, labels, train_ids, seed):
+            calls.append((config.display_name, seed, labels.term))
+            return original(corpus, config, labels, train_ids, seed)
+
+        monkeypatch.setattr(harness, "train_feature_model", counting)
+        run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1], seeds=[0, 1], workers=2)
+        assert len(calls) == len(set(calls)) == len(CONFIGS) * 2 * 2
+
+    def test_full_report_equals_separate_reports(self, small_corpus):
+        test_tab = dict(small_corpus.labels)
+        full = run_full_experiment(small_corpus, CONFIGS, CONFIGS[::-1], seeds=[0, 1],
+                                   test_labels=test_tab)
+        assert full["features"] == run_feature_experiment(small_corpus, CONFIGS, seeds=[0, 1])
+        assert full["ensemble"] == run_ensemble_experiment(small_corpus, CONFIGS[::-1],
+                                                           seeds=[0, 1], test_labels=test_tab)
+
+    def test_failures_reported_as_before(self, small_corpus):
+        ids = small_corpus.video_ids
+        short = small_corpus.labels["short"]
+        # long labels only on seed 0's validation ids: fitting fails on that term
+        unfit = {"short": short, "long": LabelTable(
+            "long", {v: short.scores[v] for v in split(ids, 0).valid_ids})}
+        # constant long labels: the fit succeeds, SRCC is undefined
+        constant = {"short": short, "long": LabelTable("long", {v: 0.5 for v in ids})}
+        for labels, error in ((unfit, "no training rows for feature 'featA'"),
+                              (constant, "constant input: rank correlation undefined")):
+            corpus = Corpus(features=small_corpus.features, labels=labels)
+            report = run_feature_experiment(corpus, CONFIGS[:1], seeds=[0, 1])
+            assert report["rows"][0]["error"] == error
+        with pytest.raises(KeyError, match="missing"):
+            run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1] + [
+                FeatureModelConfig("missing", "ridge")], seeds=[0])
 
 
 class TestDeterminism:

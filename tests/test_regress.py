@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from oracles import ridge_closed_form, svr_dual_objective, svr_qp_oracle
 from vidmem.regress import (ConvergenceError, LinearModel, SingularMatrixError,
                             Standardizer, SvrModel, _kernel_matrix, fit_linear,
                             fit_standardizer, fit_svr, load_model, model_from_dict,
-                            model_to_dict, predict, save_model)
+                            model_to_dict, save_model)
+from vidmem.textmodel import GruRegressor
 
 
 class TestStandardizer:
@@ -205,14 +208,14 @@ class TestPredict:
         std = Standardizer(means=np.zeros(2), stds=np.ones(2))
         model = LinearModel(kind="ols", weights=np.array([1.0, 0.0]),
                             intercept=0.5, hyper={}, standardizer=std)
-        assert predict(model, [[2.0, 7.0]])[0] == 2.5
+        assert model.predict([[2.0, 7.0]])[0] == 2.5
 
     def test_svr_zero_coefs_is_bias(self):
         std = Standardizer(means=np.zeros(2), stds=np.ones(2))
         model = SvrModel(kernel="rbf", gamma=1.0, C=1.0, epsilon=0.1,
                          support_vectors=np.empty((0, 2)), dual_coefs=np.empty(0),
                          bias=0.3, standardizer=std)
-        np.testing.assert_array_equal(predict(model, [[1.0, 2.0], [9.0, -4.0]]), [0.3, 0.3])
+        np.testing.assert_array_equal(model.predict([[1.0, 2.0], [9.0, -4.0]]), [0.3, 0.3])
 
     def test_noiseless_ridge_recovery(self):
         rng = np.random.default_rng(13)
@@ -227,7 +230,7 @@ class TestPredict:
         model = LinearModel(kind="ols", weights=np.array([1.0, 0.0]),
                             intercept=0.0, hyper={}, standardizer=std)
         with pytest.raises(ValueError):
-            predict(model, [[1.0, 2.0, 3.0]])
+            model.predict([[1.0, 2.0, 3.0]])
 
 
 class TestSerialization:
@@ -249,3 +252,19 @@ class TestSerialization:
         model = fit_svr(X, y)
         loaded = model_from_dict(model_to_dict(model))
         np.testing.assert_array_equal(loaded.predict(X), model.predict(X))
+
+    def test_gru_round_trip(self, tmp_path):
+        model = GruRegressor(input_dim=3, hidden_units=2, dense_widths=(2, 1), seed=4)
+        path = tmp_path / "gru.json"
+        save_model(model, path)
+        loaded = load_model(path)
+        X = np.random.default_rng(16).normal(size=(4, 3))
+        assert loaded.forward(X)[0] == model.forward(X)[0]
+
+    def test_gru_file_from_earlier_cli_loads(self):
+        # written by `vidmem train --model gru` when GRU files bypassed save_model;
+        # the expected scores are what that version predicted from the file
+        model = load_model(Path(__file__).parent / "data" / "gru_model_legacy_cli.json")
+        X = np.array([[0.1, -0.2], [0.5, 0.3], [-0.4, 0.2]])
+        assert model.forward(X)[0] == 0.17032157143271062
+        assert model.forward(X[:1])[0] == -0.055665545823621

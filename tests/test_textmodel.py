@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from vidmem.corpus import WordVectorTable
-from vidmem.textmodel import (BowVectorizer, GruRegressor, TokenizeError,
+from vidmem.textmodel import (GruRegressor, TokenizeError,
                               TokenSequence, TrainConfig, embed, gru_train,
                               tokenize)
 
@@ -45,22 +45,6 @@ class TestEmbed:
         seq = embed(["the", "dog", "xx", "yy", "dog"], table)
         assert seq.oov_count == 2
         assert seq.vectors.shape == (5, 3)
-
-
-class TestBow:
-    def test_counts(self):
-        vec = BowVectorizer({"a": 0, "cat": 1, "dog": 2})
-        np.testing.assert_array_equal(vec.transform(["a cat"]), [[1, 1, 0]])
-        np.testing.assert_array_equal(vec.transform(["cat cat"]), [[0, 2, 0]])
-
-    def test_unseen_tokens_dropped(self):
-        vec = BowVectorizer({"a": 0, "cat": 1, "dog": 2})
-        np.testing.assert_array_equal(vec.transform(["a emu"]), [[1, 0, 0]])
-
-    def test_fit_from_training_captions(self):
-        vec = BowVectorizer.fit(["a cat runs", "a dog"])
-        assert set(vec.vocabulary) == {"a", "cat", "runs", "dog"}
-        assert sorted(vec.vocabulary.values()) == [0, 1, 2, 3]
 
 
 def small_model(**kw):
