@@ -15,7 +15,7 @@ from .aggregate import PredictionTable
 from .corpus import Corpus, load_labels_csv
 from .decay import adjust_labels, fit_decay
 from .ensemble import grid_search
-from .harness import (FeatureModelConfig, SyntheticCorpusSpec,
+from .harness import (MODEL_KINDS, FeatureModelConfig, SyntheticCorpusSpec,
                       generate_synthetic, predict_table, report_to_json,
                       report_to_text, run_full_experiment,
                       train_feature_model, write_prediction_csv)
@@ -134,9 +134,44 @@ def _configs(entries):
             for e in entries]
 
 
+def _check_config(cfg, path):
+    """Reject a config that cannot run before any data is loaded or model
+    trained: `data` must be present, and every model entry must name a known
+    kind and a feature set from `data.features` (`captions` for a GRU)."""
+    def fail(message):
+        raise ValueError(f"{path}: {message}")
+
+    if not isinstance(cfg, dict) or not isinstance(cfg.get("data"), dict):
+        fail("missing 'data' object")
+    data = cfg["data"]
+    for i, spec in enumerate(data.get("features", [])):
+        if not isinstance(spec, dict) or not {"name", "path", "modality"} <= spec.keys():
+            fail(f"data.features[{i}] needs 'name', 'path' and 'modality'")
+    features = {spec["name"] for spec in data.get("features", [])}
+    for section in ("feature_models", "ensemble_models"):
+        for i, entry in enumerate(cfg.get(section, [])):
+            where = f"{section}[{i}]"
+            if not isinstance(entry, dict) or not {"feature", "model"} <= entry.keys():
+                fail(f"{where} needs 'feature' and 'model'")
+            feature, kind = entry["feature"], LINEAR_ALIASES.get(entry["model"], entry["model"])
+            if kind not in MODEL_KINDS:
+                fail(f"{where}: unknown model kind {entry['model']!r}")
+            if kind == "gru":
+                if feature != "captions":
+                    fail(f"{where}: a gru model reads 'captions', not {feature!r}")
+                if not (data.get("captions") and data.get("word_vectors")):
+                    fail(f"{where}: a gru model needs data.captions and data.word_vectors")
+            elif feature not in features:
+                fail(f"{where}: feature set {feature!r} is not in data.features")
+
+
 def cmd_experiment(args):
     cfg_path = Path(args.config)
-    cfg = json.loads(cfg_path.read_text())
+    try:
+        cfg = json.loads(cfg_path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{cfg_path}: {exc}") from None
+    _check_config(cfg, cfg_path)
     base = cfg_path.parent
     c = _load_corpus_from_config(cfg, base)
     test_labels = None

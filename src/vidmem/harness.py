@@ -348,7 +348,7 @@ def _ensemble_report(corpus: Corpus, configs, fits, seeds, bucket, train_fractio
     ids = corpus.video_ids
     keys = [_config_key(config) for config in configs]
     rows = []
-    for seed in seeds:
+    for seed in seeds if configs else []:  # no ensemble configs: no rows
         sp = split(ids, seed, train_fraction)
         for term in sorted(corpus.labels):
             stored = [fits[key, seed, term] for key in keys]
@@ -406,7 +406,8 @@ def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs,
                         seeds=DEFAULT_SEEDS, bucket=0.05, train_fraction=0.8,
                         aggregation="median", test_labels=None, workers=1) -> dict:
     """Both protocols over one set of fits: a config that appears in both
-    lists is trained once per seed and term."""
+    lists is trained once per seed and term.  With no ensemble configs the
+    grid search is skipped and the ensemble section has an empty `rows`."""
     seeds = list(seeds)
     fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), seeds,
                     train_fraction, aggregation, workers)

@@ -241,7 +241,9 @@ class GruRegressor:
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    # exp overflows to inf for x < -709; 1 / (1 + inf) = 0.0 is the exact limit
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def _split_by_video(samples, fraction, rng):

@@ -9,24 +9,26 @@ explicit matrix inversion.
 import numpy as np
 
 
+def ranks_oracle(v):
+    """1-based ranks by stable sort; each tie run gets its average rank."""
+    v = list(map(float, v))
+    order = sorted(range(len(v)), key=lambda i: (v[i], i))
+    out = [0.0] * len(v)
+    i = 0
+    while i < len(v):
+        j = i
+        while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
+            j += 1
+        avg = (i + j) / 2.0 + 1.0
+        for k in range(i, j + 1):
+            out[order[k]] = avg
+        i = j + 1
+    return out
+
+
 def srcc_oracle(a, b):
     """Rank via stable sort with average-tie correction, then direct Pearson."""
-    def ranks(v):
-        v = list(map(float, v))
-        order = sorted(range(len(v)), key=lambda i: (v[i], i))
-        out = [0.0] * len(v)
-        i = 0
-        while i < len(v):
-            j = i
-            while j + 1 < len(v) and v[order[j + 1]] == v[order[i]]:
-                j += 1
-            avg = (i + j) / 2.0 + 1.0
-            for k in range(i, j + 1):
-                out[order[k]] = avg
-            i = j + 1
-        return out
-
-    ra, rb = ranks(a), ranks(b)
+    ra, rb = ranks_oracle(a), ranks_oracle(b)
     n = len(ra)
     ma, mb = sum(ra) / n, sum(rb) / n
     num = sum((x - ma) * (y - mb) for x, y in zip(ra, rb))

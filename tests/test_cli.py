@@ -140,6 +140,74 @@ def test_experiment_command_writes_reports(synth_dir, tmp_path):
     assert (tmp_path / "out" / "report.json").read_bytes() == first
 
 
+def _feature_only_config(synth_dir):
+    return {
+        "data": {
+            "features": [
+                {"name": "featA", "path": str(synth_dir / "featA.csv"), "modality": "video"},
+            ],
+            "labels": {"short": str(synth_dir / "labels_short.csv")},
+        },
+        "feature_models": [{"feature": "featA", "model": "ridge", "hyper": {"lam": 1.0}}],
+        "seeds": [0],
+    }
+
+
+def test_feature_only_experiment_writes_reports(synth_dir, tmp_path, capsys):
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(_feature_only_config(synth_dir)))
+    assert main(["experiment", "--config", str(cfg_path)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["features"]["rows"][0]["error"] is None
+    assert report["ensemble"]["rows"] == []
+    assert "Mean (ST)" in (tmp_path / "out" / "report.txt").read_text()
+
+
+def _drop_data(cfg):
+    del cfg["data"]
+
+
+def _absent_feature(cfg):
+    cfg["feature_models"].append({"feature": "featZ", "model": "ridge"})
+
+
+def _unknown_kind(cfg):
+    cfg["ensemble_models"] = [{"feature": "featA", "model": "forest"}]
+
+
+def _gru_without_captions(cfg):
+    cfg["feature_models"].append({"feature": "captions", "model": "gru"})
+
+
+def _entry_without_model(cfg):
+    cfg["ensemble_models"] = [{"feature": "featA"}]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_drop_data, "missing 'data' object"),
+    (_absent_feature, "feature_models[1]: feature set 'featZ' is not in data.features"),
+    (_unknown_kind, "ensemble_models[0]: unknown model kind 'forest'"),
+    (_gru_without_captions,
+     "feature_models[1]: a gru model needs data.captions and data.word_vectors"),
+    (_entry_without_model, "ensemble_models[0] needs 'feature' and 'model'"),
+], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
+        "entry-without-model"])
+def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
+                                                        monkeypatch, edit, message):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained despite a bad config")
+
+    monkeypatch.setattr("vidmem.harness.train_feature_model", no_training)
+    cfg = _feature_only_config(synth_dir)
+    edit(cfg)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line, message", [("v0001", "expected 2 or 3 fields, got 1"),
                                            ("v0001,high", "non-numeric score: 'high'"),
                                            ("v0001,nan,direct", "non-finite score: 'nan'")])

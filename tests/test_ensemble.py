@@ -1,13 +1,16 @@
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from oracles import srcc_oracle
+from vidmem import ensemble
 from vidmem.aggregate import PredictionTable
 from vidmem.corpus import LabelTable
 from vidmem.ensemble import (EnsembleWeights, apply_weights, enumerate_simplex,
                              grid_search)
+from vidmem.metrics import ConstantInputError, srcc
 
 
 def table(name, scores):
@@ -104,6 +107,76 @@ class TestGridSearch:
         transformed = 1.0 / (1.0 + np.exp(-5.0 * (truth_vals - 0.5)))
         w2 = grid_search(tables, LabelTable("short", dict(zip(ids, transformed))), 0.1)
         assert w1.weights == w2.weights
+
+
+def scalar_search(P, t, bucket):
+    """First maximizer of scalar `srcc` over the simplex, and the skip count."""
+    best, skipped = None, 0
+    for w in enumerate_simplex(len(P), bucket):
+        try:
+            score = srcc(np.asarray(w) @ P, t)
+        except ConstantInputError:
+            skipped += 1
+            continue
+        if best is None or score > best[0]:
+            best = (score, tuple(w))
+    return best, skipped
+
+
+def skip_count(records):
+    return sum(r.args[0] for r in records if r.msg.startswith("grid search skipped"))
+
+
+class TestGridSearchExactness:
+    BUCKETS = {1: 0.05, 2: 0.05, 3: 0.05, 4: 0.1, 5: 0.2}
+
+    def check(self, P, t, bucket, caplog):
+        ids = [f"v{i}" for i in range(P.shape[1])]
+        tables = [table(f"m{m}", dict(zip(ids, row))) for m, row in enumerate(P)]
+        caplog.clear()
+        with caplog.at_level(logging.INFO, logger=ensemble.__name__):
+            got = grid_search(tables, LabelTable("short", dict(zip(ids, t))), bucket)
+        (score, weights), skipped = scalar_search(P, t, bucket)
+        assert got.weights == weights
+        assert got.validation_srcc == score
+        assert skip_count(caplog.records) == skipped
+        return skipped
+
+    def test_equals_scalar_search_on_tied_scores(self, caplog):
+        rng = np.random.default_rng(5)
+        skipped = 0
+        for k, bucket in self.BUCKETS.items():
+            for levels in (2, 5, 20):
+                for n in (2, 3, *rng.integers(4, 121, size=3)):
+                    P = np.floor(rng.random((k, n)) * levels) / levels
+                    t = np.floor(rng.random(n) * levels) / levels
+                    if np.ptp(t) == 0.0 or np.all(np.ptp(P, axis=1) == 0.0):
+                        continue  # every candidate constant: covered below
+                    skipped += self.check(P, t, bucket, caplog)
+        assert skipped > 0  # the cases do exercise constant candidates
+
+    def test_equals_scalar_search_across_chunks(self, caplog):
+        rng = np.random.default_rng(6)
+        P = np.floor(rng.random((4, 120)) * 5) / 5
+        t = np.floor(rng.random(120) * 5) / 5
+        assert len(enumerate_simplex(4, 0.05)) * 120 > 2 * ensemble._CHUNK_ELEMS
+        self.check(P, t, 0.05, caplog)
+
+    def test_first_maximizer_wins_across_chunks(self, monkeypatch):
+        scores = {"a": 0.1, "b": 0.5, "c": 0.9}
+        truth = LabelTable("short", {"a": 0.3, "b": 0.6, "c": 0.7})
+        monkeypatch.setattr(ensemble, "_CHUNK_ELEMS", 2 * len(scores))
+        tables = [table(f"m{m}", scores) for m in range(3)]
+        assert grid_search(tables, truth, bucket=0.25).weights == (0.0, 0.0, 1.0)
+
+    def test_errors_as_scalar_srcc(self):
+        truth = LabelTable("short", {"a": 0.2, "b": 0.3})
+        with pytest.raises(ValueError, match="inputs must be finite"):
+            grid_search([table("m", {"a": 0.1, "b": np.nan})], truth)
+        with pytest.raises(ValueError, match="need at least two pairs"):
+            grid_search([table("m", {"a": 0.1})], LabelTable("short", {"a": 0.2}))
+        with pytest.raises(ValueError, match="every candidate produced constant scores"):
+            grid_search([table("m", {"a": 0.5, "b": 0.5})], truth)
 
 
 class TestApplyWeights:

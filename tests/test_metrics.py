@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import srcc_oracle
+from oracles import ranks_oracle, srcc_oracle
 from vidmem.metrics import ConstantInputError, fractional_ranks, srcc
 
 
@@ -62,5 +62,32 @@ def test_against_brute_force_oracle():
 
 
 def test_too_short_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="need at least two pairs"):
         srcc([1.0], [2.0])
+
+
+def test_non_finite_rejected():
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        srcc([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="inputs must be finite"):
+        srcc([1.0, 2.0, 3.0], [1.0, np.inf, 3.0])
+
+
+def test_rows_ranked_independently_as_oracle():
+    rng = np.random.default_rng(3)
+    for levels in (1, 2, 5, 20):
+        for n in (1, 2, 3, 17, 120):
+            values = np.floor(rng.random((6, n)) * levels) / levels
+            got = fractional_ranks(values)
+            for row, ranks in zip(values, got):
+                np.testing.assert_array_equal(ranks, fractional_ranks(row))
+                np.testing.assert_array_equal(ranks, ranks_oracle(row))
+
+
+def test_ranks_along_last_axis_of_3d_input():
+    values = np.floor(np.random.default_rng(4).random((3, 4, 9)) * 3)
+    got = fractional_ranks(values)
+    assert got.shape == values.shape
+    for i in range(3):
+        for j in range(4):
+            np.testing.assert_array_equal(got[i, j], ranks_oracle(values[i, j]))

@@ -1,10 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from vidmem.corpus import WordVectorTable
 from vidmem.textmodel import (GruRegressor, TokenizeError,
-                              TokenSequence, TrainConfig, embed, gru_train,
-                              tokenize)
+                              TokenSequence, TrainConfig, _sigmoid, embed,
+                              gru_train, tokenize)
 
 
 class TestTokenize:
@@ -52,6 +54,14 @@ def small_model(**kw):
                     recurrent_dropout_rate=0.0, dense_dropout_rate=0.0, seed=7)
     defaults.update(kw)
     return GruRegressor(**defaults)
+
+
+class TestSigmoid:
+    def test_large_negative_input_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _sigmoid(np.array([-800.0, -1e308, 0.0, 800.0]))
+        np.testing.assert_array_equal(out, [0.0, 0.0, 0.5, 1.0])
 
 
 class TestGruForward:
