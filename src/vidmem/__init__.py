@@ -2,9 +2,8 @@
 
 from .aggregate import PredictionTable, aggregate_rows
 from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
-                     Observation, WordVectorTable, load_annotations_csv,
-                     load_captions_csv, load_feature_csv, load_labels_csv,
-                     load_word_vectors)
+                     WordVectorTable, load_annotations_csv, load_captions_csv,
+                     load_feature_csv, load_labels_csv, load_word_vectors)
 from .decay import DecayFit, adjust_labels, fit_decay
 from .ensemble import EnsembleWeights, apply_weights, enumerate_simplex, grid_search
 from .harness import (FeatureModelConfig, SplitSpec, SyntheticCorpusSpec,
@@ -19,7 +18,7 @@ from .textmodel import (GruRegressor, TokenSequence, TrainConfig, embed, gru_tra
 __all__ = [
     "AnnotationLog", "CaptionSet", "Corpus", "DecayFit",
     "EnsembleWeights", "FeatureModelConfig", "FeatureSet", "GruRegressor",
-    "LabelTable", "LinearModel", "Observation", "PredictionTable", "SplitSpec",
+    "LabelTable", "LinearModel", "PredictionTable", "SplitSpec",
     "Standardizer", "SvrModel", "SyntheticCorpusSpec", "TokenSequence",
     "TrainConfig", "WordVectorTable", "adjust_labels", "aggregate_rows",
     "apply_weights", "embed", "enumerate_simplex", "fit_decay", "fit_linear",

@@ -28,34 +28,39 @@ class ParseError(ValueError):
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One recognition trial: was the repeat detected, and after what delay."""
-
-    recognized: int
-    delay_seconds: float
-
-    def __post_init__(self):
-        if self.recognized not in (0, 1):
-            raise ValueError(f"recognized must be 0 or 1, got {self.recognized}")
-        if not (self.delay_seconds > 0) or not math.isfinite(self.delay_seconds):
-            raise ValueError(f"delay must be positive and finite, got {self.delay_seconds}")
-
-
-@dataclass(frozen=True)
 class AnnotationLog:
-    """Per-video ordered recognition observations."""
+    """Recognition trials as three parallel columns, one entry per trial: the
+    video id, the delay before the repeat, and whether it was recognized.
 
-    entries: dict[str, tuple[Observation, ...]]
+    `entries` maps each video id to the indices of its trials, videos in
+    first-appearance order and trials in column order.
+    """
+
+    video_id: tuple[str, ...]
+    delay_seconds: np.ndarray
+    recognized: np.ndarray
+    entries: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for vid, obs in self.entries.items():
+        delays = np.asarray(self.delay_seconds, dtype=float)
+        recognized = np.asarray(self.recognized)
+        if not (delays.ndim == recognized.ndim == 1
+                and len(self.video_id) == len(delays) == len(recognized)):
+            raise ValueError("annotation columns must be 1-d and of equal length")
+        if not np.all((delays > 0) & np.isfinite(delays)):
+            raise ValueError("delays must be positive and finite")
+        if not np.all((recognized == 0) | (recognized == 1)):
+            raise ValueError("recognized must be 0 or 1")
+        first: dict[str, int] = {}  # video id -> rank in first-appearance order
+        codes = np.fromiter((first.setdefault(vid, len(first)) for vid in self.video_id), np.intp)
+        for vid in first:
             _check_video_id(vid)
-            if len(obs) == 0:
-                raise ValueError(f"video {vid!r} has no observations")
-
-    @property
-    def video_ids(self):
-        return list(self.entries)
+        trials = np.argsort(codes, kind="stable")
+        groups = np.split(trials, np.cumsum(np.bincount(codes, minlength=len(first)))[:-1])
+        object.__setattr__(self, "video_id", tuple(self.video_id))
+        object.__setattr__(self, "delay_seconds", delays)
+        object.__setattr__(self, "recognized", recognized.astype(int))
+        object.__setattr__(self, "entries", dict(zip(first, groups)))
 
 
 @dataclass(frozen=True)
@@ -78,10 +83,6 @@ class FeatureSet:
                 raise ValueError(f"video {vid!r}: rows have width {arr.shape}, expected {self.dimension}")
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"video {vid!r}: non-finite feature value")
-
-    @property
-    def video_ids(self):
-        return list(self.rows)
 
 
 @dataclass(frozen=True)
@@ -125,10 +126,6 @@ class LabelTable:
             if not (0.0 <= s <= 1.0):
                 raise ValueError(f"video {vid!r}: score {s} outside [0, 1]")
 
-    @property
-    def video_ids(self):
-        return list(self.scores)
-
 
 @dataclass
 class Corpus:
@@ -152,7 +149,7 @@ class Corpus:
 
 
 def _check_video_id(vid):
-    if not vid or any(ch.isspace() for ch in vid) or "," in vid:
+    if vid.split() != [vid] or "," in vid:  # empty, or holds whitespace or a comma
         raise ValueError(f"invalid video id {vid!r}")
 
 
@@ -166,98 +163,96 @@ def _parse_float(value, path, line_no, what):
     return x
 
 
-def _read_csv_rows(path):
+def _read_records(path, what, fields=None, unique=False):
+    """Yield `(line_no, video_id, raw fields)` for each non-blank CSV row.
+
+    Checks the field count against `fields` (None: the id plus at least one
+    value) and the video id (`unique`: at most one row per video); these
+    errors and a file without rows raise ParseError with path:line.
+    """
+    seen: dict[str, str] = {}  # one string object per distinct id
     with open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
-            yield line_no, row
+            if fields is None and len(row) < 2:
+                raise ParseError(path, line_no, "expected video id plus at least one value")
+            if fields is not None and len(row) not in fields:
+                expected = " or ".join(map(str, fields))
+                raise ParseError(path, line_no, f"expected {expected} fields, got {len(row)}")
+            vid = row[0].strip()
+            try:
+                _check_video_id(vid)
+            except ValueError as exc:
+                raise ParseError(path, line_no, str(exc)) from None
+            if unique and vid in seen:
+                raise ParseError(path, line_no, f"duplicate video id {vid!r}")
+            yield line_no, seen.setdefault(vid, vid), row
+    if not seen:
+        raise ParseError(path, 0, f"empty {what} file")
 
 
 def load_feature_csv(path, modality, name):
     """Load `video_id,f0,...,f(d-1)` rows; multiple lines per video allowed."""
     rows_by_vid: dict[str, list[list[float]]] = {}
     dimension = None
-    for line_no, row in _read_csv_rows(path):
-        if len(row) < 2:
-            raise ParseError(path, line_no, "expected video id plus at least one feature value")
-        vid = row[0].strip()
+    for line_no, vid, row in _read_records(path, "feature"):
         values = [_parse_float(v, path, line_no, "feature value") for v in row[1:]]
         if dimension is None:
             dimension = len(values)
         elif len(values) != dimension:
             raise ParseError(path, line_no, f"dimension mismatch: got {len(values)}, expected {dimension}")
         rows_by_vid.setdefault(vid, []).append(values)
-    if dimension is None:
-        raise ParseError(path, 0, "empty feature file")
     arrays = {vid: np.asarray(vals, dtype=float) for vid, vals in rows_by_vid.items()}
     return FeatureSet(modality=modality, name=name, dimension=dimension, rows=arrays)
 
 
 def load_annotations_csv(path):
     """Load `video_id,delay_seconds,recognized` rows into an AnnotationLog."""
-    entries: dict[str, list[Observation]] = {}
-    for line_no, row in _read_csv_rows(path):
-        if len(row) != 3:
-            raise ParseError(path, line_no, f"expected 3 fields, got {len(row)}")
-        vid = row[0].strip()
+    video_id, delay_seconds, recognized = [], [], []
+    for line_no, vid, row in _read_records(path, "annotation", (3,)):
         delay = _parse_float(row[1], path, line_no, "delay")
         if delay <= 0:
             raise ParseError(path, line_no, f"nonpositive delay {delay}")
         rec_raw = row[2].strip()
         if rec_raw not in ("0", "1"):
             raise ParseError(path, line_no, f"recognized must be 0 or 1, got {rec_raw!r}")
-        entries.setdefault(vid, []).append(Observation(int(rec_raw), delay))
-    if not entries:
-        raise ParseError(path, 0, "empty annotation file")
-    return AnnotationLog({vid: tuple(obs) for vid, obs in entries.items()})
+        video_id.append(vid)
+        delay_seconds.append(delay)
+        recognized.append(rec_raw == "1")
+    return AnnotationLog(video_id, delay_seconds, recognized)
 
 
 def load_captions_csv(path):
     """Load `video_id,"caption text"` rows (standard CSV quoting)."""
     caps: dict[str, list[str]] = {}
-    for line_no, row in _read_csv_rows(path):
-        if len(row) != 2:
-            raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-        vid, text = row[0].strip(), row[1]
-        if not text.strip():
+    for line_no, vid, row in _read_records(path, "caption", (2,)):
+        if not row[1].strip():
             raise ParseError(path, line_no, "empty caption")
-        caps.setdefault(vid, []).append(text)
-    if not caps:
-        raise ParseError(path, 0, "empty caption file")
-    try:
-        return CaptionSet({vid: tuple(c) for vid, c in caps.items()})
-    except ValueError as exc:
-        raise ParseError(path, 0, str(exc)) from None
+        video_caps = caps.setdefault(vid, [])
+        if len(video_caps) == 5:
+            raise ParseError(path, line_no, f"video {vid!r}: more than 5 captions")
+        video_caps.append(row[1])
+    return CaptionSet({vid: tuple(c) for vid, c in caps.items()})
 
 
 def load_labels_csv(path, term):
-    """Load `video_id,score` rows; scores must lie in [0, 1]."""
+    """Load `video_id,score` rows, one per video; scores must lie in [0, 1]."""
     scores: dict[str, float] = {}
-    for line_no, row in _read_csv_rows(path):
-        if len(row) != 2:
-            raise ParseError(path, line_no, f"expected 2 fields, got {len(row)}")
-        vid = row[0].strip()
+    for line_no, vid, row in _read_records(path, "label", (2,), unique=True):
         score = _parse_float(row[1], path, line_no, "score")
         if not 0.0 <= score <= 1.0:
             raise ParseError(path, line_no, f"score {score} outside [0, 1]")
         scores[vid] = score
-    if not scores:
-        raise ParseError(path, 0, "empty label file")
     return LabelTable(term=term, scores=scores)
 
 
 def load_prediction_csv(path):
     """Load `video_id,score` label rows or `video_id,score,coverage` rows as
-    written by `write_prediction_csv`; any finite score is accepted."""
-    scores: dict[str, float] = {}
-    for line_no, row in _read_csv_rows(path):
-        if len(row) not in (2, 3):
-            raise ParseError(path, line_no, f"expected 2 or 3 fields, got {len(row)}")
-        scores[row[0].strip()] = _parse_float(row[1], path, line_no, "score")
-    if not scores:
-        raise ParseError(path, 0, "empty prediction file")
-    return scores
+    written by `write_prediction_csv`, one per video; any finite score is
+    accepted."""
+    return {vid: _parse_float(row[1], path, line_no, "score")
+            for line_no, vid, row in _read_records(path, "prediction", (2, 3), unique=True)}
 
 
 def load_word_vectors(path):
@@ -300,11 +295,10 @@ def write_labels_csv(table, path):
 
 
 def write_annotations_csv(log, path):
+    """Inverse of load_annotations_csv; writes the trials in column order."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for vid, observations in log.entries.items():
-            for obs in observations:
-                writer.writerow([vid, repr(float(obs.delay_seconds)), obs.recognized])
+        csv.writer(fh).writerows(zip(log.video_id, map(repr, log.delay_seconds.tolist()),
+                                     log.recognized.tolist()))
 
 
 def write_captions_csv(caption_set, path):

@@ -51,20 +51,19 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10,
         raise ValueError("empty annotation log")
 
     video_ids = list(log.entries)
-    # Per-video sufficient statistics; the alpha denominator and the log-ratio
-    # sums never change across iterations.
-    hit_rate = np.empty(len(video_ids))
-    mean_lr = np.empty(len(video_ids))      # (1/n_i) sum_j log(t_j/T)
-    mean_xlr = np.empty(len(video_ids))     # (1/n_i) sum_j x_j * log(t_j/T)
-    mean_lr2 = np.empty(len(video_ids))     # (1/n_i) sum_j log(t_j/T)^2
-    for k, vid in enumerate(video_ids):
-        obs = log.entries[vid]
-        x = np.array([o.recognized for o in obs], dtype=float)
-        lr = np.log(np.array([o.delay_seconds for o in obs]) / target_duration)
-        hit_rate[k] = x.mean()
-        mean_lr[k] = lr.mean()
-        mean_xlr[k] = (x * lr).mean()
-        mean_lr2[k] = (lr * lr).mean()
+    groups = list(log.entries.values())
+    # Trials regrouped video by video, so each video's trials form one slice
+    # and a per-slice .mean() sums in the order of a per-video array.
+    order = np.concatenate(groups)
+    x = log.recognized[order].astype(float)
+    lr = np.log(log.delay_seconds[order] / target_duration)
+    bounds = np.cumsum([0] + [len(g) for g in groups]).tolist()
+    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
+    # Per-video sufficient statistics: the means of x, log(t/T), x log(t/T) and
+    # log(t/T)^2.  The alpha denominator and the log-ratio sums never change
+    # across iterations.
+    hit_rate, mean_lr, mean_xlr, mean_lr2 = (np.array([col[s].mean() for s in slices])
+                                             for col in (x, lr, x * lr, lr * lr))
 
     denominator = mean_lr2.sum()
     degenerate = denominator == 0.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from .aggregate import PredictionTable, aggregate_rows, clamp_unit
 from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
-                     Observation, WordVectorTable)
+                     WordVectorTable)
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
 from .regress import LINEAR_KINDS, fit_linear, fit_svr
@@ -108,13 +108,14 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     vids = [f"v{i:04d}" for i in range(spec.n_videos)]
 
     m_star = rng.uniform(spec.m_low, spec.m_high, size=spec.n_videos)
-    entries = {}
-    for k, vid in enumerate(vids):
-        delays = rng.uniform(spec.delay_low, spec.delay_high, size=spec.obs_per_video)
-        p = np.clip(m_star[k] + spec.true_alpha * np.log(delays / spec.target_duration), 0.0, 1.0)
-        hits = (rng.random(spec.obs_per_video) < p).astype(int)
-        entries[vid] = tuple(Observation(int(h), float(t)) for h, t in zip(hits, delays))
-    log = AnnotationLog(entries)
+    delays, hits = [], []
+    for k in range(spec.n_videos):
+        delays.append(rng.uniform(spec.delay_low, spec.delay_high, size=spec.obs_per_video))
+        p = np.clip(m_star[k] + spec.true_alpha * np.log(delays[-1] / spec.target_duration),
+                    0.0, 1.0)
+        hits.append(rng.random(spec.obs_per_video) < p)
+    log = AnnotationLog([vid for vid in vids for _ in range(spec.obs_per_video)],
+                        np.concatenate(delays), np.concatenate(hits))
 
     feat_a_rows, feat_b_rows, labels = {}, {}, {}
     for vid in vids:
@@ -196,16 +197,22 @@ def _caption_samples(corpus, labels, ids):
     return samples
 
 
+def _feature_set(corpus, name):
+    try:
+        return corpus.features[name]
+    except KeyError:
+        raise ValueError(f"feature set {name!r} is not in the corpus") from None
+
+
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
     hyper = dict(config.hyper)
-    if config.model in LINEAR_KINDS:
-        X, y = _stack_training_rows(corpus.features[config.feature], labels, train_ids)
+    if config.model in LINEAR_KINDS or config.model == "svr":
+        X, y = _stack_training_rows(_feature_set(corpus, config.feature), labels, train_ids)
+        if config.model == "svr":
+            return fit_svr(X, y, **hyper)
         return fit_linear(X, y, kind=config.model, hyper=hyper)
-    if config.model == "svr":
-        X, y = _stack_training_rows(corpus.features[config.feature], labels, train_ids)
-        return fit_svr(X, y, **hyper)
     if config.model == "gru":
         if corpus.captions is None or corpus.word_vectors is None:
             raise ValueError("gru model needs captions and word vectors in the corpus")
@@ -229,7 +236,7 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
                 per_row[vid] = [model.predict_sequence(embed(tokenize(c), corpus.word_vectors))
                                 for c in caps]
     else:
-        feature_set = corpus.features[config.feature]
+        feature_set = _feature_set(corpus, config.feature)
         for vid in ids:
             rows = feature_set.rows.get(vid)
             if rows is not None and len(rows) > 0:

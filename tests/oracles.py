@@ -55,8 +55,8 @@ def svr_dual_objective(beta, K, y, epsilon):
 
 def svr_qp_oracle(K, y, C, epsilon, max_iter=200_000, tol=1e-8):
     """Projected gradient on the split (a, a*) box with the equality
-    constraint sum(a) - sum(a*) = 0; projection is exact via bisection on
-    the constraint multiplier."""
+    constraint sum(a) - sum(a*) = 0; projection is exact: the constraint
+    multiplier is solved on the linear piece between sorted breakpoints."""
     n = len(y)
     s = np.concatenate([np.ones(n), -np.ones(n)])
     p = np.concatenate([epsilon - y, epsilon + y])
@@ -66,14 +66,14 @@ def svr_qp_oracle(K, y, C, epsilon, max_iter=200_000, tol=1e-8):
         return np.concatenate([Kb, -Kb]) + p
 
     def project(w):
-        lo, hi = -1e9, 1e9
-        for _ in range(300):
-            mid = 0.5 * (lo + hi)
-            if s @ np.clip(w - mid * s, 0.0, C) > 0:
-                lo = mid
-            else:
-                hi = mid
-        return np.clip(w - 0.5 * (lo + hi) * s, 0.0, C)
+        # g(mu) = s @ clip(w - mu s, 0, C) is continuous, piecewise linear and
+        # non-increasing, from n C to -n C, with breakpoints where a coordinate
+        # reaches 0 or C; its root lies on the piece where g changes sign.
+        mus = np.unique(np.concatenate([s * w, s * (w - C)]))
+        g = np.clip(w - mus[:, None] * s, 0.0, C) @ s
+        k = int(np.argmax(g <= 0))  # first breakpoint with g <= 0; g[0] = n C > 0
+        mu = mus[k - 1] + g[k - 1] * (mus[k] - mus[k - 1]) / (g[k - 1] - g[k])
+        return np.clip(w - mu * s, 0.0, C)
 
     lip = float(np.linalg.eigvalsh(K).max()) + 1e-9
     step = 0.5 / lip
@@ -93,15 +93,16 @@ def svr_qp_oracle(K, y, C, epsilon, max_iter=200_000, tol=1e-8):
 def decay_update_round(log, target_duration, alpha, m):
     """One textbook (alpha, m) update from arbitrary state."""
     num = den = 0.0
-    for vid, obs in log.entries.items():
-        lr = [np.log(o.delay_seconds / target_duration) for o in obs]
-        x = [o.recognized for o in obs]
-        n = len(obs)
+    for vid, trials in log.entries.items():
+        lr = [np.log(log.delay_seconds[j] / target_duration) for j in trials]
+        x = [log.recognized[j] for j in trials]
+        n = len(trials)
         num += sum(l * (xi - m[vid]) for l, xi in zip(lr, x)) / n
         den += sum(l * l for l in lr) / n
     new_alpha = num / den if den != 0 else alpha
     new_m = {}
-    for vid, obs in log.entries.items():
-        new_m[vid] = sum(o.recognized - new_alpha * np.log(o.delay_seconds / target_duration)
-                         for o in obs) / len(obs)
+    for vid, trials in log.entries.items():
+        new_m[vid] = sum(log.recognized[j]
+                         - new_alpha * np.log(log.delay_seconds[j] / target_duration)
+                         for j in trials) / len(trials)
     return new_alpha, new_m

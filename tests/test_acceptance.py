@@ -9,7 +9,7 @@ import numpy as np
 from oracles import (decay_update_round, ridge_closed_form, srcc_oracle,
                      svr_dual_objective, svr_qp_oracle)
 from vidmem.aggregate import PredictionTable, aggregate_rows
-from vidmem.corpus import AnnotationLog, LabelTable, Observation
+from vidmem.corpus import AnnotationLog, LabelTable
 from vidmem.decay import fit_decay
 from vidmem.ensemble import enumerate_simplex, grid_search
 from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec,
@@ -39,8 +39,7 @@ def test_criterion_01_decay_fit_recovery():
     assert elapsed < 10.0
     assert alpha_err <= 0.01
 
-    degenerate = AnnotationLog({"v": (Observation(1, 75.0), Observation(0, 75.0),
-                                      Observation(1, 75.0))})
+    degenerate = AnnotationLog(("v", "v", "v"), (75.0, 75.0, 75.0), (1, 0, 1))
     dfit = fit_decay(degenerate, 75.0, iterations=10)
     assert dfit.m_t["v"] == 2.0 / 3.0  # bit-exact raw hit rate
     assert dfit.warnings

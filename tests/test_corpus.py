@@ -56,8 +56,11 @@ class TestAnnotationLoader:
     def test_basic(self, tmp_path):
         p = write(tmp_path, "a.csv", "v1,75,1\nv1,80,0\n")
         log = corpus.load_annotations_csv(p)
-        assert len(log.entries["v1"]) == 2
-        assert log.entries["v1"][0].recognized == 1
+        assert log.video_id == ("v1", "v1")
+        np.testing.assert_array_equal(log.delay_seconds, [75.0, 80.0])
+        np.testing.assert_array_equal(log.recognized, [1, 0])
+        assert list(log.entries) == ["v1"]
+        np.testing.assert_array_equal(log.entries["v1"], [0, 1])
 
     def test_nonpositive_delay(self, tmp_path):
         p = write(tmp_path, "a.csv", "v1,0,1\n")
@@ -67,12 +70,39 @@ class TestAnnotationLoader:
     def test_fractional_delay_ok(self, tmp_path):
         p = write(tmp_path, "a.csv", "v1,74.96,1\n")
         log = corpus.load_annotations_csv(p)
-        assert log.entries["v1"][0].delay_seconds == 74.96
+        assert log.delay_seconds[0] == 74.96
 
     def test_bad_recognized(self, tmp_path):
         p = write(tmp_path, "a.csv", "v1,75,2\n")
         with pytest.raises(corpus.ParseError):
             corpus.load_annotations_csv(p)
+
+    def test_interleaved_videos_grouped_in_first_appearance_order(self, tmp_path):
+        p = write(tmp_path, "a.csv", "v2,75,1\nv1,80,0\nv2,90,0\n")
+        log = corpus.load_annotations_csv(p)
+        assert list(log.entries) == ["v2", "v1"]
+        np.testing.assert_array_equal(log.entries["v2"], [0, 2])
+        np.testing.assert_array_equal(log.entries["v1"], [1])
+
+    def test_round_trip_keeps_trial_order(self, tmp_path):
+        text = "v2,75.5,1\nv1,80.0,0\nv2,90.25,0\n"
+        out = tmp_path / "out.csv"
+        corpus.write_annotations_csv(corpus.load_annotations_csv(write(tmp_path, "a.csv", text)),
+                                     out)
+        assert out.read_text().replace("\r\n", "\n") == text
+
+
+class TestAnnotationLog:
+    @pytest.mark.parametrize("video_id, delays, recognized, message", [
+        (("v1",), (0.0,), (1,), "delays must be positive and finite"),
+        (("v1",), (float("nan"),), (1,), "delays must be positive and finite"),
+        (("v1", "v1"), (75.0, 75.0), (1, 2), "recognized must be 0 or 1"),
+        (("v1",), (75.0, 80.0), (1, 0), "columns must be 1-d and of equal length"),
+        (("v 1",), (75.0,), (1,), "invalid video id 'v 1'"),
+    ])
+    def test_invalid_columns_rejected(self, video_id, delays, recognized, message):
+        with pytest.raises(ValueError, match=message):
+            corpus.AnnotationLog(video_id, delays, recognized)
 
 
 class TestLabelLoader:
@@ -93,8 +123,9 @@ class TestCaptionLoader:
 
     def test_too_many_captions(self, tmp_path):
         p = write(tmp_path, "c.csv", "".join(f"v1,cap {i}\n" for i in range(6)))
-        with pytest.raises(corpus.ParseError):
+        with pytest.raises(corpus.ParseError) as exc:
             corpus.load_captions_csv(p)
+        assert exc.value.line_no == 6
 
 
 class TestWordVectorLoader:
@@ -111,3 +142,33 @@ class TestWordVectorLoader:
         with pytest.raises(corpus.ParseError) as exc:
             corpus.load_word_vectors(p)
         assert exc.value.line_no == 2
+
+
+LOADERS = {
+    "feature": (lambda p: corpus.load_feature_csv(p, "video", "C3D"), "v1,0.1\n{vid},0.2\n"),
+    "annotation": (corpus.load_annotations_csv, "v1,75,1\n{vid},80,0\n"),
+    "caption": (corpus.load_captions_csv, "v1,a dog\n{vid},a cat\n"),
+    "label": (lambda p: corpus.load_labels_csv(p, "short"), "v1,0.5\n{vid},0.7\n"),
+    "prediction": (corpus.load_prediction_csv, "v1,0.5\n{vid},0.7\n"),
+}
+
+
+@pytest.mark.parametrize("vid", ["", "v 2"])
+@pytest.mark.parametrize("kind", list(LOADERS))
+def test_bad_video_id_reports_line(tmp_path, kind, vid):
+    load, text = LOADERS[kind]
+    p = write(tmp_path, "f.csv", text.format(vid=vid))
+    with pytest.raises(corpus.ParseError) as exc:
+        load(p)
+    assert exc.value.line_no == 2
+    assert str(exc.value) == f"{p}:2: invalid video id {vid!r}"
+
+
+@pytest.mark.parametrize("kind", ["label", "prediction"])
+def test_repeated_video_id_rejected_at_second_line(tmp_path, kind):
+    load, _ = LOADERS[kind]
+    p = write(tmp_path, "f.csv", "v1,0.5\nv2,0.6\nv1,0.7\n")
+    with pytest.raises(corpus.ParseError) as exc:
+        load(p)
+    assert exc.value.line_no == 3
+    assert str(exc.value) == f"{p}:3: duplicate video id 'v1'"

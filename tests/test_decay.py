@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from oracles import decay_update_round
-from vidmem.corpus import AnnotationLog, Observation
+from vidmem.corpus import AnnotationLog
 from vidmem.decay import DEGENERATE_WARNING, adjust_labels, fit_decay
 from vidmem.harness import SyntheticCorpusSpec, generate_synthetic
 
 
 def make_log(spec):
-    return AnnotationLog({vid: tuple(Observation(x, t) for x, t in obs)
-                          for vid, obs in spec.items()})
+    """AnnotationLog from {video id: [(recognized, delay), ...]}."""
+    trials = [(vid, t, x) for vid, obs in spec.items() for x, t in obs]
+    return AnnotationLog(*map(list, zip(*trials)))
 
 
 def test_degenerate_all_delays_at_target():
@@ -23,7 +24,7 @@ def test_degenerate_all_delays_at_target():
 
 def test_empty_log_rejected():
     with pytest.raises(ValueError):
-        fit_decay(AnnotationLog({}), 75.0, 10)
+        fit_decay(AnnotationLog((), (), ()), 75.0, 10)
 
 
 def test_alpha_trajectory_recorded():
@@ -45,8 +46,7 @@ def test_fixed_point_under_one_more_round():
 def test_delay_scale_invariance():
     log = make_log({"v1": [(1, 30.0), (0, 150.0)], "v2": [(1, 60.0), (1, 90.0), (0, 120.0)]})
     fit = fit_decay(log, 75.0, 10)
-    scaled = make_log({vid: [(o.recognized, o.delay_seconds * 3.0) for o in obs]
-                       for vid, obs in log.entries.items()})
+    scaled = AnnotationLog(log.video_id, log.delay_seconds * 3.0, log.recognized)
     fit_s = fit_decay(scaled, 225.0, 10)
     assert abs(fit.alpha - fit_s.alpha) < 1e-9
     for vid in fit.m_t:
@@ -57,6 +57,16 @@ def test_synthetic_alpha_recovery():
     synth = generate_synthetic(SyntheticCorpusSpec(seed=0))  # 500 x 30, alpha* = -0.03
     fit = fit_decay(synth.corpus.annotations["short"], 75.0, 10)
     assert abs(fit.alpha - synth.true_alpha) <= 0.01
+
+
+def test_interleaved_trials_fit_as_grouped():
+    grouped = make_log({"v1": [(1, 30.0), (0, 150.0), (1, 80.0)],
+                        "v2": [(1, 60.0), (0, 90.0)]})
+    interleaved = AnnotationLog(["v1", "v2", "v1", "v2", "v1"],
+                                [30.0, 60.0, 150.0, 90.0, 80.0], [1, 1, 0, 0, 1])
+    fit, fit_i = fit_decay(grouped, 75.0, 10), fit_decay(interleaved, 75.0, 10)
+    assert fit_i.alpha_trajectory == fit.alpha_trajectory
+    assert list(fit_i.m_t.items()) == list(fit.m_t.items())
 
 
 def test_early_exit_tolerance():

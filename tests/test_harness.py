@@ -95,7 +95,7 @@ class TestFeatureExperiment:
         configs = CONFIGS[:1] + [FeatureModelConfig("missing", "ridge", {})]
         report = run_feature_experiment(small_corpus, configs, seeds=[0])
         assert report["rows"][0]["error"] is None
-        assert report["rows"][1]["error"] is not None
+        assert report["rows"][1]["error"] == "feature set 'missing' is not in the corpus"
 
 
 class TestEnsembleExperiment:
@@ -165,7 +165,7 @@ class TestTrainOnce:
             corpus = Corpus(features=small_corpus.features, labels=labels)
             report = run_feature_experiment(corpus, CONFIGS[:1], seeds=[0, 1])
             assert report["rows"][0]["error"] == error
-        with pytest.raises(KeyError, match="missing"):
+        with pytest.raises(ValueError, match="feature set 'missing' is not in the corpus"):
             run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1] + [
                 FeatureModelConfig("missing", "ridge")], seeds=[0])
 
