@@ -27,10 +27,6 @@ class PredictionTable:
     coverage: dict[str, str]  # video id -> "direct" | "fallback"
     aggregation: str
 
-    @property
-    def video_ids(self):
-        return list(self.scores)
-
 
 def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
                    model_name="model") -> PredictionTable:

@@ -20,7 +20,8 @@ from .harness import (MODEL_KINDS, FeatureModelConfig, SyntheticCorpusSpec,
                       report_to_text, run_full_experiment,
                       train_feature_model, write_prediction_csv)
 from .metrics import srcc
-from .textmodel import GruRegressor
+from .regress import ConvergenceError
+from .textmodel import GruRegressor, TrainingDivergedError
 
 LINEAR_ALIASES = {"bayes": "bayes_ridge"}
 
@@ -59,6 +60,8 @@ def _corpus_for_model(args, model_kind):
 def cmd_train(args):
     kind = LINEAR_ALIASES.get(args.model, args.model)
     hyper = json.loads(args.params) if args.params else {}
+    if not isinstance(hyper, dict):
+        raise ValueError("--params must be a JSON object")
     labels = load_labels_csv(args.labels, args.term)
     c, feature_name = _corpus_for_model(args, kind)
     config = FeatureModelConfig(feature=feature_name, model=kind, hyper=hyper)
@@ -136,8 +139,9 @@ def _configs(entries):
 
 def _check_config(cfg, path):
     """Reject a config that cannot run before any data is loaded or model
-    trained: `data` must be present, and every model entry must name a known
-    kind and a feature set from `data.features` (`captions` for a GRU)."""
+    trained: `data` must be present, `seeds` a list of integers, and every
+    model entry must name a known kind, a feature set from `data.features`
+    (`captions` for a GRU) and an object of hyperparameters."""
     def fail(message):
         raise ValueError(f"{path}: {message}")
 
@@ -148,6 +152,10 @@ def _check_config(cfg, path):
         if not isinstance(spec, dict) or not {"name", "path", "modality"} <= spec.keys():
             fail(f"data.features[{i}] needs 'name', 'path' and 'modality'")
     features = {spec["name"] for spec in data.get("features", [])}
+    seeds = cfg.get("seeds")
+    if "seeds" in cfg and not (isinstance(seeds, list) and seeds
+                               and all(type(seed) is int for seed in seeds)):
+        fail("'seeds' must be a non-empty list of integers")
     for section in ("feature_models", "ensemble_models"):
         for i, entry in enumerate(cfg.get(section, [])):
             where = f"{section}[{i}]"
@@ -156,6 +164,8 @@ def _check_config(cfg, path):
             feature, kind = entry["feature"], LINEAR_ALIASES.get(entry["model"], entry["model"])
             if kind not in MODEL_KINDS:
                 fail(f"{where}: unknown model kind {entry['model']!r}")
+            if not isinstance(entry.get("hyper", {}), dict):
+                fail(f"{where}: 'hyper' must be a JSON object")
             if kind == "gru":
                 if feature != "captions":
                     fail(f"{where}: a gru model reads 'captions', not {feature!r}")
@@ -285,7 +295,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, ConvergenceError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

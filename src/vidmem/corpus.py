@@ -267,6 +267,8 @@ def load_word_vectors(path):
                     continue
                 raise ParseError(path, line_no, "expected token plus vector components")
             token = parts[0].lower()
+            if token in vectors:
+                raise ParseError(path, line_no, f"duplicate token {token!r} (tokens are lowercased)")
             values = [_parse_float(v, path, line_no, "vector component") for v in parts[1:]]
             if dimension is None:
                 dimension = len(values)

@@ -10,6 +10,7 @@ runs and across worker counts.
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -158,6 +159,12 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
 # ---------------------------------------------------------------------------
 
 MODEL_KINDS = LINEAR_KINDS + ("svr", "gru")
+# the hyperparameters an SVR or GRU config may set; fit_linear ignores unknown keys
+_HYPER_KEYS = {
+    "svr": set(inspect.signature(fit_svr).parameters) - {"X", "y"},
+    "gru": (set(inspect.signature(GruRegressor).parameters) - {"input_dim", "seed", "train_config"}
+            | set(TrainConfig.__dataclass_fields__)),
+}
 
 
 @dataclass(frozen=True)
@@ -208,6 +215,9 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
     hyper = dict(config.hyper)
+    unknown = sorted(set(hyper) - _HYPER_KEYS.get(config.model, set(hyper)))
+    if unknown:
+        raise ValueError(f"unknown {config.model} hyperparameter {unknown[0]!r}")
     if config.model in LINEAR_KINDS or config.model == "svr":
         X, y = _stack_training_rows(_feature_set(corpus, config.feature), labels, train_ids)
         if config.model == "svr":

@@ -254,8 +254,10 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
             tol=1e-3, max_iter=1_000_000) -> SvrModel:
     """Solve the epsilon-insensitive dual by SMO on maximal-violating pairs.
 
-    Works in the split (a, a*) box [0, C]^(2n) with the equality constraint
-    sum(a) - sum(a*) = 0; stops when the max KKT violation drops to `tol`.
+    Holds the dual as one signed vector b = [a, -a*] of length 2n in the box
+    [lo, hi] with lo = [0, -C] and hi = [C, 0] per half, under the equality
+    constraint sum(b) = 0; beta = b[:n] + b[n:].  Stops when the max KKT
+    violation drops to `tol`.
     """
     if kernel not in SVR_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
@@ -274,33 +276,21 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
         gamma = 1.0 / (d * total_var) if total_var > 0 else 1.0 / d
 
     K = _kernel_matrix(kernel, gamma, Xs, Xs)
-    a = np.zeros(n)       # alpha (pushes predictions up)
-    a_star = np.zeros(n)  # alpha* (pushes predictions down)
-    u = np.zeros(n)       # current sum_j beta_j K_ij
-
-    def violation_and_pair():
-        # -s*G values: G_alpha = u + eps - y, G_alpha* = -u + eps + y
-        up_vals = y - u - epsilon      # from alpha side (s = +1)
-        dn_vals = y - u + epsilon      # from alpha* side (s = -1)
-        m_val, m_arg, m_side = -np.inf, -1, 0
-        M_val, M_arg, M_side = np.inf, -1, 0
-        # I_up: alpha < C or alpha* > 0 (room to move the pair variable "up")
-        for vals, mask, side in ((up_vals, a < C, 1), (dn_vals, a_star > 0.0, -1)):
-            if mask.any():
-                idx = np.argmax(np.where(mask, vals, -np.inf))
-                if vals[idx] > m_val:
-                    m_val, m_arg, m_side = vals[idx], int(idx), side
-        # I_low: alpha > 0 or alpha* < C
-        for vals, mask, side in ((up_vals, a > 0.0, 1), (dn_vals, a_star < C, -1)):
-            if mask.any():
-                idx = np.argmin(np.where(mask, vals, np.inf))
-                if vals[idx] < M_val:
-                    M_val, M_arg, M_side = vals[idx], int(idx), side
-        return m_val, m_arg, m_side, M_val, M_arg, M_side
+    box, zeros = np.full(n, float(C)), np.zeros(n)
+    lo, hi = np.concatenate((zeros, -box)), np.concatenate((box, zeros))
+    b = np.zeros(2 * n)
+    u = np.zeros(n)  # current sum_j beta_j K_ij
 
     iterations = 0
     while True:
-        m_val, p, p_side, M_val, q, q_side = violation_and_pair()
+        # -G per variable: y - u - eps on the a half, y - u + eps on the a* half.
+        # argmax/argmin return the first extreme: ties go to a, then the lowest index.
+        r = y - u
+        vals = np.concatenate((r - epsilon, r + epsilon))
+        up = np.where(b < hi, vals, -np.inf)   # I_up: room to grow b
+        low = np.where(b > lo, vals, np.inf)   # I_low: room to shrink b
+        p, q = int(np.argmax(up)), int(np.argmin(low))
+        m_val, M_val = up[p], low[q]
         if m_val - M_val <= tol:
             break
         if iterations >= max_iter:
@@ -310,32 +300,21 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
             )
         iterations += 1
 
-        eta = K[p, p] + K[q, q] - 2.0 * K[p, q]
-        t = (m_val - M_val) / max(eta, 1e-12)
-        # box room along the constraint-preserving direction
-        room_p = C - a[p] if p_side == 1 else a_star[p]
-        room_q = a[q] if q_side == 1 else C - a_star[q]
-        t = min(t, room_p, room_q)
+        i, j = p % n, q % n
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        t = min((m_val - M_val) / max(eta, 1e-12), hi[p] - b[p], b[q] - lo[q])
         if t <= 0.0:
             break  # numerically stuck at the box; violation is within noise
+        b[p] += t
+        b[q] -= t
+        u += t * (K[i] - K[j])
 
-        if p_side == 1:
-            a[p] += t
-        else:
-            a_star[p] -= t
-        if q_side == 1:
-            a[q] -= t
-        else:
-            a_star[q] += t
-        # beta_p grows by t, beta_q shrinks by t regardless of side
-        u += t * (K[p] - K[q])
-
-    m_val, _, _, M_val, _, _ = violation_and_pair()
+    # both exits leave b unchanged since (m_val, M_val) were selected
     if np.isfinite(m_val) and np.isfinite(M_val):
         bias = 0.5 * (m_val + M_val)
     else:
         bias = float(np.mean(y - u))  # every dual variable at a bound
-    beta = a - a_star
+    beta = b[:n] + b[n:]
     sv = np.abs(beta) > 1e-12
     return SvrModel(kernel=kernel, gamma=float(gamma), C=float(C), epsilon=float(epsilon),
                     support_vectors=Xs[sv], dual_coefs=beta[sv], bias=float(bias),

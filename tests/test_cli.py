@@ -3,6 +3,7 @@ import json
 import pytest
 
 from vidmem.cli import main
+from vidmem.textmodel import TrainingDivergedError
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +185,14 @@ def _entry_without_model(cfg):
     cfg["ensemble_models"] = [{"feature": "featA"}]
 
 
+def _hyper_not_object(cfg):
+    cfg["feature_models"][0]["hyper"] = [1]
+
+
+def _seeds_not_list(cfg):
+    cfg["seeds"] = 3
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop_data, "missing 'data' object"),
     (_absent_feature, "feature_models[1]: feature set 'featZ' is not in data.features"),
@@ -191,8 +200,10 @@ def _entry_without_model(cfg):
     (_gru_without_captions,
      "feature_models[1]: a gru model needs data.captions and data.word_vectors"),
     (_entry_without_model, "ensemble_models[0] needs 'feature' and 'model'"),
+    (_hyper_not_object, "feature_models[0]: 'hyper' must be a JSON object"),
+    (_seeds_not_list, "'seeds' must be a non-empty list of integers"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
-        "entry-without-model"])
+        "entry-without-model", "hyper-not-object", "seeds-not-list"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def no_training(*args, **kwargs):
@@ -206,6 +217,63 @@ def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, cap
     assert main(["experiment", "--config", str(cfg_path)]) == 1
     assert capsys.readouterr().err == f"error: {cfg_path}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def _train_argv(synth_dir, tmp_path, model, params):
+    argv = ["train", "--labels", str(synth_dir / "labels_short.csv"), "--model", model,
+            "--params", params, "--out", str(tmp_path / "m.json")]
+    if model == "gru":
+        wv = tmp_path / "wv.txt"
+        wv.write_text("a 0.1 0.2\n")
+        return argv + ["--captions", str(synth_dir / "captions.csv"), "--word-vectors", str(wv)]
+    return argv + ["--features", str(synth_dir / "featA.csv")]
+
+
+@pytest.mark.parametrize("model, params, message", [
+    ("ridge", "[1]", "--params must be a JSON object"),
+    ("svr", '{"bogus": 1}', "unknown svr hyperparameter 'bogus'"),
+    ("gru", '{"hidden_units": 4, "bogus": 1}', "unknown gru hyperparameter 'bogus'"),
+], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key"])
+def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
+    assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "m.json").exists()
+
+
+def _train_svr_one_update(synth_dir, tmp_path, monkeypatch):
+    return _train_argv(synth_dir, tmp_path, "svr", '{"max_iter": 1}')
+
+
+def _train_lasso_one_sweep(synth_dir, tmp_path, monkeypatch):
+    return _train_argv(synth_dir, tmp_path, "lasso", '{"lam": 0.001, "max_sweeps": 1}')
+
+
+def _experiment_svr_one_update(synth_dir, tmp_path, monkeypatch):
+    cfg = _feature_only_config(synth_dir)
+    cfg["ensemble_models"] = [{"feature": "featA", "model": "svr", "hyper": {"max_iter": 1}}]
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    return ["experiment", "--config", str(cfg_path)]
+
+
+def _train_gru_diverges(synth_dir, tmp_path, monkeypatch):
+    def diverge(model, samples):
+        raise TrainingDivergedError(3, "non-finite training loss at epoch 3")
+
+    monkeypatch.setattr("vidmem.harness.gru_train", diverge)
+    return _train_argv(synth_dir, tmp_path, "gru", '{"hidden_units": 4}')
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_train_svr_one_update, "SVR SMO did not converge in 1 pair updates"),
+    (_train_lasso_one_sweep, "lasso did not converge in 1 sweeps"),
+    (_experiment_svr_one_update, "SVR SMO did not converge in 1 pair updates"),
+    (_train_gru_diverges, "non-finite training loss at epoch 3"),
+], ids=["train-svr", "train-lasso", "experiment-svr", "train-gru"])
+def test_solver_failure_exits_1_without_traceback(synth_dir, tmp_path, capsys, monkeypatch,
+                                                  argv, message):
+    assert main(argv(synth_dir, tmp_path, monkeypatch)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("line, message", [("v0001", "expected 2 or 3 fields, got 1"),

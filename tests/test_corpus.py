@@ -143,6 +143,12 @@ class TestWordVectorLoader:
             corpus.load_word_vectors(p)
         assert exc.value.line_no == 2
 
+    def test_repeated_token_rejected_at_second_line(self, tmp_path):
+        p = write(tmp_path, "wv.txt", "the 0.1 0.2\ncat 0.5 0.6\nThe 0.3 0.4\n")
+        with pytest.raises(corpus.ParseError, match="duplicate token 'the'") as exc:
+            corpus.load_word_vectors(p)
+        assert exc.value.line_no == 3
+
 
 LOADERS = {
     "feature": (lambda p: corpus.load_feature_csv(p, "video", "C3D"), "v1,0.1\n{vid},0.2\n"),

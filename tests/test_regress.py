@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -182,6 +183,27 @@ class TestSvr:
         a = fit_svr(X, y)
         b = fit_svr(X, y + 2.0)
         assert np.max(np.abs((b.predict(X) - a.predict(X)) - 2.0)) <= 1e-3
+
+    def test_matches_recorded_fits_bit_for_bit(self):
+        # Recorded from the (a, a*) two-array solver on quantized inputs (ties in
+        # pair selection), C = 0.01 (active box bounds) and epsilon = 0.
+        cases = json.loads((Path(__file__).parent / "data" / "svr_parent_fits.json").read_text())
+        assert len(cases) == 8
+        for case in cases:
+            model = fit_svr(np.array(case["X"]), np.array(case["y"]), kernel=case["kernel"],
+                            C=case["C"], epsilon=case["epsilon"])
+            assert model.dual_coefs.tolist() == case["dual_coefs"]
+            assert model.bias == case["bias"]
+            assert model.history == {"iterations": case["iterations"],
+                                     "kkt_violation": case["kkt_violation"]}
+
+    def test_max_iter_exhausted_raises_with_gap(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(30, 3))
+        y = rng.normal(size=30)
+        with pytest.raises(ConvergenceError, match="did not converge in 3 pair updates") as err:
+            fit_svr(X, y, max_iter=3)
+        assert err.value.diagnostics["kkt_violation"] > 1e-3
 
     def test_invalid_params(self):
         X = np.zeros((3, 2))
