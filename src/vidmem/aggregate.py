@@ -10,14 +10,13 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-STRATEGIES = ("median", "mean", "max", "min")
-
 _AGG = {
     "median": statistics.median,
     "mean": lambda xs: sum(xs) / len(xs),
     "max": max,
     "min": min,
 }
+STRATEGIES = tuple(_AGG)
 
 
 @dataclass(frozen=True)
@@ -25,7 +24,6 @@ class PredictionTable:
     model_name: str
     scores: dict[str, float]
     coverage: dict[str, str]  # video id -> "direct" | "fallback"
-    aggregation: str
 
 
 def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
@@ -62,8 +60,7 @@ def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
 
     return PredictionTable(model_name=model_name,
                            scores={vid: scores[vid] for vid in ids},
-                           coverage={vid: coverage[vid] for vid in ids},
-                           aggregation=strategy)
+                           coverage={vid: coverage[vid] for vid in ids})
 
 
 def clamp_unit(x: float) -> float:

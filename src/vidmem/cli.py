@@ -11,13 +11,13 @@ from pathlib import Path
 
 from . import corpus as corpus_mod
 from . import regress
-from .aggregate import PredictionTable
+from .aggregate import STRATEGIES, PredictionTable
 from .corpus import Corpus, load_labels_csv
 from .decay import adjust_labels, fit_decay
-from .ensemble import grid_search
+from .ensemble import _bucket_count, grid_search
 from .harness import (MODEL_KINDS, FeatureModelConfig, SyntheticCorpusSpec,
-                      generate_synthetic, predict_table, report_to_json,
-                      report_to_text, run_full_experiment,
+                      check_train_fraction, generate_synthetic, predict_table,
+                      report_to_json, report_to_text, run_full_experiment,
                       train_feature_model, write_prediction_csv)
 from .metrics import srcc
 from .regress import ConvergenceError
@@ -102,8 +102,7 @@ def cmd_ensemble_search(args):
     for path in args.pred:
         scores = corpus_mod.load_prediction_csv(path)
         tables.append(PredictionTable(model_name=Path(path).stem, scores=scores,
-                                      coverage={v: "direct" for v in scores},
-                                      aggregation="median"))
+                                      coverage={v: "direct" for v in scores}))
     truth = load_labels_csv(args.truth, "short")
     weights = grid_search(tables, truth, bucket=args.bucket)
     doc = {"model_names": list(weights.model_names),
@@ -139,9 +138,10 @@ def _configs(entries):
 
 def _check_config(cfg, path):
     """Reject a config that cannot run before any data is loaded or model
-    trained: `data` must be present, `seeds` a list of integers, and every
-    model entry must name a known kind, a feature set from `data.features`
-    (`captions` for a GRU) and an object of hyperparameters."""
+    trained: `data` must be present, `seeds` a list of integers, `bucket`,
+    `train_fraction`, `aggregation` and `workers` valid, and every model entry
+    must name a known kind, a feature set from `data.features` (`captions`
+    for a GRU) and an object of hyperparameters."""
     def fail(message):
         raise ValueError(f"{path}: {message}")
 
@@ -156,6 +156,18 @@ def _check_config(cfg, path):
     if "seeds" in cfg and not (isinstance(seeds, list) and seeds
                                and all(type(seed) is int for seed in seeds)):
         fail("'seeds' must be a non-empty list of integers")
+    for key, rule in (("bucket", _bucket_count), ("train_fraction", check_train_fraction)):
+        if key in cfg:
+            if type(cfg[key]) not in (int, float):
+                fail(f"'{key}' must be a number")
+            try:
+                rule(cfg[key])
+            except ValueError as exc:
+                fail(str(exc))
+    if cfg.get("aggregation", "median") not in STRATEGIES:
+        fail(f"unknown aggregation {cfg['aggregation']!r}")
+    if type(cfg.get("workers", 1)) is not int:
+        fail("'workers' must be an integer")
     for section in ("feature_models", "ensemble_models"):
         for i, entry in enumerate(cfg.get(section, [])):
             where = f"{section}[{i}]"
@@ -197,7 +209,7 @@ def cmd_experiment(args):
         train_fraction=cfg.get("train_fraction", 0.8),
         aggregation=cfg.get("aggregation", "median"),
         test_labels=test_labels,
-        workers=int(cfg.get("workers", 1)),
+        workers=cfg.get("workers", 1),
     )
     out_dir = base / cfg.get("output_dir", "out")
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -142,5 +142,4 @@ def apply_weights(weights: EnsembleWeights, tables) -> PredictionTable:
     }
     return PredictionTable(model_name="ensemble",
                            scores=scores,
-                           coverage={vid: "direct" for vid in ids},
-                           aggregation="weighted_average")
+                           coverage={vid: "direct" for vid in ids})

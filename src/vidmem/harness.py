@@ -23,7 +23,7 @@ from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
                      WordVectorTable)
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
-from .regress import LINEAR_KINDS, fit_linear, fit_svr
+from .regress import LINEAR_HYPER_KEYS, fit_linear, fit_svr
 from .textmodel import GruRegressor, TrainConfig, embed, gru_train, tokenize
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -41,10 +41,14 @@ class SplitSpec:
     valid_ids: tuple[str, ...]
 
 
-def split(ids, seed: int, train_fraction: float = 0.8) -> SplitSpec:
-    """Deterministic 80-20 (by default) split on video id."""
+def check_train_fraction(train_fraction: float):
     if not 0.0 < train_fraction < 1.0:
         raise ValueError("train fraction must lie in (0, 1)")
+
+
+def split(ids, seed: int, train_fraction: float = 0.8) -> SplitSpec:
+    """Deterministic 80-20 (by default) split on video id."""
+    check_train_fraction(train_fraction)
     ids = sorted(ids)
     if len(ids) < 2:
         raise ValueError("need at least 2 ids to split")
@@ -158,13 +162,14 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
 # per-feature model training
 # ---------------------------------------------------------------------------
 
-MODEL_KINDS = LINEAR_KINDS + ("svr", "gru")
-# the hyperparameters an SVR or GRU config may set; fit_linear ignores unknown keys
+# the hyperparameters each model kind may set
 _HYPER_KEYS = {
+    **LINEAR_HYPER_KEYS,
     "svr": set(inspect.signature(fit_svr).parameters) - {"X", "y"},
     "gru": (set(inspect.signature(GruRegressor).parameters) - {"input_dim", "seed", "train_config"}
             | set(TrainConfig.__dataclass_fields__)),
 }
+MODEL_KINDS = tuple(_HYPER_KEYS)
 
 
 @dataclass(frozen=True)
@@ -214,15 +219,12 @@ def _feature_set(corpus, name):
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
+    if config.model not in _HYPER_KEYS:
+        raise ValueError(f"unknown model kind {config.model!r}")
     hyper = dict(config.hyper)
-    unknown = sorted(set(hyper) - _HYPER_KEYS.get(config.model, set(hyper)))
+    unknown = sorted(set(hyper) - _HYPER_KEYS[config.model])
     if unknown:
         raise ValueError(f"unknown {config.model} hyperparameter {unknown[0]!r}")
-    if config.model in LINEAR_KINDS or config.model == "svr":
-        X, y = _stack_training_rows(_feature_set(corpus, config.feature), labels, train_ids)
-        if config.model == "svr":
-            return fit_svr(X, y, **hyper)
-        return fit_linear(X, y, kind=config.model, hyper=hyper)
     if config.model == "gru":
         if corpus.captions is None or corpus.word_vectors is None:
             raise ValueError("gru model needs captions and word vectors in the corpus")
@@ -232,7 +234,10 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                              train_config=TrainConfig(**train_keys), **hyper)
         gru_train(model, _caption_samples(corpus, labels, train_ids))
         return model
-    raise ValueError(f"unknown model kind {config.model!r}")
+    X, y = _stack_training_rows(_feature_set(corpus, config.feature), labels, train_ids)
+    if config.model == "svr":
+        return fit_svr(X, y, **hyper)
+    return fit_linear(X, y, kind=config.model, hyper=hyper)
 
 
 def predict_table(corpus, config: FeatureModelConfig, model, ids,

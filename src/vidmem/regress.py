@@ -62,7 +62,10 @@ def fit_standardizer(X) -> Standardizer:
 # linear family
 # ---------------------------------------------------------------------------
 
-LINEAR_KINDS = ("ols", "ridge", "lasso", "bayes_ridge")
+# the hyperparameters each linear kind reads
+LINEAR_HYPER_KEYS = {"ols": set(), "ridge": {"lam"}, "lasso": {"lam", "tol", "max_sweeps"},
+                     "bayes_ridge": {"max_iter", "tol", "fixed_alpha_noise", "fixed_lambda_prior"}}
+LINEAR_KINDS = tuple(LINEAR_HYPER_KEYS)
 
 
 @dataclass

@@ -119,49 +119,33 @@ class GruRegressor:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, vectors, train=False, rng=None):
-        """Score one sequence; returns (score, cache for backward)."""
+        """Score one sequence; returns (score, cache for backward).  Dropout
+        masks are multipliers, 1.0 with no draw when off: masks[0] drops the
+        final hidden state and masks[k + 1] the output of dense layer k."""
         X = np.asarray(vectors, dtype=float)
         if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != self.input_dim:
             raise ValueError(f"expected a non-empty (steps, {self.input_dim}) array")
         p = self.params
-        H = self.hidden_units
-        h = np.zeros(H)
+        h = np.zeros(self.hidden_units)
         steps = []
         for x in X:
             z = _sigmoid(x @ p["Wz"] + h @ p["Uz"] + p["bz"])
             r = _sigmoid(x @ p["Wr"] + h @ p["Ur"] + p["br"])
             c = np.tanh(x @ p["Wh"] + (r * h) @ p["Uh"] + p["bh"])
-            h_new = (1.0 - z) * h + z * c
             steps.append((x, h, z, r, c))
-            h = h_new
+            h = (1.0 - z) * h + z * c
 
-        masks = []
-        v = h
-        if train and self.recurrent_dropout_rate > 0.0:
-            mask = (rng.random(H) >= self.recurrent_dropout_rate) / (1.0 - self.recurrent_dropout_rate)
-            v = v * mask
-            masks.append(mask)
-        else:
-            masks.append(None)
-
-        dense_cache = []
+        masks = [_dropout_mask(h.shape, self.recurrent_dropout_rate, train, rng)]
+        v = h * masks[0]
+        dense = []
         n_dense = len(self.dense_widths)
         for k in range(n_dense):
             pre = v @ p[f"dW{k}"] + p[f"db{k}"]
+            dense.append((v, pre))
             if k < n_dense - 1:
-                act = np.maximum(pre, 0.0)
-                if train and self.dense_dropout_rate > 0.0:
-                    mask = (rng.random(act.shape) >= self.dense_dropout_rate) / (1.0 - self.dense_dropout_rate)
-                    dense_cache.append((v, pre, mask))
-                    v = act * mask
-                else:
-                    dense_cache.append((v, pre, None))
-                    v = act
-            else:
-                dense_cache.append((v, pre, None))
-        score = float(pre[0])
-        cache = {"steps": steps, "h_final": h, "gru_mask": masks[0], "dense": dense_cache}
-        return score, cache
+                masks.append(_dropout_mask(pre.shape, self.dense_dropout_rate, train, rng))
+                v = np.maximum(pre, 0.0) * masks[-1]
+        return float(pre[0]), {"steps": steps, "masks": masks, "dense": dense}
 
     def backward(self, cache, dscore):
         """Gradients of (dscore * score) w.r.t. every parameter."""
@@ -171,45 +155,27 @@ class GruRegressor:
 
         dv = np.array([dscore])
         for k in reversed(range(n_dense)):
-            v_in, pre, mask = cache["dense"][k]
-            if k < n_dense - 1:
-                dact = dv if mask is None else dv * mask
-                dpre = dact * (pre > 0.0)
-            else:
-                dpre = dv
+            v_in, pre = cache["dense"][k]
+            dpre = dv * cache["masks"][k + 1] * (pre > 0.0) if k < n_dense - 1 else dv
             grads[f"dW{k}"] += np.outer(v_in, dpre)
             grads[f"db{k}"] += dpre
             dv = dpre @ p[f"dW{k}"].T
 
-        dh = dv
-        if cache["gru_mask"] is not None:
-            dh = dh * cache["gru_mask"]
-
+        dh = dv * cache["masks"][0]
         for x, h_prev, z, r, c in reversed(cache["steps"]):
-            dz = dh * (c - h_prev)
-            dc = dh * z
-            dh_prev = dh * (1.0 - z)
-
-            dc_pre = dc * (1.0 - c * c)
+            dc_pre = dh * z * (1.0 - c * c)
             grads["Wh"] += np.outer(x, dc_pre)
             grads["Uh"] += np.outer(r * h_prev, dc_pre)
             grads["bh"] += dc_pre
             tmp = dc_pre @ p["Uh"].T
-            dr = tmp * h_prev
-            dh_prev = dh_prev + tmp * r
-
-            dz_pre = dz * z * (1.0 - z)
-            grads["Wz"] += np.outer(x, dz_pre)
-            grads["Uz"] += np.outer(h_prev, dz_pre)
-            grads["bz"] += dz_pre
-            dh_prev = dh_prev + dz_pre @ p["Uz"].T
-
-            dr_pre = dr * r * (1.0 - r)
-            grads["Wr"] += np.outer(x, dr_pre)
-            grads["Ur"] += np.outer(h_prev, dr_pre)
-            grads["br"] += dr_pre
-            dh_prev = dh_prev + dr_pre @ p["Ur"].T
-
+            dh_prev = dh * (1.0 - z) + tmp * r
+            # z before r: the order of the dh_prev sum is part of the result
+            for gate, g, dg in (("z", z, dh * (c - h_prev)), ("r", r, tmp * h_prev)):
+                dg_pre = dg * g * (1.0 - g)
+                grads[f"W{gate}"] += np.outer(x, dg_pre)
+                grads[f"U{gate}"] += np.outer(h_prev, dg_pre)
+                grads[f"b{gate}"] += dg_pre
+                dh_prev += dg_pre @ p[f"U{gate}"].T
             dh = dh_prev
         return grads
 
@@ -240,6 +206,11 @@ class GruRegressor:
         return model
 
 
+def _dropout_mask(shape, rate, train, rng):
+    """Inverted-dropout multiplier; 1.0 (x * 1.0 == x exactly) when off."""
+    return (rng.random(shape) >= rate) / (1.0 - rate) if train and rate > 0.0 else 1.0
+
+
 def _sigmoid(x):
     # exp overflows to inf for x < -709; 1 / (1 + inf) = 0.0 is the exact limit
     with np.errstate(over="ignore"):
@@ -258,7 +229,7 @@ def _split_by_video(samples, fraction, rng):
     return train_idx, val_idx
 
 
-def gru_train(model: GruRegressor, samples, validation_fraction=None):
+def gru_train(model: GruRegressor, samples):
     """Train on (video_id, TokenSequence, label) triples with MSE + Adam.
 
     A caption-level validation set is carved out by video id; early stopping
@@ -268,11 +239,9 @@ def gru_train(model: GruRegressor, samples, validation_fraction=None):
     if len(samples) < 2:
         raise ValueError("need at least 2 training samples")
     cfg = model.train_config
-    if validation_fraction is None:
-        validation_fraction = cfg.validation_fraction
     rng = model.rng
 
-    train_idx, val_idx = _split_by_video(samples, validation_fraction, rng)
+    train_idx, val_idx = _split_by_video(samples, cfg.validation_fraction, rng)
 
     adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}

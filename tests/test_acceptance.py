@@ -220,7 +220,7 @@ def test_criterion_09_grid_search_optimality():
         truth_vals = rng.random(50)
         truth = LabelTable("short", dict(zip(ids, truth_vals)))
         tables = [PredictionTable(f"m{k}", dict(zip(ids, rng.random(50))),
-                                  {v: "direct" for v in ids}, "median")
+                                  {v: "direct" for v in ids})
                   for k in range(4)]
         got = grid_search(tables, truth, bucket=0.05)
 

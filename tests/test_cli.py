@@ -193,6 +193,12 @@ def _seeds_not_list(cfg):
     cfg["seeds"] = 3
 
 
+def _setting(key, value):
+    def edit(cfg):
+        cfg[key] = value
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_drop_data, "missing 'data' object"),
     (_absent_feature, "feature_models[1]: feature set 'featZ' is not in data.features"),
@@ -202,8 +208,19 @@ def _seeds_not_list(cfg):
     (_entry_without_model, "ensemble_models[0] needs 'feature' and 'model'"),
     (_hyper_not_object, "feature_models[0]: 'hyper' must be a JSON object"),
     (_seeds_not_list, "'seeds' must be a non-empty list of integers"),
+    (_setting("bucket", "x"), "'bucket' must be a number"),
+    (_setting("bucket", 0.3), "1/bucket must be an integer, got 3.3333333333333335"),
+    (_setting("bucket", 0), "bucket must lie in (0, 1], got 0"),
+    (_setting("train_fraction", "x"), "'train_fraction' must be a number"),
+    (_setting("train_fraction", 1.5), "train fraction must lie in (0, 1)"),
+    (_setting("aggregation", "mode"), "unknown aggregation 'mode'"),
+    (_setting("workers", 1.5), "'workers' must be an integer"),
+    (_setting("workers", "2"), "'workers' must be an integer"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
-        "entry-without-model", "hyper-not-object", "seeds-not-list"])
+        "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
+        "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
+        "train-fraction-out-of-range", "unknown-aggregation", "workers-float",
+        "workers-string"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def no_training(*args, **kwargs):
@@ -233,7 +250,10 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("ridge", "[1]", "--params must be a JSON object"),
     ("svr", '{"bogus": 1}', "unknown svr hyperparameter 'bogus'"),
     ("gru", '{"hidden_units": 4, "bogus": 1}', "unknown gru hyperparameter 'bogus'"),
-], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key"])
+    ("ridge", '{"lamda": 50}', "unknown ridge hyperparameter 'lamda'"),
+    ("ols", '{"lam": 1.0}', "unknown ols hyperparameter 'lam'"),
+], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
+        "unknown-ols-key"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -15,8 +15,7 @@ from vidmem.metrics import ConstantInputError, srcc
 
 def table(name, scores):
     return PredictionTable(model_name=name, scores=dict(scores),
-                           coverage={v: "direct" for v in scores},
-                           aggregation="median")
+                           coverage={v: "direct" for v in scores})
 
 
 class TestEnumerateSimplex:

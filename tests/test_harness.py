@@ -116,7 +116,7 @@ class TestEnsembleExperiment:
         c = dict(zip(ids, rng.random(40)))
         d = dict(zip(ids, rng.random(40)))
         truth = LabelTable("short", {v: 0.5 * a[v] + 0.5 * b[v] for v in ids})
-        tables = [PredictionTable(n, s, {v: "direct" for v in ids}, "median")
+        tables = [PredictionTable(n, s, {v: "direct" for v in ids})
                   for n, s in (("A", a), ("B", b), ("C", c), ("D", d))]
         w = grid_search(tables, truth, bucket=0.05)
         assert abs(w.weights[0] - 0.5) <= 0.05

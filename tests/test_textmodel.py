@@ -1,4 +1,6 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,37 +110,50 @@ class TestGruForward:
             small_model().forward(np.empty((0, 5)))
 
 
+def max_gradient_error(model, forward, label=0.3):
+    """Largest relative gap between backward() and central differences of
+    (score - label)**2, where forward() maps the model to (score, cache)."""
+    def loss():
+        s, _ = forward()
+        return (s - label) ** 2
+
+    s, cache = forward()
+    grads = model.backward(cache, 2.0 * (s - label))
+
+    h = 1e-5
+    max_rel = 0.0
+    for name, arr in model.params.items():
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            orig = arr[idx]
+            arr[idx] = orig + h
+            lp = loss()
+            arr[idx] = orig - h
+            lm = loss()
+            arr[idx] = orig
+            num = (lp - lm) / (2.0 * h)
+            ana = grads[name][idx]
+            rel = abs(num - ana) / max(abs(num), abs(ana), 1e-8)
+            max_rel = max(max_rel, rel)
+    return max_rel
+
+
 class TestGruGradients:
     def test_gradient_check(self):
         model = small_model()
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(3, 5))
-        label = 0.3
+        X = np.random.default_rng(3).normal(size=(3, 5))
+        assert max_gradient_error(model, lambda: model.forward(X)) <= 1e-4
 
-        def loss():
-            s, _ = model.forward(X)
-            return (s - label) ** 2
-
-        s, cache = model.forward(X)
-        grads = model.backward(cache, 2.0 * (s - label))
-
-        h = 1e-5
-        max_rel = 0.0
-        for name, arr in model.params.items():
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + h
-                lp = loss()
-                arr[idx] = orig - h
-                lm = loss()
-                arr[idx] = orig
-                num = (lp - lm) / (2.0 * h)
-                ana = grads[name][idx]
-                rel = abs(num - ana) / max(abs(num), abs(ana), 1e-8)
-                max_rel = max(max_rel, rel)
-        assert max_rel <= 1e-4
+    def test_gradient_check_with_dropout_masks(self):
+        # re-seeding before every forward keeps the drawn masks fixed, so the
+        # masked backward path is checked against the same function
+        model = small_model(recurrent_dropout_rate=0.5, dense_dropout_rate=0.3, seed=11)
+        X = np.random.default_rng(12).normal(size=(4, 5))
+        _, cache = model.forward(X, train=True, rng=np.random.default_rng(7))
+        assert 0.0 in cache["masks"][0] and any(0.0 in m for m in cache["masks"][1:])
+        assert max_gradient_error(
+            model, lambda: model.forward(X, train=True, rng=np.random.default_rng(7))) <= 1e-4
 
 
 class TestDropout:
@@ -167,8 +182,8 @@ class TestGruTraining:
         samples = make_samples(rng, 15, 6, lambda X: 0.5)
         model = GruRegressor(input_dim=6, hidden_units=8,
                              recurrent_dropout_rate=0.0, dense_dropout_rate=0.0, seed=0,
-                             train_config=TrainConfig(batch_size=4))
-        gru_train(model, samples, validation_fraction=0.0)
+                             train_config=TrainConfig(batch_size=4, validation_fraction=0.0))
+        gru_train(model, samples)
         preds = [model.predict_sequence(s) for _, s, _ in samples]
         assert max(abs(p - 0.5) for p in preds) <= 0.01
 
@@ -211,6 +226,36 @@ class TestGruTraining:
         assert logs[0] == logs[1]
         for k in params[0]:
             np.testing.assert_array_equal(params[0][k], params[1][k])
+
+    def test_matches_recorded_fits_bit_for_bit(self):
+        # recorded before dropout masks became plain multipliers; pins the
+        # mask draws, the order of the dh_prev sum and the Adam updates
+        doc = json.loads((Path(__file__).parent / "data" / "gru_parent_fits.json").read_text())
+        assert len(doc["train"]) == 6
+        for case in doc["train"]:
+            samples = [(vid, TokenSequence(tokens=("w",) * len(X), vectors=np.array(X),
+                                           oov_count=0), y)
+                       for vid, X, y in case["samples"]]
+            cfg = TrainConfig(learning_rate=0.01, batch_size=case["batch_size"], max_epochs=5,
+                              validation_fraction=case["validation_fraction"])
+            model = GruRegressor(input_dim=3, hidden_units=4,
+                                 dense_widths=tuple(case["dense_widths"]),
+                                 recurrent_dropout_rate=case["recurrent_dropout_rate"],
+                                 dense_dropout_rate=case["dense_dropout_rate"],
+                                 seed=case["seed"], train_config=cfg)
+            assert gru_train(model, samples) == case["training_log"]
+            assert {k: v.tolist() for k, v in model.params.items()} == case["params"]
+            assert model.rng.random() == case["next_draw"]
+
+        step = doc["step"]
+        model = GruRegressor(input_dim=3, hidden_units=4, dense_widths=(3, 2, 2, 1),
+                             recurrent_dropout_rate=0.5, dense_dropout_rate=0.3, seed=11)
+        rng = np.random.default_rng(step["rng_seed"])
+        score, cache = model.forward(np.array(step["X"]), train=True, rng=rng)
+        grads = model.backward(cache, step["dscore"])
+        assert score == step["score"]
+        assert {k: v.tolist() for k, v in grads.items()} == step["grads"]
+        assert rng.random() == step["next_draw"]
 
     def test_serialization_round_trip(self):
         model = small_model()
