@@ -12,10 +12,10 @@ from pathlib import Path
 from . import corpus as corpus_mod
 from . import regress
 from .aggregate import STRATEGIES, PredictionTable
-from .corpus import Corpus, load_labels_csv
+from .corpus import MODALITIES, TERMS, Corpus, load_labels_csv
 from .decay import adjust_labels, fit_decay
 from .ensemble import _bucket_count, grid_search
-from .harness import (MODEL_KINDS, FeatureModelConfig, SyntheticCorpusSpec,
+from .harness import (FeatureModelConfig, SyntheticCorpusSpec,
                       check_train_fraction, generate_synthetic, predict_table,
                       report_to_json, report_to_text, run_full_experiment,
                       train_feature_model, write_prediction_csv)
@@ -29,8 +29,7 @@ LINEAR_ALIASES = {"bayes": "bayes_ridge"}
 def cmd_adjust_labels(args):
     log = corpus_mod.load_annotations_csv(args.annotations)
     fit = fit_decay(log, args.target_duration, args.iterations)
-    table = adjust_labels(fit, term=args.term)
-    corpus_mod.write_labels_csv(table, args.out)
+    corpus_mod.write_labels_csv(adjust_labels(fit), args.out)
     sidecar = {"alpha": fit.alpha, "alpha_trajectory": list(fit.alpha_trajectory),
                "iterations_run": fit.iterations_run,
                "target_duration": fit.target_duration,
@@ -40,48 +39,46 @@ def cmd_adjust_labels(args):
     print(f"alpha={fit.alpha:.6f} videos={len(fit.m_t)} -> {args.out}")
 
 
-def _corpus_for_model(args, model_kind):
+def _corpus_for_model(args, kind, hyper=None):
+    """A `kind` model's entry and the corpus it reads from files: --captions
+    for a GRU, else --features as feature set "feature"."""
+    config = FeatureModelConfig("captions" if kind == "gru" else "feature", kind, hyper or {})
     c = Corpus()
-    if model_kind == "gru":
+    if kind == "gru":
         if not args.captions or not args.word_vectors:
             raise SystemExit("gru model requires --captions and --word-vectors")
         c.captions = corpus_mod.load_captions_csv(args.captions)
         c.word_vectors = corpus_mod.load_word_vectors(args.word_vectors)
-        feature_name = "captions"
     else:
         if not args.features:
-            raise SystemExit(f"{model_kind} model requires --features")
-        fs = corpus_mod.load_feature_csv(args.features, args.modality, "feature")
-        c.features["feature"] = fs
-        feature_name = "feature"
-    return c, feature_name
+            raise SystemExit(f"{kind} model requires --features")
+        c.features["feature"] = corpus_mod.load_feature_csv(args.features, "video", "feature")
+    return config, c
 
 
 def cmd_train(args):
-    kind = LINEAR_ALIASES.get(args.model, args.model)
     hyper = json.loads(args.params) if args.params else {}
     if not isinstance(hyper, dict):
         raise ValueError("--params must be a JSON object")
-    labels = load_labels_csv(args.labels, args.term)
-    c, feature_name = _corpus_for_model(args, kind)
-    config = FeatureModelConfig(feature=feature_name, model=kind, hyper=hyper)
+    config, c = _corpus_for_model(args, LINEAR_ALIASES.get(args.model, args.model), hyper)
+    labels = load_labels_csv(args.labels, "short")
     ids = list(labels.scores)
     model = train_feature_model(c, config, labels, ids, seed=args.seed)
     regress.save_model(model, args.out)
-    print(f"trained {kind} on {len(ids)} videos -> {args.out}")
+    print(f"trained {config.model} on {len(ids)} videos -> {args.out}")
 
 
 def cmd_predict(args):
     model = regress.load_model(args.model)
-    kind = "gru" if isinstance(model, GruRegressor) else "other"
-    c, feature_name = _corpus_for_model(args, kind)
+    config, c = _corpus_for_model(args, "gru" if isinstance(model, GruRegressor)
+                                  else "svr" if isinstance(model, regress.SvrModel)
+                                  else model.kind)
     if args.ids:
         ids = [line.strip() for line in Path(args.ids).read_text().splitlines() if line.strip()]
-    elif kind == "gru":
+    elif config.model == "gru":
         ids = list(c.captions.captions)
     else:
-        ids = list(c.features[feature_name].rows)
-    config = FeatureModelConfig(feature=feature_name, model=kind if kind == "gru" else "predict")
+        ids = list(c.features[config.feature].rows)
     table = predict_table(c, config, model, ids, aggregation=args.aggregate)
     write_prediction_csv(table, args.out)
     print(f"wrote {len(ids)} predictions -> {args.out}")
@@ -114,14 +111,17 @@ def cmd_ensemble_search(args):
     print(f"best validation SRCC {weights.validation_srcc:.6f} -> {args.out}")
 
 
+def _label_tables(base, paths):
+    return {term: load_labels_csv(base / path, term) for term, path in paths.items()}
+
+
 def _load_corpus_from_config(cfg, base):
     data = cfg["data"]
     c = Corpus()
     for spec in data.get("features", []):
         c.features[spec["name"]] = corpus_mod.load_feature_csv(
             base / spec["path"], spec["modality"], spec["name"])
-    for term, path in data.get("labels", {}).items():
-        c.labels[term] = load_labels_csv(base / path, term)
+    c.labels = _label_tables(base, data.get("labels", {}))
     if data.get("captions"):
         c.captions = corpus_mod.load_captions_csv(base / data["captions"])
     if data.get("word_vectors"):
@@ -129,29 +129,41 @@ def _load_corpus_from_config(cfg, base):
     return c
 
 
-def _configs(entries):
-    return [FeatureModelConfig(feature=e["feature"],
-                               model=LINEAR_ALIASES.get(e["model"], e["model"]),
-                               hyper=e.get("hyper", {}))
-            for e in entries]
-
-
 def _check_config(cfg, path):
-    """Reject a config that cannot run before any data is loaded or model
-    trained: `data` must be present, `seeds` a list of integers, `bucket`,
-    `train_fraction`, `aggregation` and `workers` valid, and every model entry
-    must name a known kind, a feature set from `data.features` (`captions`
-    for a GRU) and an object of hyperparameters."""
+    """Reject a config that cannot run, before any data is loaded, and return
+    its feature and ensemble model entries as `FeatureModelConfig`s.  Every
+    error names the config path and the offending key."""
     def fail(message):
         raise ValueError(f"{path}: {message}")
 
     if not isinstance(cfg, dict) or not isinstance(cfg.get("data"), dict):
         fail("missing 'data' object")
     data = cfg["data"]
+    for where, value in (("data.features", data.get("features", [])),
+                         ("feature_models", cfg.get("feature_models", [])),
+                         ("ensemble_models", cfg.get("ensemble_models", []))):
+        if not isinstance(value, list):
+            fail(f"'{where}' must be a list")
     for i, spec in enumerate(data.get("features", [])):
         if not isinstance(spec, dict) or not {"name", "path", "modality"} <= spec.keys():
             fail(f"data.features[{i}] needs 'name', 'path' and 'modality'")
+        if not (isinstance(spec["name"], str) and isinstance(spec["path"], str)):
+            fail(f"data.features[{i}]: 'name' and 'path' must be strings")
+        if spec["modality"] not in MODALITIES:
+            fail(f"data.features[{i}]: unknown modality {spec['modality']!r}")
     features = {spec["name"] for spec in data.get("features", [])}
+    for where, tables in (("data.labels", data.get("labels", {})),
+                          ("test_labels", cfg.get("test_labels") or {})):
+        if not (isinstance(tables, dict) and all(isinstance(p, str) for p in tables.values())):
+            fail(f"{where} must map terms to path strings")
+        for term in tables:
+            if term not in TERMS:
+                fail(f"{where}: term must be one of {TERMS}, got {term!r}")
+    for key, value in (("data.captions", data.get("captions") or ""),
+                       ("data.word_vectors", data.get("word_vectors") or ""),
+                       ("output_dir", cfg.get("output_dir", "out"))):
+        if not isinstance(value, str):
+            fail(f"{key} must be a path string")
     seeds = cfg.get("seeds")
     if "seeds" in cfg and not (isinstance(seeds, list) and seeds
                                and all(type(seed) is int for seed in seeds)):
@@ -168,23 +180,26 @@ def _check_config(cfg, path):
         fail(f"unknown aggregation {cfg['aggregation']!r}")
     if type(cfg.get("workers", 1)) is not int:
         fail("'workers' must be an integer")
-    for section in ("feature_models", "ensemble_models"):
+    sections = {"feature_models": [], "ensemble_models": []}
+    for section, configs in sections.items():
         for i, entry in enumerate(cfg.get(section, [])):
             where = f"{section}[{i}]"
             if not isinstance(entry, dict) or not {"feature", "model"} <= entry.keys():
                 fail(f"{where} needs 'feature' and 'model'")
-            feature, kind = entry["feature"], LINEAR_ALIASES.get(entry["model"], entry["model"])
-            if kind not in MODEL_KINDS:
-                fail(f"{where}: unknown model kind {entry['model']!r}")
-            if not isinstance(entry.get("hyper", {}), dict):
-                fail(f"{where}: 'hyper' must be a JSON object")
-            if kind == "gru":
-                if feature != "captions":
-                    fail(f"{where}: a gru model reads 'captions', not {feature!r}")
+            model = entry["model"]
+            if isinstance(model, str):
+                model = LINEAR_ALIASES.get(model, model)
+            try:
+                config = FeatureModelConfig(entry["feature"], model, entry.get("hyper", {}))
+            except ValueError as exc:
+                fail(f"{where}: {exc}")
+            if config.model == "gru":
                 if not (data.get("captions") and data.get("word_vectors")):
                     fail(f"{where}: a gru model needs data.captions and data.word_vectors")
-            elif feature not in features:
-                fail(f"{where}: feature set {feature!r} is not in data.features")
+            elif config.feature not in features:
+                fail(f"{where}: feature set {config.feature!r} is not in data.features")
+            configs.append(config)
+    return sections["feature_models"], sections["ensemble_models"]
 
 
 def cmd_experiment(args):
@@ -193,24 +208,14 @@ def cmd_experiment(args):
         cfg = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{cfg_path}: {exc}") from None
-    _check_config(cfg, cfg_path)
+    feature_configs, ensemble_configs = _check_config(cfg, cfg_path)
     base = cfg_path.parent
     c = _load_corpus_from_config(cfg, base)
-    test_labels = None
-    if cfg.get("test_labels"):
-        test_labels = {term: load_labels_csv(base / path, term)
-                       for term, path in cfg["test_labels"].items()}
-    report = run_full_experiment(
-        c,
-        feature_configs=_configs(cfg.get("feature_models", [])),
-        ensemble_configs=_configs(cfg.get("ensemble_models", [])),
-        seeds=cfg.get("seeds", [0, 1, 2, 3, 4]),
-        bucket=cfg.get("bucket", 0.05),
-        train_fraction=cfg.get("train_fraction", 0.8),
-        aggregation=cfg.get("aggregation", "median"),
-        test_labels=test_labels,
-        workers=cfg.get("workers", 1),
-    )
+    test_labels = _label_tables(base, cfg["test_labels"]) if cfg.get("test_labels") else None
+    settings = {key: cfg[key] for key in ("seeds", "bucket", "train_fraction", "aggregation",
+                                          "workers") if key in cfg}
+    report = run_full_experiment(c, feature_configs, ensemble_configs,
+                                 test_labels=test_labels, **settings)
     out_dir = base / cfg.get("output_dir", "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report))
@@ -247,7 +252,6 @@ def build_parser():
     p.add_argument("--annotations", required=True)
     p.add_argument("--target-duration", type=float, default=75.0)
     p.add_argument("--iterations", type=int, default=10)
-    p.add_argument("--term", choices=("short", "long"), default="short")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_adjust_labels)
 
@@ -259,9 +263,6 @@ def build_parser():
     p.add_argument("--model", required=True,
                    choices=("ols", "ridge", "lasso", "bayes", "svr", "gru"))
     p.add_argument("--params", help="hyperparameters as a JSON object")
-    p.add_argument("--modality", default="video",
-                   choices=("audio", "image", "video", "text"))
-    p.add_argument("--term", choices=("short", "long"), default="short")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
@@ -271,10 +272,7 @@ def build_parser():
     p.add_argument("--features")
     p.add_argument("--captions")
     p.add_argument("--word-vectors")
-    p.add_argument("--modality", default="video",
-                   choices=("audio", "image", "video", "text"))
-    p.add_argument("--aggregate", default="median",
-                   choices=("median", "mean", "max", "min"))
+    p.add_argument("--aggregate", default="median", choices=STRATEGIES)
     p.add_argument("--ids", help="text file with one video id per line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)

@@ -25,13 +25,12 @@ class DecayFit:
     alpha: float
     target_duration: float
     m_t: dict[str, float]
-    iterations_run: int
     alpha_trajectory: tuple[float, ...]
     warnings: tuple[str, ...] = field(default=())
 
-    def __post_init__(self):
-        if self.iterations_run != len(self.alpha_trajectory):
-            raise ValueError("iterations_run must match alpha_trajectory length")
+    @property
+    def iterations_run(self) -> int:
+        return len(self.alpha_trajectory)
 
 
 def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10,
@@ -85,7 +84,6 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10,
         alpha=alpha,
         target_duration=target_duration,
         m_t={vid: float(m[k]) for k, vid in enumerate(video_ids)},
-        iterations_run=len(trajectory),
         alpha_trajectory=tuple(trajectory),
         warnings=warnings,
     )

@@ -35,8 +35,6 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 @dataclass(frozen=True)
 class SplitSpec:
-    seed: int
-    train_fraction: float
     train_ids: tuple[str, ...]
     valid_ids: tuple[str, ...]
 
@@ -56,8 +54,7 @@ def split(ids, seed: int, train_fraction: float = 0.8) -> SplitSpec:
     n_train = int(math.floor(train_fraction * len(ids)))
     train = tuple(ids[i] for i in order[:n_train])
     valid = tuple(ids[i] for i in order[n_train:])
-    return SplitSpec(seed=seed, train_fraction=train_fraction,
-                     train_ids=train, valid_ids=valid)
+    return SplitSpec(train_ids=train, valid_ids=valid)
 
 
 # ---------------------------------------------------------------------------
@@ -169,14 +166,28 @@ _HYPER_KEYS = {
     "gru": (set(inspect.signature(GruRegressor).parameters) - {"input_dim", "seed", "train_config"}
             | set(TrainConfig.__dataclass_fields__)),
 }
-MODEL_KINDS = tuple(_HYPER_KEYS)
 
 
 @dataclass(frozen=True)
 class FeatureModelConfig:
+    """One model entry; construction raises ValueError for an invalid one."""
     feature: str  # FeatureSet name, or "captions" for the GRU
     model: str
     hyper: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        for name in ("feature", "model"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"'{name}' must be a string")
+        if self.model not in _HYPER_KEYS:
+            raise ValueError(f"unknown model kind {self.model!r}")
+        if not isinstance(self.hyper, dict):
+            raise ValueError("'hyper' must be a JSON object")
+        unknown = sorted(set(self.hyper) - _HYPER_KEYS[self.model])
+        if unknown:
+            raise ValueError(f"unknown {self.model} hyperparameter {unknown[0]!r}")
+        if self.model == "gru" and self.feature != "captions":
+            raise ValueError(f"a gru model reads 'captions', not {self.feature!r}")
 
     @property
     def display_name(self):
@@ -219,12 +230,7 @@ def _feature_set(corpus, name):
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
-    if config.model not in _HYPER_KEYS:
-        raise ValueError(f"unknown model kind {config.model!r}")
     hyper = dict(config.hyper)
-    unknown = sorted(set(hyper) - _HYPER_KEYS[config.model])
-    if unknown:
-        raise ValueError(f"unknown {config.model} hyperparameter {unknown[0]!r}")
     if config.model == "gru":
         if corpus.captions is None or corpus.word_vectors is None:
             raise ValueError("gru model needs captions and word vectors in the corpus")

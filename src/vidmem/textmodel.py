@@ -21,9 +21,7 @@ class TokenizeError(ValueError):
 
 
 class TrainingDivergedError(RuntimeError):
-    def __init__(self, epoch, message):
-        super().__init__(message)
-        self.epoch = epoch
+    """A training or validation loss became non-finite."""
 
 
 def tokenize(caption: str) -> list[str]:
@@ -38,8 +36,7 @@ def tokenize(caption: str) -> list[str]:
 
 @dataclass(frozen=True)
 class TokenSequence:
-    tokens: tuple[str, ...]
-    vectors: np.ndarray  # (len(tokens), dim)
+    vectors: np.ndarray  # (number of tokens, dim)
     oov_count: int
 
 
@@ -53,7 +50,7 @@ def embed(tokens, table: WordVectorTable) -> TokenSequence:
             oov += 1
         else:
             vectors[i] = vec
-    return TokenSequence(tokens=tuple(tokens), vectors=vectors, oov_count=oov)
+    return TokenSequence(vectors=vectors, oov_count=oov)
 
 
 @dataclass
@@ -281,10 +278,10 @@ def gru_train(model: GruRegressor, samples):
 
         train_mse = sq_sum / max(count, 1)
         if not np.isfinite(train_mse):
-            raise TrainingDivergedError(epoch, f"non-finite training loss at epoch {epoch}")
+            raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
         v_mse = val_mse()
         if not np.isfinite(v_mse):
-            raise TrainingDivergedError(epoch, f"non-finite validation loss at epoch {epoch}")
+            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
         log.append({"epoch": epoch, "train_mse": train_mse, "val_mse": v_mse})
 
         if v_mse < best_val:

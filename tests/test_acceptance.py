@@ -188,7 +188,7 @@ def test_criterion_07_gru_gradients_and_determinism():
     for i in range(10):
         T = int(rng.integers(3, 7))
         Xi = rng.normal(size=(T, 5))
-        seq = TokenSequence(tokens=tuple(["w"] * T), vectors=Xi, oov_count=0)
+        seq = TokenSequence(vectors=Xi, oov_count=0)
         samples.append((f"v{i}", seq, float(abs(np.tanh(Xi.mean())))))
     runs = []
     for _ in range(2):

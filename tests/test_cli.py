@@ -36,11 +36,14 @@ def test_adjust_labels(synth_dir, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in scores.values())
 
 
-def test_train_predict_evaluate_round(synth_dir, tmp_path):
-    model_path = tmp_path / "ridge.json"
+@pytest.mark.parametrize("model, params", [("ridge", '{"lam": 1.0}'), ("bayes", "{}"),
+                                           ("svr", '{"epsilon": 0.05}')],
+                         ids=["ridge", "bayes", "svr"])
+def test_train_predict_evaluate_round(synth_dir, tmp_path, model, params):
+    model_path = tmp_path / f"{model}.json"
     code = main(["train", "--features", str(synth_dir / "featA.csv"),
                  "--labels", str(synth_dir / "labels_short.csv"),
-                 "--model", "ridge", "--params", '{"lam": 1.0}',
+                 "--model", model, "--params", params,
                  "--out", str(model_path)])
     assert code == 0
 
@@ -193,9 +196,15 @@ def _seeds_not_list(cfg):
     cfg["seeds"] = 3
 
 
-def _setting(key, value):
+def _setting(*keys_and_value):
+    """An edit that sets cfg[k1][k2]...[kn] = value."""
+    *keys, last, value = keys_and_value
+
     def edit(cfg):
-        cfg[key] = value
+        target = cfg
+        for key in keys:
+            target = target[key]
+        target[last] = value
     return edit
 
 
@@ -216,17 +225,43 @@ def _setting(key, value):
     (_setting("aggregation", "mode"), "unknown aggregation 'mode'"),
     (_setting("workers", 1.5), "'workers' must be an integer"),
     (_setting("workers", "2"), "'workers' must be an integer"),
+    (_setting("feature_models", 0, "hyper", {"lamda": 50}),
+     "feature_models[0]: unknown ridge hyperparameter 'lamda'"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "ridge", "hyper": {"lamda": 50}}]),
+     "ensemble_models[0]: unknown ridge hyperparameter 'lamda'"),
+    (_setting("feature_models", 0, "model", ["ridge"]), "feature_models[0]: 'model' must be a string"),
+    (_setting("feature_models", 0, "feature", ["featA"]),
+     "feature_models[0]: 'feature' must be a string"),
+    (_setting("data", "features", 0, "name", ["featA"]),
+     "data.features[0]: 'name' and 'path' must be strings"),
+    (_setting("data", "features", 0, "path", 5),
+     "data.features[0]: 'name' and 'path' must be strings"),
+    (_setting("data", "features", 0, "modality", "smell"),
+     "data.features[0]: unknown modality 'smell'"),
+    (_setting("data", "captions", 5), "data.captions must be a path string"),
+    (_setting("output_dir", 3), "output_dir must be a path string"),
+    (_setting("data", "labels", ["labels_short.csv"]),
+     "data.labels must map terms to path strings"),
+    (_setting("test_labels", ["labels_short.csv"]), "test_labels must map terms to path strings"),
+    (_setting("data", "labels", {"medium": "labels_short.csv"}),
+     "data.labels: term must be one of ('short', 'long'), got 'medium'"),
+    (_setting("feature_models", 3), "'feature_models' must be a list"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
         "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
         "train-fraction-out-of-range", "unknown-aggregation", "workers-float",
-        "workers-string"])
+        "workers-string", "unknown-feature-model-key", "unknown-ensemble-model-key",
+        "model-not-string", "feature-not-string", "feature-name-not-string",
+        "feature-path-not-string", "unknown-modality", "captions-not-string",
+        "output-dir-not-string", "labels-not-object", "test-labels-not-object",
+        "unknown-label-term", "models-not-list"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
-    def no_training(*args, **kwargs):
-        raise AssertionError("trained despite a bad config")
+    def not_reached(*args, **kwargs):
+        raise AssertionError("loaded data or trained despite a bad config")
 
-    monkeypatch.setattr("vidmem.harness.train_feature_model", no_training)
+    monkeypatch.setattr("vidmem.cli._load_corpus_from_config", not_reached)
+    monkeypatch.setattr("vidmem.harness.train_feature_model", not_reached)
     cfg = _feature_only_config(synth_dir)
     edit(cfg)
     cfg_path = tmp_path / "config.json"
@@ -278,7 +313,7 @@ def _experiment_svr_one_update(synth_dir, tmp_path, monkeypatch):
 
 def _train_gru_diverges(synth_dir, tmp_path, monkeypatch):
     def diverge(model, samples):
-        raise TrainingDivergedError(3, "non-finite training loss at epoch 3")
+        raise TrainingDivergedError("non-finite training loss at epoch 3")
 
     monkeypatch.setattr("vidmem.harness.gru_train", diverge)
     return _train_argv(synth_dir, tmp_path, "gru", '{"hidden_units": 4}')

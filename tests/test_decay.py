@@ -86,6 +86,6 @@ class TestAdjustLabels:
         from vidmem.decay import DecayFit
         fit = DecayFit(alpha=-0.02, target_duration=75.0,
                        m_t={"a": 1.03, "b": -0.02, "c": 0.667},
-                       iterations_run=1, alpha_trajectory=(-0.02,))
+                       alpha_trajectory=(-0.02,))
         table = adjust_labels(fit)
         assert table.scores == {"a": 1.0, "b": 0.0, "c": 0.667}

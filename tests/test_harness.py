@@ -191,6 +191,18 @@ class TestReportRendering:
         assert json.loads(report_to_json(report)) == report
 
 
+@pytest.mark.parametrize("args, message", [
+    (("featA", "forest"), "unknown model kind 'forest'"),
+    (("featA", "ridge", {"lamda": 50}), "unknown ridge hyperparameter 'lamda'"),
+    (("featA", "ridge", [1]), "'hyper' must be a JSON object"),
+    (("featA", "gru"), "a gru model reads 'captions', not 'featA'"),
+], ids=["unknown-kind", "unknown-key", "hyper-not-dict", "gru-on-features"])
+def test_feature_model_config_rejects_invalid_entry(args, message):
+    with pytest.raises(ValueError) as info:
+        FeatureModelConfig(*args)
+    assert str(info.value) == message
+
+
 class TestSvrAndGruPaths:
     def test_svr_feature_model(self, small_corpus):
         cfg = FeatureModelConfig("featA", "svr", {"epsilon": 0.05})

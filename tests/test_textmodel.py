@@ -171,7 +171,7 @@ def make_samples(rng, n_videos, dim, label_fn, caps_per_video=2):
         for _ in range(caps_per_video):
             T = int(rng.integers(3, 7))
             X = rng.normal(size=(T, dim))
-            seq = TokenSequence(tokens=tuple(["w"] * T), vectors=X, oov_count=0)
+            seq = TokenSequence(vectors=X, oov_count=0)
             samples.append((f"v{i}", seq, label_fn(X)))
     return samples
 
@@ -233,8 +233,7 @@ class TestGruTraining:
         doc = json.loads((Path(__file__).parent / "data" / "gru_parent_fits.json").read_text())
         assert len(doc["train"]) == 6
         for case in doc["train"]:
-            samples = [(vid, TokenSequence(tokens=("w",) * len(X), vectors=np.array(X),
-                                           oov_count=0), y)
+            samples = [(vid, TokenSequence(vectors=np.array(X), oov_count=0), y)
                        for vid, X, y in case["samples"]]
             cfg = TrainConfig(learning_rate=0.01, batch_size=case["batch_size"], max_epochs=5,
                               validation_fraction=case["validation_fraction"])

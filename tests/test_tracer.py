@@ -1,0 +1,32 @@
+"""The benchmark's tracer (perfbench/tracing.py) patches library functions
+by name; a renamed or deleted target must fail here, not only in a traced
+benchmark run."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import tracing  # noqa: E402
+
+
+def _bindings():
+    """Every vidmem module attribute, traced method and the harness pool."""
+    names = {(mod, key): value for mod in list(sys.modules.values())
+             if mod is not None and mod.__name__.split(".")[0] == "vidmem"
+             for key, value in vars(mod).items()}
+    names.update(((cls, attr), vars(cls)[attr]) for _, cls, attr, _ in tracing.METHODS)
+    return names
+
+
+def test_tracer_patches_every_target_and_restores_it():
+    before = _bindings()
+    with tracing.Tracer():
+        for _, module, attr, _ in tracing.FUNCTIONS:
+            assert hasattr(getattr(module, attr), "__wrapped_original__"), attr
+        for _, cls, attr, _ in tracing.METHODS:
+            assert hasattr(vars(cls)[attr], "__wrapped_original__"), attr
+    after = _bindings()
+    assert after.keys() == before.keys()
+    changed = [key for key, value in after.items() if value is not before[key]]
+    assert changed == []
