@@ -25,6 +25,15 @@ from .textmodel import GruRegressor, TrainingDivergedError
 
 LINEAR_ALIASES = {"bayes": "bayes_ridge"}
 
+# the keys each object of an experiment config may hold
+_CONFIG_KEYS = {
+    "top": {"data", "feature_models", "ensemble_models", "seeds", "bucket", "train_fraction",
+            "aggregation", "workers", "test_labels", "output_dir"},
+    "data": {"features", "labels", "captions", "word_vectors"},
+    "feature set": {"name", "path", "modality"},
+    "model entry": {"feature", "model", "hyper"},
+}
+
 
 def cmd_adjust_labels(args):
     log = corpus_mod.load_annotations_csv(args.annotations)
@@ -46,12 +55,12 @@ def _corpus_for_model(args, kind, hyper=None):
     c = Corpus()
     if kind == "gru":
         if not args.captions or not args.word_vectors:
-            raise SystemExit("gru model requires --captions and --word-vectors")
+            raise ValueError("gru model requires --captions and --word-vectors")
         c.captions = corpus_mod.load_captions_csv(args.captions)
         c.word_vectors = corpus_mod.load_word_vectors(args.word_vectors)
     else:
         if not args.features:
-            raise SystemExit(f"{kind} model requires --features")
+            raise ValueError(f"{kind} model requires --features")
         c.features["feature"] = corpus_mod.load_feature_csv(args.features, "video", "feature")
     return config, c
 
@@ -89,7 +98,7 @@ def cmd_evaluate(args):
     truth = corpus_mod.load_prediction_csv(args.truth)
     ids = sorted(set(pred) & set(truth))
     if len(ids) < 2:
-        raise SystemExit("need at least 2 common video ids")
+        raise ValueError("need at least 2 common video ids")
     value = srcc([pred[v] for v in ids], [truth[v] for v in ids])
     print(f"{value:.6f}")
 
@@ -136,9 +145,16 @@ def _check_config(cfg, path):
     def fail(message):
         raise ValueError(f"{path}: {message}")
 
+    def known_keys(obj, kind, where=""):
+        unknown = sorted(set(obj) - _CONFIG_KEYS[kind])
+        if unknown:
+            fail(f"{where}unknown key {unknown[0]!r}")
+
     if not isinstance(cfg, dict) or not isinstance(cfg.get("data"), dict):
         fail("missing 'data' object")
     data = cfg["data"]
+    known_keys(cfg, "top")
+    known_keys(data, "data", "data: ")
     for where, value in (("data.features", data.get("features", [])),
                          ("feature_models", cfg.get("feature_models", [])),
                          ("ensemble_models", cfg.get("ensemble_models", []))):
@@ -147,6 +163,7 @@ def _check_config(cfg, path):
     for i, spec in enumerate(data.get("features", [])):
         if not isinstance(spec, dict) or not {"name", "path", "modality"} <= spec.keys():
             fail(f"data.features[{i}] needs 'name', 'path' and 'modality'")
+        known_keys(spec, "feature set", f"data.features[{i}]: ")
         if not (isinstance(spec["name"], str) and isinstance(spec["path"], str)):
             fail(f"data.features[{i}]: 'name' and 'path' must be strings")
         if spec["modality"] not in MODALITIES:
@@ -186,6 +203,7 @@ def _check_config(cfg, path):
             where = f"{section}[{i}]"
             if not isinstance(entry, dict) or not {"feature", "model"} <= entry.keys():
                 fail(f"{where} needs 'feature' and 'model'")
+            known_keys(entry, "model entry", f"{where}: ")
             model = entry["model"]
             if isinstance(model, str):
                 model = LINEAR_ALIASES.get(model, model)
@@ -223,9 +241,22 @@ def cmd_experiment(args):
     print(f"report written to {out_dir}")
 
 
+def _read_synth_spec(path):
+    """The generator settings in a JSON spec file; every error names the file."""
+    try:
+        doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError("spec must be a JSON object")
+        unknown = sorted(set(doc) - set(SyntheticCorpusSpec.__dataclass_fields__))
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
+        return SyntheticCorpusSpec(**doc)
+    except ValueError as exc:  # invalid JSON included
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_synth(args):
-    spec_doc = json.loads(Path(args.spec).read_text()) if args.spec else {}
-    spec = SyntheticCorpusSpec(**spec_doc)
+    spec = _read_synth_spec(args.spec) if args.spec else SyntheticCorpusSpec()
     synth = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

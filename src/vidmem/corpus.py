@@ -51,38 +51,46 @@ class AnnotationLog:
             raise ValueError("delays must be positive and finite")
         if not np.all((recognized == 0) | (recognized == 1)):
             raise ValueError("recognized must be 0 or 1")
-        first: dict[str, int] = {}  # video id -> rank in first-appearance order
-        codes = np.fromiter((first.setdefault(vid, len(first)) for vid in self.video_id), np.intp)
-        for vid in first:
-            _check_video_id(vid)
-        trials = np.argsort(codes, kind="stable")
-        groups = np.split(trials, np.cumsum(np.bincount(codes, minlength=len(first)))[:-1])
+        videos, order, bounds = _group_by_video(self.video_id)
         object.__setattr__(self, "video_id", tuple(self.video_id))
         object.__setattr__(self, "delay_seconds", delays)
         object.__setattr__(self, "recognized", recognized.astype(int))
-        object.__setattr__(self, "entries", dict(zip(first, groups)))
+        object.__setattr__(self, "entries", dict(zip(videos, np.split(order, bounds))))
 
 
 @dataclass(frozen=True)
 class FeatureSet:
-    """One named feature table: zero or more fixed-width rows per video."""
+    """One named feature table: fixed-width rows, any number per video.
+
+    `video_id` and the `(n_rows, d)` array `values` hold one entry per row,
+    stored grouped by video: videos in first-appearance order, each video's
+    rows in input order.  `rows` maps each video id to its block of `values`
+    (a view).
+    """
 
     modality: str
     name: str
-    dimension: int
-    rows: dict[str, np.ndarray]  # video id -> (n_rows, dimension) array
+    video_id: tuple[str, ...]
+    values: np.ndarray
+    rows: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
             raise ValueError(f"unknown modality {self.modality!r}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
-        for vid, arr in self.rows.items():
-            _check_video_id(vid)
-            if arr.ndim != 2 or arr.shape[1] != self.dimension:
-                raise ValueError(f"video {vid!r}: rows have width {arr.shape}, expected {self.dimension}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"video {vid!r}: non-finite feature value")
+        values = np.asarray(self.values, dtype=float)
+        if not (values.ndim == 2 and values.shape[1] >= 1 and len(values) == len(self.video_id)):
+            raise ValueError("values must be an (n_rows, d >= 1) array with one row per video id")
+        if not np.all(np.isfinite(values)):
+            raise ValueError("non-finite feature value")
+        videos, order, bounds = _group_by_video(self.video_id)
+        values = values[order]
+        object.__setattr__(self, "video_id", tuple(self.video_id[i] for i in order))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "rows", dict(zip(videos, np.split(values, bounds))))
+
+    @property
+    def dimension(self):
+        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -153,6 +161,21 @@ def _check_video_id(vid):
         raise ValueError(f"invalid video id {vid!r}")
 
 
+def _group_by_video(video_id):
+    """Order the entries of one id column by video, videos in first-appearance
+    order and entries in column order; each distinct id is checked once.
+
+    Returns the distinct ids, the entry order, and the split points between
+    videos in that order.
+    """
+    first: dict[str, int] = {}  # video id -> rank in first-appearance order
+    codes = np.fromiter((first.setdefault(vid, len(first)) for vid in video_id), np.intp)
+    for vid in first:
+        _check_video_id(vid)
+    order = np.argsort(codes, kind="stable")
+    return list(first), order, np.cumsum(np.bincount(codes, minlength=len(first)))[:-1]
+
+
 def _parse_float(value, path, line_no, what):
     try:
         x = float(value)
@@ -194,17 +217,15 @@ def _read_records(path, what, fields=None, unique=False):
 
 def load_feature_csv(path, modality, name):
     """Load `video_id,f0,...,f(d-1)` rows; multiple lines per video allowed."""
-    rows_by_vid: dict[str, list[list[float]]] = {}
-    dimension = None
+    video_id, values = [], []
     for line_no, vid, row in _read_records(path, "feature"):
-        values = [_parse_float(v, path, line_no, "feature value") for v in row[1:]]
-        if dimension is None:
-            dimension = len(values)
-        elif len(values) != dimension:
-            raise ParseError(path, line_no, f"dimension mismatch: got {len(values)}, expected {dimension}")
-        rows_by_vid.setdefault(vid, []).append(values)
-    arrays = {vid: np.asarray(vals, dtype=float) for vid, vals in rows_by_vid.items()}
-    return FeatureSet(modality=modality, name=name, dimension=dimension, rows=arrays)
+        x = [_parse_float(v, path, line_no, "feature value") for v in row[1:]]
+        if values and len(x) != len(values[0]):
+            raise ParseError(path, line_no,
+                             f"dimension mismatch: got {len(x)}, expected {len(values[0])}")
+        video_id.append(vid)
+        values.append(x)
+    return FeatureSet(modality, name, video_id, np.asarray(values, dtype=float))
 
 
 def load_annotations_csv(path):
@@ -281,12 +302,10 @@ def load_word_vectors(path):
 
 
 def write_feature_csv(feature_set, path):
-    """Inverse of load_feature_csv; preserves per-video row order."""
+    """Inverse of load_feature_csv; writes the rows grouped by video."""
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for vid, arr in feature_set.rows.items():
-            for row in arr:
-                writer.writerow([vid] + [repr(float(v)) for v in row])
+        csv.writer(fh).writerows([vid, *map(repr, row)] for vid, row
+                                 in zip(feature_set.video_id, feature_set.values.tolist()))
 
 
 def write_labels_csv(table, path):

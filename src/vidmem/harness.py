@@ -14,7 +14,7 @@ import inspect
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -77,6 +77,10 @@ class SyntheticCorpusSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # the annotations are the strings "int" and "float"
+            kinds, what = ((int, float), "a number") if f.type == "float" else ((int,), "an integer")
+            if type(getattr(self, f.name)) not in kinds:
+                raise ValueError(f"'{f.name}' must be {what}")
         if self.n_videos < 1 or self.obs_per_video < 1:
             raise ValueError("need at least one video and one observation")
         if not (0.0 <= self.m_low <= self.m_high <= 1.0):
@@ -119,11 +123,11 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     log = AnnotationLog([vid for vid in vids for _ in range(spec.obs_per_video)],
                         np.concatenate(delays), np.concatenate(hits))
 
-    feat_a_rows, feat_b_rows, labels = {}, {}, {}
+    feat_a_rows, feat_b_rows, labels = [], [], {}
     for vid in vids:
         rows = rng.normal(size=(spec.rows_per_video, spec.feature_dim))
-        feat_a_rows[vid] = rows
-        feat_b_rows[vid] = rng.normal(size=(spec.rows_per_video, spec.feature_dim))
+        feat_a_rows.append(rows)
+        feat_b_rows.append(rng.normal(size=(spec.rows_per_video, spec.feature_dim)))
         signal = float(rows.mean())
         if spec.noise > 0.0:
             signal += float(rng.normal(scale=spec.noise))
@@ -138,10 +142,11 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
             caps.append("a video of " + " ".join(words))
         captions[vid] = tuple(caps)
 
+    row_ids = [vid for vid in vids for _ in range(spec.rows_per_video)]
     corpus = Corpus(
         features={
-            "featA": FeatureSet("video", "featA", spec.feature_dim, feat_a_rows),
-            "featB": FeatureSet("image", "featB", spec.feature_dim, feat_b_rows),
+            "featA": FeatureSet("video", "featA", row_ids, np.concatenate(feat_a_rows)),
+            "featB": FeatureSet("image", "featB", row_ids, np.concatenate(feat_b_rows)),
         },
         captions=CaptionSet(captions),
         labels={
@@ -195,16 +200,13 @@ class FeatureModelConfig:
 
 
 def _stack_training_rows(feature_set, labels, ids):
-    X, y = [], []
-    for vid in ids:
-        rows = feature_set.rows.get(vid)
-        if rows is None or len(rows) == 0 or vid not in labels.scores:
-            continue
-        X.append(rows)
-        y.extend([labels.scores[vid]] * len(rows))
-    if not X:
+    """The rows and labels of the `ids` that have both, in `ids` order."""
+    kept = [vid for vid in ids if vid in feature_set.rows and vid in labels.scores]
+    if not kept:
         raise ValueError(f"no training rows for feature {feature_set.name!r}")
-    return np.vstack(X), np.asarray(y)
+    blocks = [feature_set.rows[vid] for vid in kept]
+    return (np.vstack(blocks),
+            np.repeat([labels.scores[vid] for vid in kept], [len(rows) for rows in blocks]))
 
 
 def _caption_samples(corpus, labels, ids):
@@ -259,9 +261,8 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
     else:
         feature_set = _feature_set(corpus, config.feature)
         for vid in ids:
-            rows = feature_set.rows.get(vid)
-            if rows is not None and len(rows) > 0:
-                per_row[vid] = list(model.predict(rows))
+            if vid in feature_set.rows:
+                per_row[vid] = list(model.predict(feature_set.rows[vid]))
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
 

@@ -246,6 +246,13 @@ def _setting(*keys_and_value):
     (_setting("data", "labels", {"medium": "labels_short.csv"}),
      "data.labels: term must be one of ('short', 'long'), got 'medium'"),
     (_setting("feature_models", 3), "'feature_models' must be a list"),
+    (_setting("seed", [0]), "unknown key 'seed'"),
+    (_setting("data", "feature", []), "data: unknown key 'feature'"),
+    (_setting("data", "features", 0, "dim", 4), "data.features[0]: unknown key 'dim'"),
+    (_setting("feature_models", 0, "hyperr", {"lam": 50}),
+     "feature_models[0]: unknown key 'hyperr'"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "ridge", "seeds": [0]}]),
+     "ensemble_models[0]: unknown key 'seeds'"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
         "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
@@ -254,7 +261,9 @@ def _setting(*keys_and_value):
         "model-not-string", "feature-not-string", "feature-name-not-string",
         "feature-path-not-string", "unknown-modality", "captions-not-string",
         "output-dir-not-string", "labels-not-object", "test-labels-not-object",
-        "unknown-label-term", "models-not-list"])
+        "unknown-label-term", "models-not-list", "unknown-top-key", "unknown-data-key",
+        "unknown-feature-set-key", "unknown-feature-model-entry-key",
+        "unknown-ensemble-model-entry-key"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def not_reached(*args, **kwargs):
@@ -350,6 +359,47 @@ def test_prediction_csv_scores_outside_unit_interval_accepted(tmp_path, capsys):
     pred.write_text("v0000,-3.0\nv0001,7.5,direct\n")
     assert main(["evaluate", "--pred", str(pred), "--truth", str(pred)]) == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+def _train_ridge_without_features(synth_dir, tmp_path):
+    return ["train", "--labels", str(synth_dir / "labels_short.csv"), "--model", "ridge",
+            "--out", str(tmp_path / "m.json")]
+
+
+def _train_gru_without_word_vectors(synth_dir, tmp_path):
+    return ["train", "--labels", str(synth_dir / "labels_short.csv"), "--model", "gru",
+            "--captions", str(synth_dir / "captions.csv"), "--out", str(tmp_path / "m.json")]
+
+
+def _evaluate_one_common_id(synth_dir, tmp_path):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("v0000,0.5\nother,0.7\n")
+    return ["evaluate", "--pred", str(pred), "--truth", str(synth_dir / "labels_short.csv")]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (_train_ridge_without_features, "ridge model requires --features"),
+    (_train_gru_without_word_vectors, "gru model requires --captions and --word-vectors"),
+    (_evaluate_one_common_id, "need at least 2 common video ids"),
+], ids=["ridge-without-features", "gru-without-word-vectors", "one-common-id"])
+def test_missing_cli_input_reported_as_error(synth_dir, tmp_path, capsys, argv, message):
+    assert main(argv(synth_dir, tmp_path)) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"n_video": 5}', "unknown key 'n_video'"),
+    ("[1]", "spec must be a JSON object"),
+    ('{"n_videos": "5"}', "'n_videos' must be an integer"),
+    ('{"n_videos": 2.5}', "'n_videos' must be an integer"),
+    ('{"n_videos": ', "Expecting value: line 1 column 14 (char 13)"),
+], ids=["unknown-key", "not-object", "string-count", "float-count", "invalid-json"])
+def test_bad_synth_spec_rejected(tmp_path, capsys, text, message):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"error: {spec}: {message}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_input_returns_error_code(tmp_path, capsys):

@@ -52,6 +52,42 @@ class TestFeatureLoader:
             np.testing.assert_array_equal(fs.rows[vid], fs2.rows[vid])
 
 
+    def test_interleaved_videos_grouped_in_first_appearance_order(self, tmp_path):
+        p = write(tmp_path, "f.csv", "v1,0.1,0.2\nv2,0.3,0.4\nv1,0.5,0.6\n")
+        fs = corpus.load_feature_csv(p, "video", "C3D")
+        assert list(fs.rows) == ["v1", "v2"]
+        assert fs.video_id == ("v1", "v1", "v2")
+        np.testing.assert_array_equal(fs.values, [[0.1, 0.2], [0.5, 0.6], [0.3, 0.4]])
+        np.testing.assert_array_equal(fs.rows["v1"], [[0.1, 0.2], [0.5, 0.6]])
+        for rows in fs.rows.values():
+            assert np.shares_memory(rows, fs.values)
+
+    def test_round_trip_writes_rows_grouped_by_video(self, tmp_path):
+        p = write(tmp_path, "f.csv", "v2,0.5\nv1,0.25\nv2,1.5\n")
+        out = tmp_path / "out.csv"
+        corpus.write_feature_csv(corpus.load_feature_csv(p, "video", "C3D"), out)
+        assert out.read_text().replace("\r\n", "\n") == "v2,0.5\nv2,1.5\nv1,0.25\n"
+
+
+class TestFeatureSet:
+    def test_dimension_is_the_width_of_values(self):
+        fs = corpus.FeatureSet("audio", "VGGish", ["v1"], [[0.5, 1.0, 2.0]])
+        assert fs.dimension == 3
+        with pytest.raises(TypeError):
+            corpus.FeatureSet("audio", "VGGish", ["v1"], [[0.5]], dimension=1)
+
+    @pytest.mark.parametrize("modality, video_id, values, message", [
+        ("video", ("v1",), [[float("inf")]], "non-finite feature value"),
+        ("video", ("v1",), np.zeros((1, 0)), r"values must be an \(n_rows, d >= 1\) array"),
+        ("video", ("v1",), [[0.5], [0.7]], "with one row per video id"),
+        ("video", ("v1", "v 2"), [[0.5], [0.7]], "invalid video id 'v 2'"),
+        ("smell", ("v1",), [[0.5]], "unknown modality 'smell'"),
+    ], ids=["non-finite", "width-0", "count-mismatch", "bad-id", "unknown-modality"])
+    def test_invalid_columns_rejected(self, modality, video_id, values, message):
+        with pytest.raises(ValueError, match=message):
+            corpus.FeatureSet(modality, "C3D", video_id, values)
+
+
 class TestAnnotationLoader:
     def test_basic(self, tmp_path):
         p = write(tmp_path, "a.csv", "v1,75,1\nv1,80,0\n")

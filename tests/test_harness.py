@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -177,6 +178,53 @@ class TestDeterminism:
                    for w in (1, 1, 4)]
         texts = [report_to_json(r) for r in reports]
         assert texts[0] == texts[1] == texts[2]
+
+
+PINNED_CONFIGS = [FeatureModelConfig("featA", "ols"),
+                  FeatureModelConfig("featA", "ridge", {"lam": 1.0}),
+                  FeatureModelConfig("featA", "lasso", {"lam": 0.001}),
+                  FeatureModelConfig("featA", "bayes_ridge"),
+                  FeatureModelConfig("featB", "svr", {"epsilon": 0.05})]
+
+
+def _pinned_corpus():
+    return generate_synthetic(SyntheticCorpusSpec(n_videos=40, obs_per_video=2, feature_dim=4,
+                                                  rows_per_video=3, noise=0.5, seed=11)).corpus
+
+
+def _pinned_report():
+    """Both protocols on three rows per video, every linear kind and SVR, two
+    seeds, with test labels."""
+    corpus = _pinned_corpus()
+    return report_to_json(run_full_experiment(corpus, PINNED_CONFIGS, PINNED_CONFIGS[1:],
+                                              seeds=[0, 1], test_labels=dict(corpus.labels)))
+
+
+def _pinned_predictions():
+    """Every video's raw score from each fit behind `_pinned_report`.  The
+    report holds only rank statistics, which last-bit drift rarely moves;
+    these scores carry the bits."""
+    corpus = _pinned_corpus()
+    scores = {}
+    for config in PINNED_CONFIGS:
+        for seed in (0, 1):
+            for term in ("long", "short"):
+                labels = corpus.labels[term]
+                model = train_feature_model(corpus, config, labels,
+                                            split(corpus.video_ids, seed).train_ids, seed)
+                table = predict_table(corpus, config, model, corpus.video_ids)
+                scores[f"{config.display_name}:{seed}:{term}"] = table.scores
+    return json.dumps(scores, indent=1) + "\n"
+
+
+@pytest.mark.parametrize("make, name", [(_pinned_report, "report"),
+                                        (_pinned_predictions, "predictions")],
+                         ids=["report", "predictions"])
+def test_experiment_bytes_match_recording(make, name):
+    """Training rows are stacked in split order and each video is predicted
+    on its own rows; a change to either moves these bytes."""
+    recorded = (Path(__file__).parent / "data" / f"experiment_parent_{name}.json").read_text()
+    assert make() == recorded
 
 
 class TestReportRendering:

@@ -9,6 +9,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import tracing  # noqa: E402
 
+from vidmem.corpus import load_feature_csv  # noqa: E402
+
 
 def _bindings():
     """Every vidmem module attribute, traced method and the harness pool."""
@@ -30,3 +32,12 @@ def test_tracer_patches_every_target_and_restores_it():
     assert after.keys() == before.keys()
     changed = [key for key, value in after.items() if value is not before[key]]
     assert changed == []
+
+
+def test_load_lines_counts_every_feature_row(tmp_path):
+    """`corpus.load_lines` must count the rows of a feature file however the
+    loader stores them, interleaved videos included."""
+    p = tmp_path / "f.csv"
+    p.write_text("v1,0.1,0.2\nv2,0.3,0.4\n\nv1,0.5,0.6\nv3,0.7,0.8\nv2,0.9,1.0\n")
+    lines = sum(1 for line in p.read_text().splitlines() if line.strip())
+    assert tracing._rows(load_feature_csv(p, "video", "C3D")) == lines == 5
