@@ -66,7 +66,10 @@ def _corpus_for_model(args, kind, hyper=None):
 
 
 def cmd_train(args):
-    hyper = json.loads(args.params) if args.params else {}
+    try:
+        hyper = json.loads(args.params) if args.params else {}
+    except ValueError as exc:
+        raise ValueError(f"--params: {exc}") from None
     if not isinstance(hyper, dict):
         raise ValueError("--params must be a JSON object")
     config, c = _corpus_for_model(args, LINEAR_ALIASES.get(args.model, args.model), hyper)

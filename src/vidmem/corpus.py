@@ -215,8 +215,46 @@ def _read_records(path, what, fields=None, unique=False):
         raise ParseError(path, 0, f"empty {what} file")
 
 
+def _parse_columns(path, columns):
+    """Fast path of the feature and annotation loaders: numpy's C reader
+    parses every field of every line into the structured dtype
+    `columns(first line)`, the text decoded as `_read_records` decodes it.
+
+    Returns `(video ids, table)` with one string object per distinct id, or
+    None where the record reader must re-read the file and decide: a blank
+    first line (such as a file without rows, on which loadtxt warns), a
+    character the two readers treat apart (csv unquotes `"`; loadtxt strips
+    the separators U+001C-U+001F around a number, float() does not), or a
+    parse error.
+    """
+    with open(path, newline="") as fh:
+        first = fh.readline()
+        fh.seek(0)
+        text = fh.read()
+        if not first.strip("\r\n") or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+            return None
+        del text  # not held while loadtxt parses
+        fh.seek(0)
+        try:
+            table = np.loadtxt(fh, dtype=columns(first), delimiter=",", comments=None,
+                               quotechar=None, ndmin=1)
+        except ValueError:
+            return None
+    seen: dict[str, str] = {}
+    ids = table["id"].tolist()
+    table["id"] = None  # the table keeps no second copy of each row's id
+    video_id = list(map(seen.setdefault, ids, ids))
+    return video_id, table
+
+
 def load_feature_csv(path, modality, name):
     """Load `video_id,f0,...,f(d-1)` rows; multiple lines per video allowed."""
+    parsed = _parse_columns(path, lambda first: [("id", "O"), ("v", "f8", (first.count(","),))])
+    if parsed is not None:
+        try:
+            return FeatureSet(modality, name, parsed[0], parsed[1]["v"])
+        except ValueError:
+            pass
     video_id, values = [], []
     for line_no, vid, row in _read_records(path, "feature"):
         x = [_parse_float(v, path, line_no, "feature value") for v in row[1:]]
@@ -230,6 +268,17 @@ def load_feature_csv(path, modality, name):
 
 def load_annotations_csv(path):
     """Load `video_id,delay_seconds,recognized` rows into an AnnotationLog."""
+    # `recognized` is an object column: a fixed-width one would drop a trailing NUL
+    parsed = _parse_columns(path, lambda first: [("id", "O"), ("t", "f8"), ("r", "O")])
+    if parsed is not None:
+        video_id, table = parsed
+        recognized = table["r"] == "1"
+        if np.all(recognized | (table["r"] == "0")):
+            try:
+                # a copy of the delays: a view would keep the whole table alive
+                return AnnotationLog(video_id, np.ascontiguousarray(table["t"]), recognized)
+            except ValueError:
+                pass
     video_id, delay_seconds, recognized = [], [], []
     for line_no, vid, row in _read_records(path, "annotation", (3,)):
         delay = _parse_float(row[1], path, line_no, "delay")

@@ -79,10 +79,19 @@ class SyntheticCorpusSpec:
     def __post_init__(self):
         for f in fields(self):  # the annotations are the strings "int" and "float"
             kinds, what = ((int, float), "a number") if f.type == "float" else ((int,), "an integer")
-            if type(getattr(self, f.name)) not in kinds:
+            value = getattr(self, f.name)
+            if type(value) not in kinds:
                 raise ValueError(f"'{f.name}' must be {what}")
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"'{f.name}' must be finite")
         if self.n_videos < 1 or self.obs_per_video < 1:
             raise ValueError("need at least one video and one observation")
+        if self.feature_dim < 1 or self.rows_per_video < 1:
+            raise ValueError("need at least one feature dimension and one row per video")
+        if not self.target_duration > 0.0:
+            raise ValueError("'target_duration' must be positive")
+        if self.noise < 0.0:
+            raise ValueError("'noise' must be nonnegative")
         if not (0.0 <= self.m_low <= self.m_high <= 1.0):
             raise ValueError("memorability bounds must satisfy 0 <= low <= high <= 1")
         if not (0.0 < self.delay_low <= self.delay_high):

@@ -296,8 +296,10 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("gru", '{"hidden_units": 4, "bogus": 1}', "unknown gru hyperparameter 'bogus'"),
     ("ridge", '{"lamda": 50}', "unknown ridge hyperparameter 'lamda'"),
     ("ols", '{"lam": 1.0}', "unknown ols hyperparameter 'lam'"),
+    ("ridge", "{lam: 1}",
+     "--params: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
-        "unknown-ols-key"])
+        "unknown-ols-key", "params-not-json"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -393,7 +395,15 @@ def test_missing_cli_input_reported_as_error(synth_dir, tmp_path, capsys, argv, 
     ('{"n_videos": "5"}', "'n_videos' must be an integer"),
     ('{"n_videos": 2.5}', "'n_videos' must be an integer"),
     ('{"n_videos": ', "Expecting value: line 1 column 14 (char 13)"),
-], ids=["unknown-key", "not-object", "string-count", "float-count", "invalid-json"])
+    ('{"feature_dim": 0}', "need at least one feature dimension and one row per video"),
+    ('{"rows_per_video": -1}', "need at least one feature dimension and one row per video"),
+    ('{"true_alpha": NaN}', "'true_alpha' must be finite"),
+    ('{"m_high": Infinity}', "'m_high' must be finite"),
+    ('{"noise": -1}', "'noise' must be nonnegative"),
+    ('{"target_duration": 0}', "'target_duration' must be positive"),
+], ids=["unknown-key", "not-object", "string-count", "float-count", "invalid-json",
+        "zero-feature-dim", "negative-rows", "nan-alpha", "infinite-m-high", "negative-noise",
+        "zero-target-duration"])
 def test_bad_synth_spec_rejected(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"
     spec.write_text(text)

@@ -214,3 +214,124 @@ def test_repeated_video_id_rejected_at_second_line(tmp_path, kind):
         load(p)
     assert exc.value.line_no == 3
     assert str(exc.value) == f"{p}:3: duplicate video id 'v1'"
+
+
+# The feature and annotation loaders parse with numpy's C reader and re-read
+# through the record reader when in doubt; the two must never disagree.
+FAST_PATH_LOADERS = {
+    "feature": (lambda p: corpus.load_feature_csv(p, "video", "C3D"),
+                "v1,0.5,1\nv2,1.5,-2\nv1,3,4\n"),
+    "annotation": (corpus.load_annotations_csv, "v1,75,1\nv2,80.5,0\nv1,3,1\n"),
+}
+
+EDITS = {
+    "clean": lambda t: t,
+    "quoted-id": lambda t: t.replace("v1", '"v1"'),
+    "quoted-id-once": lambda t: t.replace("v1", '"v1"', 1),
+    "quoted-value": lambda t: t.replace(",3,", ',"3",'),
+    "bom": lambda t: "\ufeff" + t,
+    "crlf": lambda t: t.replace("\n", "\r\n"),
+    "lone-cr": lambda t: t.replace("\n", "\r"),
+    "blank-lines": lambda t: "\n" + t.replace("\n", "\n\n"),
+    "blank-line-after-first": lambda t: t.replace("\n", "\n\r\n", 1),
+    "whitespace-line": lambda t: t.replace("\n", "\n  \n", 1),
+    "whitespace-only-file": lambda t: " \n\t\n",
+    "blank-only-file": lambda t: "\n\r\n\n",
+    "empty-file": lambda t: "",
+    "padded-id": lambda t: t.replace("v2", " v2 "),
+    "padded-fields": lambda t: t.replace(",", " , "),
+    "tab-padded-value": lambda t: t.replace(",3,", ",\t3\t,"),
+    "nan": lambda t: t.replace(",3,", ",nan,"),
+    "inf": lambda t: t.replace(",3,", ",inf,"),
+    "overflow": lambda t: t.replace(",3,", ",1e400,"),
+    "underscore": lambda t: t.replace(",3,", ",1_0,"),
+    "arabic-digit": lambda t: t.replace(",3,", ",١,"),
+    "hex": lambda t: t.replace(",3,", ",0x10,"),
+    "zero": lambda t: t.replace(",3,", ",0,"),
+    "negative": lambda t: t.replace(",3,", ",-3,"),
+    "extra-field": lambda t: t.replace("\nv2,", "\nv2,1,"),
+    "missing-field": lambda t: t.replace(",3,", ","),
+    "trailing-comma": lambda t: t.replace("\n", ",\n", 1),
+    "comment-line": lambda t: t + "# note\n",
+    "hash-id": lambda t: t.replace("v2", "#v2"),
+    "hash-value": lambda t: t.replace(",3,", ",3#,"),
+    "last-field-space": lambda t: t.replace(",1\n", ", 1\n", 1),
+    "last-field-trailing-space": lambda t: t.replace(",1\n", ",1 \n", 1),
+    "last-field-float": lambda t: t.replace(",1\n", ",1.0\n", 1),
+    "last-field-leading-zero": lambda t: t.replace(",1\n", ",01\n", 1),
+    "last-field-two": lambda t: t.replace(",1\n", ",2\n", 1),
+    "last-field-nul": lambda t: t.replace(",1\n", ",1\x00\n", 1),
+    "long-id": lambda t: t.replace("v2", "v" * 70),
+    "non-ascii-id": lambda t: t.replace("v2", "vidéo-ü"),
+    "id-with-x1c": lambda t: t.replace("v2", "v\x1c2"),
+    "id-with-u2028": lambda t: t.replace("v2", "v\u20282"),
+    "id-ends-with-x1f": lambda t: t.replace("v2", "v2\x1f"),
+    "id-with-nul": lambda t: t.replace("v2", "v2\x00"),
+    "value-with-x1c": lambda t: t.replace(",3,", ",3\x1c,"),
+    "value-with-u2028": lambda t: t.replace(",3,", ",3\u2028,"),
+}
+
+
+def _outcome(load, path):
+    """The loaded columns as comparable bytes, or the error type and text."""
+    try:
+        table = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(table, corpus.FeatureSet):
+        return table.video_id, table.values.dtype, table.values.shape, table.values.tobytes()
+    return (table.video_id, table.delay_seconds.dtype, table.delay_seconds.tobytes(),
+            table.recognized.dtype, table.recognized.tobytes())
+
+
+def _assert_fast_path_matches_record_reader(load, path, monkeypatch):
+    fast = _outcome(load, path)
+    with monkeypatch.context() as m:
+        m.setattr(corpus, "_parse_columns", lambda path, columns: None)
+        assert _outcome(load, path) == fast
+
+
+@pytest.mark.parametrize("edit", list(EDITS))
+@pytest.mark.parametrize("kind", list(FAST_PATH_LOADERS))
+def test_fast_path_matches_record_reader(tmp_path, monkeypatch, kind, edit):
+    load, text = FAST_PATH_LOADERS[kind]
+    p = tmp_path / "f.csv"
+    p.write_text(EDITS[edit](text), encoding="utf-8", newline="")
+    _assert_fast_path_matches_record_reader(load, p, monkeypatch)
+
+
+@pytest.mark.parametrize("kind", list(FAST_PATH_LOADERS))
+def test_fast_path_matches_record_reader_on_random_edits(tmp_path, monkeypatch, kind):
+    load, text = FAST_PATH_LOADERS[kind]
+    pieces = [",", "\n", "\r\n", "\r", " ", '"', "#", "\ufeff", "\x1c", "\u2028", "\x00",
+              "v1", "1", "0", "1.0", "-1", "nan", "1e400", "1_0", "١", "x" * 70]
+    rng = np.random.default_rng(0)
+    p = tmp_path / "f.csv"
+    for _ in range(300):
+        chars = list(text)
+        for _ in range(rng.integers(1, 4)):
+            i = int(rng.integers(0, len(chars) + 1))
+            if rng.random() < 0.3 and i < len(chars):
+                del chars[i]
+            else:
+                chars[i:i] = pieces[rng.integers(len(pieces))]
+        p.write_text("".join(chars), encoding="utf-8", newline="")
+        _assert_fast_path_matches_record_reader(load, p, monkeypatch)
+
+
+@pytest.mark.parametrize("edit", ["clean", "crlf", "lone-cr", "bom", "blank-line-after-first",
+                                  "long-id", "non-ascii-id", "tab-padded-value",
+                                  "value-with-u2028"])
+@pytest.mark.parametrize("kind", list(FAST_PATH_LOADERS))
+def test_fast_path_loads_without_record_reader(tmp_path, monkeypatch, kind, edit):
+    load, text = FAST_PATH_LOADERS[kind]
+    p = tmp_path / "f.csv"
+    p.write_text(EDITS[edit](text), encoding="utf-8", newline="")
+    expected = _outcome(load, p)
+
+    def unused(*args, **kwargs):
+        raise AssertionError("the record reader was used")
+
+    monkeypatch.setattr(corpus, "_read_records", unused)
+    assert _outcome(load, p) == expected
+    assert not isinstance(expected[0], type)
