@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from vidmem import harness
-from vidmem.corpus import Corpus, FeatureSet, LabelTable
+from vidmem.corpus import CaptionSet, Corpus, FeatureSet, LabelTable, WordVectorTable
 from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec,
                             generate_synthetic, predict_table, report_to_json,
                             report_to_text, run_ensemble_experiment,
                             run_feature_experiment, run_full_experiment, split,
                             train_feature_model)
+from vidmem.textmodel import tokenize
 
 
 class TestSplit:
@@ -217,12 +218,42 @@ def _pinned_predictions():
     return json.dumps(scores, indent=1) + "\n"
 
 
+PINNED_GRU = FeatureModelConfig("captions", "gru", {"hidden_units": 3, "dense_widths": [2, 1],
+                                                   "max_epochs": 3, "batch_size": 16})
+
+
+def _pinned_gru_predictions():
+    """Every video's raw score and coverage, and the training log, of a small
+    caption GRU per seed and term.  Every seventh video has no captions (it
+    is skipped in training and falls back in prediction), and one word has
+    no vector (it embeds as zeros)."""
+    base = _pinned_corpus()
+    captions = {vid: caps for i, (vid, caps) in enumerate(base.captions.captions.items())
+                if i % 7}
+    words = sorted({w for caps in captions.values() for c in caps for w in tokenize(c)}
+                   - {"ball"})
+    vectors = np.random.default_rng(12).normal(size=(len(words), 3))
+    corpus = Corpus(captions=CaptionSet(captions),
+                    word_vectors=WordVectorTable(3, dict(zip(words, vectors))),
+                    labels=base.labels)
+    out = {}
+    for seed in (0, 1):
+        for term in ("long", "short"):
+            model = train_feature_model(corpus, PINNED_GRU, corpus.labels[term],
+                                        split(corpus.video_ids, seed).train_ids, seed)
+            table = predict_table(corpus, PINNED_GRU, model, corpus.video_ids)
+            out[f"{seed}:{term}"] = {"scores": table.scores, "coverage": table.coverage,
+                                     "training_log": model.training_log}
+    return json.dumps(out, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("make, name", [(_pinned_report, "report"),
-                                        (_pinned_predictions, "predictions")],
-                         ids=["report", "predictions"])
+                                        (_pinned_predictions, "predictions"),
+                                        (_pinned_gru_predictions, "gru_predictions")],
+                         ids=["report", "predictions", "gru-predictions"])
 def test_experiment_bytes_match_recording(make, name):
     """Training rows are stacked in split order and each video is predicted
-    on its own rows; a change to either moves these bytes."""
+    on its own rows or captions; a change to either moves these bytes."""
     recorded = (Path(__file__).parent / "data" / f"experiment_parent_{name}.json").read_text()
     assert make() == recorded
 
