@@ -12,16 +12,15 @@ from .harness import (FeatureModelConfig, SplitSpec, SyntheticCorpusSpec,
 from .metrics import srcc
 from .regress import (LinearModel, Standardizer, SvrModel, fit_linear,
                       fit_standardizer, fit_svr)
-from .textmodel import (GruRegressor, TokenSequence, TrainConfig, embed, gru_train,
-                        tokenize)
+from .textmodel import GruRegressor, TrainConfig, embed, gru_train, tokenize
 
 __all__ = [
     "AnnotationLog", "CaptionSet", "Corpus", "DecayFit",
     "EnsembleWeights", "FeatureModelConfig", "FeatureSet", "GruRegressor",
     "LabelTable", "LinearModel", "PredictionTable", "SplitSpec",
-    "Standardizer", "SvrModel", "SyntheticCorpusSpec", "TokenSequence",
-    "TrainConfig", "WordVectorTable", "adjust_labels", "aggregate_rows",
-    "apply_weights", "embed", "enumerate_simplex", "fit_decay", "fit_linear",
+    "Standardizer", "SvrModel", "SyntheticCorpusSpec", "TrainConfig",
+    "WordVectorTable", "adjust_labels", "aggregate_rows", "apply_weights",
+    "embed", "enumerate_simplex", "fit_decay", "fit_linear",
     "fit_standardizer", "fit_svr", "generate_synthetic", "grid_search",
     "gru_train", "load_annotations_csv", "load_captions_csv",
     "load_feature_csv", "load_labels_csv", "load_word_vectors",

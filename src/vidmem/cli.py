@@ -87,10 +87,8 @@ def cmd_predict(args):
                                   else model.kind)
     if args.ids:
         ids = [line.strip() for line in Path(args.ids).read_text().splitlines() if line.strip()]
-    elif config.model == "gru":
-        ids = list(c.captions.captions)
-    else:
-        ids = list(c.features[config.feature].rows)
+    else:  # every video the model has inputs for
+        ids = list(c.captions.captions if config.model == "gru" else c.features[config.feature].rows)
     table = predict_table(c, config, model, ids, aggregation=args.aggregate)
     write_prediction_csv(table, args.out)
     print(f"wrote {len(ids)} predictions -> {args.out}")

@@ -9,7 +9,6 @@ clamping into [0, 1] happens only when labels are exported.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +32,12 @@ class DecayFit:
         return len(self.alpha_trajectory)
 
 
-def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10,
-              alpha_tolerance: float | None = None) -> DecayFit:
-    """Fit decay rate alpha and per-video m_T by alternating updates.
+def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) -> DecayFit:
+    """Fit decay rate alpha and per-video m_T by `iterations` alternating updates.
 
     m_T(i) starts at the raw hit rate; each iteration updates alpha first
     (ratio of per-video-weighted cross terms to squared log-delay terms),
-    then every m_T(i).  `alpha_tolerance`, when given, stops early once the
-    change in alpha drops below it; the default runs all iterations.
+    then every m_T(i).
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
@@ -71,13 +68,10 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10,
     m = hit_rate.copy()
     trajectory = []
     for _ in range(iterations):
-        prev_alpha = alpha
         if not degenerate:
             alpha = (mean_xlr.sum() - float(m @ mean_lr)) / denominator
         m = hit_rate - alpha * mean_lr
         trajectory.append(alpha)
-        if alpha_tolerance is not None and abs(alpha - prev_alpha) < alpha_tolerance:
-            break
 
     warnings = (DEGENERATE_WARNING,) if degenerate else ()
     return DecayFit(

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .aggregate import PredictionTable, aggregate_rows, clamp_unit
-from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
-                     WordVectorTable)
+from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
 from .regress import LINEAR_HYPER_KEYS, fit_linear, fit_svr
@@ -208,50 +207,42 @@ class FeatureModelConfig:
         return f"{self.feature}:{self.model}"
 
 
-def _stack_training_rows(feature_set, labels, ids):
-    """The rows and labels of the `ids` that have both, in `ids` order."""
-    kept = [vid for vid in ids if vid in feature_set.rows and vid in labels.scores]
-    if not kept:
-        raise ValueError(f"no training rows for feature {feature_set.name!r}")
-    blocks = [feature_set.rows[vid] for vid in kept]
-    return (np.vstack(blocks),
-            np.repeat([labels.scores[vid] for vid in kept], [len(rows) for rows in blocks]))
-
-
-def _caption_samples(corpus, labels, ids):
-    samples = []
-    for vid in ids:
-        caps = corpus.captions.captions.get(vid, ())
-        if vid not in labels.scores:
-            continue
-        for cap in caps:
-            samples.append((vid, embed(tokenize(cap), corpus.word_vectors), labels.scores[vid]))
-    if not samples:
-        raise ValueError("no caption samples in the training split")
-    return samples
-
-
-def _feature_set(corpus, name):
-    try:
-        return corpus.features[name]
-    except KeyError:
-        raise ValueError(f"feature set {name!r} is not in the corpus") from None
+def _inputs(corpus, config: FeatureModelConfig, ids) -> dict:
+    """What the configured model reads for each of `ids` that has any, in
+    `ids` order: a feature model reads the video's feature rows, a GRU one
+    embedded array per caption.  The model's `predict` maps these inputs
+    to one score each."""
+    if config.model == "gru":
+        if corpus.captions is None or corpus.word_vectors is None:
+            raise ValueError("gru model needs captions and word vectors in the corpus")
+        captions = corpus.captions.captions
+        return {vid: [embed(tokenize(c), corpus.word_vectors) for c in captions[vid]]
+                for vid in ids if vid in captions}
+    if config.feature not in corpus.features:
+        raise ValueError(f"feature set {config.feature!r} is not in the corpus")
+    rows = corpus.features[config.feature].rows
+    return {vid: rows[vid] for vid in ids if vid in rows}
 
 
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
     hyper = dict(config.hyper)
+    inputs = _inputs(corpus, config, [vid for vid in train_ids if vid in labels.scores])
     if config.model == "gru":
-        if corpus.captions is None or corpus.word_vectors is None:
-            raise ValueError("gru model needs captions and word vectors in the corpus")
+        samples = [(vid, x, labels.scores[vid]) for vid, xs in inputs.items() for x in xs]
+        if not samples:
+            raise ValueError("no caption samples in the training split")
         train_keys = {k: hyper.pop(k) for k in list(hyper)
                       if k in TrainConfig.__dataclass_fields__}
         model = GruRegressor(input_dim=corpus.word_vectors.dimension, seed=seed,
                              train_config=TrainConfig(**train_keys), **hyper)
-        gru_train(model, _caption_samples(corpus, labels, train_ids))
+        gru_train(model, samples)
         return model
-    X, y = _stack_training_rows(_feature_set(corpus, config.feature), labels, train_ids)
+    if not inputs:
+        raise ValueError(f"no training rows for feature {config.feature!r}")
+    X = np.vstack(list(inputs.values()))
+    y = np.repeat([labels.scores[vid] for vid in inputs], [len(rows) for rows in inputs.values()])
     if config.model == "svr":
         return fit_svr(X, y, **hyper)
     return fit_linear(X, y, kind=config.model, hyper=hyper)
@@ -259,19 +250,8 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
 
 def predict_table(corpus, config: FeatureModelConfig, model, ids,
                   aggregation="median") -> PredictionTable:
-    """Per-row predictions aggregated to one score per requested video."""
-    per_row: dict[str, list[float]] = {}
-    if config.model == "gru":
-        for vid in ids:
-            caps = corpus.captions.captions.get(vid, ())
-            if caps:
-                per_row[vid] = [model.predict_sequence(embed(tokenize(c), corpus.word_vectors))
-                                for c in caps]
-    else:
-        feature_set = _feature_set(corpus, config.feature)
-        for vid in ids:
-            if vid in feature_set.rows:
-                per_row[vid] = list(model.predict(feature_set.rows[vid]))
+    """Per-input predictions aggregated to one score per requested video."""
+    per_row = {vid: list(model.predict(x)) for vid, x in _inputs(corpus, config, ids).items()}
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
 

@@ -348,23 +348,39 @@ def model_to_dict(model) -> dict:
     raise TypeError(f"cannot serialize {type(model).__name__}")
 
 
+def _array(value, shape, what):
+    """`value` as a float array of `shape`; `[]` is an empty matrix of any width."""
+    arr = np.asarray(value, dtype=float)
+    arr = arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
+    if arr.shape != shape:
+        raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
+    """The model `model_to_dict` wrote; a malformed document raises ValueError,
+    or KeyError or TypeError for a missing or mistyped entry."""
+    if not isinstance(doc, dict):
+        raise ValueError("a model must be a JSON object")
     if doc["family"] == "gru":
         return GruRegressor.from_dict(doc)
-    std = Standardizer(means=np.asarray(doc["standardizer"]["means"], dtype=float),
-                       stds=np.asarray(doc["standardizer"]["stds"], dtype=float))
+    if not (doc["family"] == "linear" and doc["kind"] in LINEAR_KINDS
+            or doc["family"] == "svr" and doc["kernel"] in SVR_KERNELS):
+        raise ValueError(f"unknown model: family {doc['family']!r}, kind {doc.get('kind')!r}, "
+                         f"kernel {doc.get('kernel')!r}")
+    d = np.size(doc["standardizer"]["means"])
+    std = Standardizer(means=_array(doc["standardizer"]["means"], (d,), "standardizer 'means'"),
+                       stds=_array(doc["standardizer"]["stds"], (d,), "standardizer 'stds'"))
     if doc["family"] == "linear":
-        return LinearModel(kind=doc["kind"], weights=np.asarray(doc["weights"], dtype=float),
+        return LinearModel(kind=doc["kind"], weights=_array(doc["weights"], (d,), "'weights'"),
                            intercept=float(doc["intercept"]), hyper=dict(doc["hyper"]),
                            standardizer=std)
-    if doc["family"] == "svr":
-        return SvrModel(kernel=doc["kernel"], gamma=float(doc["gamma"]), C=float(doc["C"]),
-                        epsilon=float(doc["epsilon"]),
-                        support_vectors=np.asarray(doc["support_vectors"], dtype=float).reshape(
-                            (-1, len(doc["standardizer"]["means"]))),
-                        dual_coefs=np.asarray(doc["dual_coefs"], dtype=float),
-                        bias=float(doc["bias"]), standardizer=std)
-    raise ValueError(f"unknown model family {doc.get('family')!r}")
+    n = np.size(doc["dual_coefs"])
+    return SvrModel(kernel=doc["kernel"], gamma=float(doc["gamma"]), C=float(doc["C"]),
+                    epsilon=float(doc["epsilon"]),
+                    support_vectors=_array(doc["support_vectors"], (n, d), "'support_vectors'"),
+                    dual_coefs=_array(doc["dual_coefs"], (n,), "'dual_coefs'"),
+                    bias=float(doc["bias"]), standardizer=std)
 
 
 def save_model(model, path):
@@ -373,5 +389,11 @@ def save_model(model, path):
 
 
 def load_model(path):
+    """Read a model file; malformed content raises ValueError naming `path`."""
     with open(path) as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            return model_from_dict(json.load(fh))
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+        except (ValueError, TypeError) as exc:  # invalid JSON included
+            raise ValueError(f"{path}: {exc}") from None

@@ -5,9 +5,8 @@ numpy with hand-written backprop through time.
 
 from __future__ import annotations
 
-import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,23 +33,15 @@ def tokenize(caption: str) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class TokenSequence:
-    vectors: np.ndarray  # (number of tokens, dim)
-    oov_count: int
-
-
-def embed(tokens, table: WordVectorTable) -> TokenSequence:
-    """Look up tokens; unknown tokens map to zero vectors and count as OOV."""
+def embed(tokens, table: WordVectorTable) -> np.ndarray:
+    """The (number of tokens, dim) vectors of `tokens`; an unknown token is a
+    zero vector."""
     vectors = np.zeros((len(tokens), table.dimension))
-    oov = 0
     for i, tok in enumerate(tokens):
         vec = table.get(tok)
-        if vec is None:
-            oov += 1
-        else:
+        if vec is not None:
             vectors[i] = vec
-    return TokenSequence(vectors=vectors, oov_count=oov)
+    return vectors
 
 
 @dataclass
@@ -85,7 +76,7 @@ class GruRegressor:
     def __init__(self, input_dim, hidden_units=64, dense_widths=(32, 16, 8, 1),
                  recurrent_dropout_rate=0.8, dense_dropout_rate=0.25,
                  seed=0, train_config: TrainConfig | None = None):
-        if dense_widths[-1] != 1:
+        if tuple(dense_widths)[-1:] != (1,):
             raise ValueError("final dense width must be 1")
         if not (0.0 <= recurrent_dropout_rate < 1.0 and 0.0 <= dense_dropout_rate < 1.0):
             raise ValueError("dropout rates must lie in [0, 1)")
@@ -176,9 +167,13 @@ class GruRegressor:
             dh = dh_prev
         return grads
 
-    def predict_sequence(self, seq: TokenSequence) -> float:
-        score, _ = self.forward(seq.vectors, train=False)
+    def predict_sequence(self, vectors) -> float:
+        score, _ = self.forward(vectors, train=False)
         return score
+
+    def predict(self, sequences) -> list[float]:
+        """One score per embedded caption."""
+        return [self.predict_sequence(v) for v in sequences]
 
     def to_dict(self) -> dict:
         return {
@@ -194,11 +189,22 @@ class GruRegressor:
 
     @classmethod
     def from_dict(cls, doc) -> "GruRegressor":
+        """The model `to_dict` wrote; its params must have the names and
+        shapes of a fresh model of the same architecture."""
         model = cls(input_dim=doc["input_dim"], hidden_units=doc["hidden_units"],
                     dense_widths=tuple(doc["dense_widths"]),
                     recurrent_dropout_rate=doc["recurrent_dropout_rate"],
                     dense_dropout_rate=doc["dense_dropout_rate"], seed=doc["seed"])
-        model.params = {k: np.asarray(v, dtype=float) for k, v in doc["params"].items()}
+        params = {k: np.asarray(v, dtype=float) for k, v in dict(doc["params"]).items()}
+        unmatched = sorted(set(params) ^ set(model.params))
+        if unmatched:
+            what = "missing" if unmatched[0] in model.params else "unknown"
+            raise ValueError(f"params: {what} key {unmatched[0]!r}")
+        for name, arr in params.items():
+            if arr.shape != model.params[name].shape:
+                raise ValueError(f"params: {name!r} has shape {arr.shape}, "
+                                 f"expected {model.params[name].shape}")
+        model.params = params
         model.training_log = list(doc.get("training_log", []))
         return model
 
@@ -227,7 +233,7 @@ def _split_by_video(samples, fraction, rng):
 
 
 def gru_train(model: GruRegressor, samples):
-    """Train on (video_id, TokenSequence, label) triples with MSE + Adam.
+    """Train on (video_id, embedded caption, label) triples with MSE + Adam.
 
     A caption-level validation set is carved out by video id; early stopping
     restores the parameters of the best validation epoch.  Fully determined
@@ -261,8 +267,8 @@ def gru_train(model: GruRegressor, samples):
             batch = [train_idx[i] for i in order[start:start + cfg.batch_size]]
             grads = {k: np.zeros_like(v) for k, v in model.params.items()}
             for i in batch:
-                _, seq, label = samples[i]
-                score, cache = model.forward(seq.vectors, train=True, rng=rng)
+                _, vectors, label = samples[i]
+                score, cache = model.forward(vectors, train=True, rng=rng)
                 err = score - label
                 sq_sum += err * err
                 count += 1

@@ -17,7 +17,7 @@ from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec,
                             run_full_experiment, split)
 from vidmem.metrics import srcc
 from vidmem.regress import _kernel_matrix, fit_linear, fit_svr
-from vidmem.textmodel import GruRegressor, TokenSequence, TrainConfig, gru_train
+from vidmem.textmodel import GruRegressor, TrainConfig, gru_train
 
 
 def test_criterion_01_decay_fit_recovery():
@@ -188,8 +188,7 @@ def test_criterion_07_gru_gradients_and_determinism():
     for i in range(10):
         T = int(rng.integers(3, 7))
         Xi = rng.normal(size=(T, 5))
-        seq = TokenSequence(vectors=Xi, oov_count=0)
-        samples.append((f"v{i}", seq, float(abs(np.tanh(Xi.mean())))))
+        samples.append((f"v{i}", Xi, float(abs(np.tanh(Xi.mean())))))
     runs = []
     for _ in range(2):
         m = GruRegressor(input_dim=5, hidden_units=6, seed=42,

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from vidmem.cli import main
-from vidmem.textmodel import TrainingDivergedError
+from vidmem.regress import model_to_dict
+from vidmem.textmodel import GruRegressor, TrainingDivergedError
 
 
 @pytest.fixture(scope="module")
@@ -298,8 +299,9 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("ols", '{"lam": 1.0}', "unknown ols hyperparameter 'lam'"),
     ("ridge", "{lam: 1}",
      "--params: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("gru", '{"hidden_units": 4, "dense_widths": []}', "final dense width must be 1"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
-        "unknown-ols-key", "params-not-json"])
+        "unknown-ols-key", "params-not-json", "gru-without-dense-layers"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -387,6 +389,37 @@ def _evaluate_one_common_id(synth_dir, tmp_path):
 def test_missing_cli_input_reported_as_error(synth_dir, tmp_path, capsys, argv, message):
     assert main(argv(synth_dir, tmp_path)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+_STANDARDIZER = {"means": [0.0, 0.0, 0.0, 0.0], "stds": [1.0, 1.0, 1.0, 1.0]}
+_RIDGE_FILE = {"family": "linear", "kind": "ridge", "weights": [0.1, 0.2, 0.3, 0.4],
+               "intercept": 0.5, "hyper": {"lam": 1.0}, "standardizer": _STANDARDIZER}
+_SVR_FILE = {"family": "svr", "kernel": "rbf", "gamma": 0.25, "C": 1.0, "epsilon": 0.1,
+             "support_vectors": [[0.1, 0.2, 0.3, 0.4]], "dual_coefs": [0.5], "bias": 0.1,
+             "standardizer": _STANDARDIZER}
+_GRU_FILE = model_to_dict(GruRegressor(input_dim=4, hidden_units=2, dense_widths=(1,), seed=0))
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({}, "missing key 'family'"),
+    ([1], "a model must be a JSON object"),
+    ({k: v for k, v in _RIDGE_FILE.items() if k != "standardizer"},
+     "missing key 'standardizer'"),
+    ({**_GRU_FILE, "params": {k: v for k, v in _GRU_FILE["params"].items() if k != "Uz"}},
+     "params: missing key 'Uz'"),
+    ({**_GRU_FILE, "dense_widths": []}, "final dense width must be 1"),
+    ({**_SVR_FILE, "support_vectors": [[0.1, 0.2, 0.3]]},
+     "'support_vectors' has shape (1, 3), expected (1, 4)"),
+    ({**_RIDGE_FILE, "weights": [0.1, 0.2, 0.3]}, "'weights' has shape (3,), expected (4,)"),
+], ids=["empty-object", "not-object", "linear-without-standardizer", "gru-without-uz",
+        "gru-without-dense-layers", "narrow-support-vector", "weights-width"])
+def test_malformed_model_file_rejected(synth_dir, tmp_path, capsys, doc, message):
+    model = tmp_path / "m.json"
+    model.write_text(json.dumps(doc))
+    assert main(["predict", "--model", str(model), "--features", str(synth_dir / "featA.csv"),
+                 "--out", str(tmp_path / "pred.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {model}: {message}\n"
+    assert not (tmp_path / "pred.csv").exists()
 
 
 @pytest.mark.parametrize("text, message", [

@@ -69,12 +69,6 @@ def test_interleaved_trials_fit_as_grouped():
     assert list(fit_i.m_t.items()) == list(fit.m_t.items())
 
 
-def test_early_exit_tolerance():
-    synth = generate_synthetic(SyntheticCorpusSpec(n_videos=50, obs_per_video=10, seed=2))
-    fit = fit_decay(synth.corpus.annotations["short"], 75.0, 500, alpha_tolerance=1e-8)
-    assert fit.iterations_run < 500
-
-
 class TestAdjustLabels:
     def test_pass_through_and_clamp(self):
         log = make_log({"v1": [(1, 75.0), (1, 75.0), (0, 75.0)]})

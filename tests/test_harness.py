@@ -291,8 +291,16 @@ class TestSvrAndGruPaths:
         table = predict_table(small_corpus, cfg, model, sp.valid_ids)
         assert set(table.scores) == set(sp.valid_ids)
 
+    def test_gru_without_word_vectors_rejected(self, small_corpus):
+        cfg = FeatureModelConfig("captions", "gru")
+        message = "gru model needs captions and word vectors in the corpus"
+        with pytest.raises(ValueError, match=message):
+            train_feature_model(small_corpus, cfg, small_corpus.labels["short"],
+                                small_corpus.video_ids, 0)
+        with pytest.raises(ValueError, match=message):
+            predict_table(small_corpus, cfg, None, small_corpus.video_ids)
+
     def test_gru_feature_model(self, small_corpus):
-        from vidmem.corpus import WordVectorTable
         rng = np.random.default_rng(9)
         tokens = {"a", "video", "of"}
         for caps in small_corpus.captions.captions.values():

@@ -1,0 +1,62 @@
+"""The library imports only the standard library, numpy and itself, and every
+name a module imports at top level is used."""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "vidmem"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _imported_roots(tree):
+    """(line, top-level package) of every absolute import in the module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.lineno, node.module.split(".")[0]
+
+
+def _top_level_bindings(tree):
+    """(line, bound name) of every import in the module body."""
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+
+
+def _used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:  # names re-exported through __all__ count as used
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_modules_found():
+    assert {"harness.py", "textmodel.py", "__init__.py"} <= {p.name for p in MODULES}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_imports_are_stdlib_numpy_or_vidmem(path):
+    tree = ast.parse(path.read_text())
+    allowed = set(sys.stdlib_module_names) | {"numpy", "vidmem"}
+    outside = [f"{path.name}:{line}: {root}" for line, root in _imported_roots(tree)
+               if root not in allowed]
+    assert outside == []
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_unused_top_level_import(path):
+    tree = ast.parse(path.read_text())
+    used = _used_names(tree)
+    unused = [f"{path.name}:{line}: {name}" for line, name in _top_level_bindings(tree)
+              if name not in used]
+    assert unused == []

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from vidmem.corpus import WordVectorTable
-from vidmem.textmodel import (GruRegressor, TokenizeError,
-                              TokenSequence, TrainConfig, _sigmoid, embed,
-                              gru_train, tokenize)
+from vidmem.textmodel import (GruRegressor, TokenizeError, TrainConfig, _sigmoid,
+                              embed, gru_train, tokenize)
 
 
 class TestTokenize:
@@ -36,19 +35,15 @@ class TestEmbed:
         })
 
     def test_known_token(self, table):
-        seq = embed(["the"], table)
-        np.testing.assert_array_equal(seq.vectors[0], [1.0, 2.0, 3.0])
-        assert seq.oov_count == 0
+        np.testing.assert_array_equal(embed(["the"], table), [[1.0, 2.0, 3.0]])
 
     def test_unknown_token_zero_vector(self, table):
-        seq = embed(["zzzqqq"], table)
-        np.testing.assert_array_equal(seq.vectors[0], [0.0, 0.0, 0.0])
-        assert seq.oov_count == 1
+        np.testing.assert_array_equal(embed(["zzzqqq"], table), [[0.0, 0.0, 0.0]])
 
     def test_mixed(self, table):
-        seq = embed(["the", "dog", "xx", "yy", "dog"], table)
-        assert seq.oov_count == 2
-        assert seq.vectors.shape == (5, 3)
+        vectors = embed(["the", "dog", "xx", "yy", "dog"], table)
+        assert vectors.shape == (5, 3)
+        np.testing.assert_array_equal(vectors[2:4], np.zeros((2, 3)))
 
 
 def small_model(**kw):
@@ -108,6 +103,12 @@ class TestGruForward:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             small_model().forward(np.empty((0, 5)))
+
+    def test_predict_scores_each_sequence(self):
+        model = small_model()
+        rng = np.random.default_rng(5)
+        sequences = [rng.normal(size=(n, 5)) for n in (1, 3, 2)]
+        assert model.predict(sequences) == [model.forward(X)[0] for X in sequences]
 
 
 def max_gradient_error(model, forward, label=0.3):
@@ -171,8 +172,7 @@ def make_samples(rng, n_videos, dim, label_fn, caps_per_video=2):
         for _ in range(caps_per_video):
             T = int(rng.integers(3, 7))
             X = rng.normal(size=(T, dim))
-            seq = TokenSequence(vectors=X, oov_count=0)
-            samples.append((f"v{i}", seq, label_fn(X)))
+            samples.append((f"v{i}", X, label_fn(X)))
     return samples
 
 
@@ -233,8 +233,7 @@ class TestGruTraining:
         doc = json.loads((Path(__file__).parent / "data" / "gru_parent_fits.json").read_text())
         assert len(doc["train"]) == 6
         for case in doc["train"]:
-            samples = [(vid, TokenSequence(vectors=np.array(X), oov_count=0), y)
-                       for vid, X, y in case["samples"]]
+            samples = [(vid, np.array(X), y) for vid, X, y in case["samples"]]
             cfg = TrainConfig(learning_rate=0.01, batch_size=case["batch_size"], max_epochs=5,
                               validation_fraction=case["validation_fraction"])
             model = GruRegressor(input_dim=3, hidden_units=4,
