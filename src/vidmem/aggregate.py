@@ -42,25 +42,15 @@ def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
         raise ValueError("empty id universe")
 
     agg = _AGG[strategy]
-    scores: dict[str, float] = {}
-    coverage: dict[str, str] = {}
-    for vid in ids:
-        rows = per_row_scores.get(vid)
-        if rows:
-            scores[vid] = float(agg(list(rows)))
-            coverage[vid] = "direct"
-
-    if not scores:
+    direct = {vid: float(agg(list(rows))) for vid in ids
+              if (rows := per_row_scores.get(vid))}
+    if not direct:
         raise ValueError("no video has any prediction rows; fallback has no basis")
-    fallback = sum(scores.values()) / len(scores)
-    for vid in ids:
-        if vid not in scores:
-            scores[vid] = fallback
-            coverage[vid] = "fallback"
-
+    fallback = sum(direct.values()) / len(direct)
     return PredictionTable(model_name=model_name,
-                           scores={vid: scores[vid] for vid in ids},
-                           coverage={vid: coverage[vid] for vid in ids})
+                           scores={vid: direct.get(vid, fallback) for vid in ids},
+                           coverage={vid: "direct" if vid in direct else "fallback"
+                                     for vid in ids})
 
 
 def clamp_unit(x: float) -> float:

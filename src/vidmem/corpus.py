@@ -168,8 +168,8 @@ def _group_by_video(video_id):
     Returns the distinct ids, the entry order, and the split points between
     videos in that order.
     """
-    first: dict[str, int] = {}  # video id -> rank in first-appearance order
-    codes = np.fromiter((first.setdefault(vid, len(first)) for vid in video_id), np.intp)
+    first = {vid: k for k, vid in enumerate(dict.fromkeys(video_id))}  # rank by first appearance
+    codes = np.fromiter(map(first.__getitem__, video_id), np.intp, len(video_id))
     for vid in first:
         _check_video_id(vid)
     order = np.argsort(codes, kind="stable")

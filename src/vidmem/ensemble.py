@@ -63,6 +63,18 @@ def enumerate_simplex(k: int, bucket: float = 0.05) -> list[list[float]]:
     return out
 
 
+def _score_matrix(tables, ids) -> np.ndarray:
+    """The tables' scores as a (len(tables), len(ids)) array, one row per
+    table in `ids` order; every table must hold every id."""
+    P = np.empty((len(tables), len(ids)))
+    for m, table in enumerate(tables):
+        missing = [vid for vid in ids if vid not in table.scores]
+        if missing:
+            raise ValueError(f"table {table.model_name!r} missing ids {missing[:5]}")
+        P[m] = [table.scores[vid] for vid in ids]
+    return P
+
+
 def grid_search(tables, truth: LabelTable, bucket: float = 0.05) -> EnsembleWeights:
     """Find the simplex grid point maximizing SRCC against `truth`.
 
@@ -81,12 +93,7 @@ def grid_search(tables, truth: LabelTable, bucket: float = 0.05) -> EnsembleWeig
     if not tables:
         raise ValueError("need at least one prediction table")
     ids = list(truth.scores)
-    P = np.empty((len(tables), len(ids)))
-    for m, table in enumerate(tables):
-        missing = [vid for vid in ids if vid not in table.scores]
-        if missing:
-            raise ValueError(f"table {table.model_name!r} missing ids {missing[:5]}")
-        P[m] = [table.scores[vid] for vid in ids]
+    P = _score_matrix(tables, ids)
     t = np.array([truth.scores[vid] for vid in ids])
     n = len(ids)
     if n < 2:
@@ -132,14 +139,9 @@ def apply_weights(weights: EnsembleWeights, tables) -> PredictionTable:
     if names != weights.model_names:
         raise ValueError(f"table order {names} does not match weights {weights.model_names}")
     ids = list(tables[0].scores)
-    for table in tables[1:]:
-        missing = [vid for vid in ids if vid not in table.scores]
-        if missing:
-            raise ValueError(f"table {table.model_name!r} missing ids {missing[:5]}")
-    scores = {
-        vid: sum(w * tb.scores[vid] for w, tb in zip(weights.weights, tables))
-        for vid in ids
-    }
+    combined = 0  # summed in table order, as `sum(w * s)` per video would
+    for w, row in zip(weights.weights, _score_matrix(tables, ids)):
+        combined = combined + w * row
     return PredictionTable(model_name="ensemble",
-                           scores=scores,
-                           coverage={vid: "direct" for vid in ids})
+                           scores=dict(zip(ids, combined.tolist())),
+                           coverage=dict.fromkeys(ids, "direct"))

@@ -260,11 +260,6 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
 # experiments
 # ---------------------------------------------------------------------------
 
-def _mean_variance(values):
-    arr = np.asarray(values, dtype=float)
-    return float(arr.mean()), float(arr.var())  # population variance
-
-
 def _run_jobs(jobs, worker_fn, workers):
     """Evaluate keyed jobs, optionally in a thread pool; result order is
     fixed by the job list so worker count never changes the output."""
@@ -279,24 +274,22 @@ def _config_key(config: FeatureModelConfig):
     return config.feature, config.model, hyper
 
 
-def _fit_all(corpus: Corpus, configs, seeds, train_fraction, aggregation, workers) -> dict:
-    """Train every distinct (config, seed, term) once on the seed's split and
+def _fit_all(corpus: Corpus, configs, splits, aggregation, workers) -> dict:
+    """Train every distinct (config, seed, term) once on `splits[seed]` and
     predict its validation ids.
 
     Returns {(config key, seed, term): (model, validation PredictionTable)};
     a fit that raised stores its exception instead, so one failure does not
     abort the other fits.
     """
-    ids = corpus.video_ids
     unique = {_config_key(config): config for config in configs}
-    jobs = [(key, seed, term) for key in unique for seed in seeds
+    jobs = [(key, seed, term) for key in unique for seed in splits
             for term in sorted(corpus.labels)]
 
     def fit(job):
         key, seed, term = job
-        config = unique[key]
+        config, sp = unique[key], splits[seed]
         try:
-            sp = split(ids, seed, train_fraction)
             model = train_feature_model(corpus, config, corpus.labels[term],
                                         sp.train_ids, seed)
             return model, predict_table(corpus, config, model, sp.valid_ids, aggregation)
@@ -322,31 +315,24 @@ def _validation_srcc(fit, labels: LabelTable):
 def _feature_report(corpus: Corpus, configs, fits, seeds, train_fraction,
                     aggregation) -> dict:
     terms = sorted(corpus.labels)
-    rows = []
+    rows, best = [], {term: {} for term in terms}
     for config in configs:
         key = _config_key(config)
         row = {"feature": config.feature, "model": config.model, "terms": {}, "error": None}
+        rows.append(row)
         scores = {(seed, term): _validation_srcc(fits[key, seed, term], corpus.labels[term])
                   for seed in seeds for term in terms}
         failures = [str(s) for s in scores.values() if isinstance(s, Exception)]
         if failures:  # the first failure in seed-then-term order
             row["error"] = failures[0]
-        else:
-            for term in terms:
-                per_seed = [scores[seed, term] for seed in seeds]
-                mean, var = _mean_variance(per_seed)
-                row["terms"][term] = {"per_seed": per_seed, "mean": mean, "variance": var}
-        rows.append(row)
-
-    best = {}
-    for term in terms:
-        best[term] = {}
-        for ci, config in enumerate(configs):
-            if rows[ci]["error"]:
-                continue
-            modality = ("text" if config.model == "gru"
-                        else corpus.features[config.feature].modality)
-            mean = rows[ci]["terms"][term]["mean"]
+            continue
+        modality = ("text" if config.model == "gru"
+                    else corpus.features[config.feature].modality)
+        for term in terms:
+            per_seed = [scores[seed, term] for seed in seeds]
+            mean = float(np.mean(per_seed))
+            row["terms"][term] = {"per_seed": per_seed, "mean": mean,
+                                  "variance": float(np.var(per_seed))}  # population variance
             if modality not in best[term] or mean > best[term][modality]["mean"]:
                 best[term][modality] = {"feature": config.feature,
                                         "model": config.model, "mean": mean}
@@ -356,26 +342,20 @@ def _feature_report(corpus: Corpus, configs, fits, seeds, train_fraction,
             "rows": rows, "best_per_modality": best}
 
 
-def _subset_labels(table, ids):
-    return LabelTable(term=table.term,
-                      scores={v: table.scores[v] for v in ids if v in table.scores})
-
-
 def _ensemble_report(corpus: Corpus, configs, fits, seeds, bucket, train_fraction,
                      aggregation, test_labels) -> dict:
-    ids = corpus.video_ids
     keys = [_config_key(config) for config in configs]
     rows = []
     for seed in seeds if configs else []:  # no ensemble configs: no rows
-        sp = split(ids, seed, train_fraction)
         for term in sorted(corpus.labels):
             stored = [fits[key, seed, term] for key in keys]
             for fit in stored:  # the first failure in config order
                 if isinstance(fit, Exception):
                     raise fit
-            labels = corpus.labels[term]
-            weights = grid_search([table for _, table in stored],
-                                  _subset_labels(labels, sp.valid_ids), bucket)
+            # every stored table holds the seed's validation ids in split order
+            labels = corpus.labels[term].scores
+            truth = LabelTable(term, {v: labels[v] for v in stored[0][1].scores if v in labels})
+            weights = grid_search([table for _, table in stored], truth, bucket)
             row = {"seed": seed, "term": term,
                    "model_names": list(weights.model_names),
                    "weights": list(weights.weights),
@@ -402,9 +382,8 @@ def run_feature_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
     aggregate per video, score validation SRCC per term; report mean and
     population variance over seeds plus the best feature per modality.
     A config that fails records its first error instead of aborting the run."""
-    seeds = list(seeds)
-    fits = _fit_all(corpus, configs, seeds, train_fraction, aggregation, workers)
-    return _feature_report(corpus, configs, fits, seeds, train_fraction, aggregation)
+    return run_full_experiment(corpus, configs, [], seeds, train_fraction=train_fraction,
+                               aggregation=aggregation, workers=workers)["features"]
 
 
 def run_ensemble_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
@@ -414,21 +393,22 @@ def run_ensemble_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
     """Ensemble protocol: per seed and term, train the selected per-modality
     models, grid-search simplex weights on the validation split, and
     optionally score a held-out test label table.  Any failure raises."""
-    seeds = list(seeds)
-    fits = _fit_all(corpus, configs, seeds, train_fraction, aggregation, workers)
-    return _ensemble_report(corpus, configs, fits, seeds, bucket, train_fraction,
-                            aggregation, test_labels)
+    return run_full_experiment(corpus, [], configs, seeds, bucket, train_fraction,
+                               aggregation, test_labels, workers)["ensemble"]
 
 
 def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs,
                         seeds=DEFAULT_SEEDS, bucket=0.05, train_fraction=0.8,
                         aggregation="median", test_labels=None, workers=1) -> dict:
-    """Both protocols over one set of fits: a config that appears in both
-    lists is trained once per seed and term.  With no ensemble configs the
-    grid search is skipped and the ensemble section has an empty `rows`."""
-    seeds = list(seeds)
-    fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), seeds,
-                    train_fraction, aggregation, workers)
+    """Both protocols over one set of fits: each seed is split once, and a
+    config that appears in both lists is trained once per seed and term.
+    With no ensemble configs the grid search is skipped and the ensemble
+    section has an empty `rows`.  A corpus that cannot be split raises
+    before any fit."""
+    seeds, ids = list(seeds), corpus.video_ids
+    splits = {seed: split(ids, seed, train_fraction) for seed in seeds}
+    fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), splits,
+                    aggregation, workers)
     return {"features": _feature_report(corpus, feature_configs, fits, seeds,
                                         train_fraction, aggregation),
             "ensemble": _ensemble_report(corpus, ensemble_configs, fits, seeds, bucket,

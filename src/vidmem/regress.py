@@ -349,11 +349,14 @@ def model_to_dict(model) -> dict:
 
 
 def _array(value, shape, what):
-    """`value` as a float array of `shape`; `[]` is an empty matrix of any width."""
+    """`value` as a finite float array of `shape`; `[]` is an empty matrix of
+    any width.  A number works as a 0-d array: `_array(x, (), what)`."""
     arr = np.asarray(value, dtype=float)
     arr = arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
+    if not np.all(np.isfinite(arr)):  # json reads NaN, Infinity and 1e400
+        raise ValueError(f"{what} holds a non-finite number")
     return arr
 
 
@@ -373,14 +376,14 @@ def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
                        stds=_array(doc["standardizer"]["stds"], (d,), "standardizer 'stds'"))
     if doc["family"] == "linear":
         return LinearModel(kind=doc["kind"], weights=_array(doc["weights"], (d,), "'weights'"),
-                           intercept=float(doc["intercept"]), hyper=dict(doc["hyper"]),
-                           standardizer=std)
+                           intercept=float(_array(doc["intercept"], (), "'intercept'")),
+                           hyper=dict(doc["hyper"]), standardizer=std)
     n = np.size(doc["dual_coefs"])
-    return SvrModel(kernel=doc["kernel"], gamma=float(doc["gamma"]), C=float(doc["C"]),
-                    epsilon=float(doc["epsilon"]),
+    return SvrModel(kernel=doc["kernel"], gamma=float(_array(doc["gamma"], (), "'gamma'")),
+                    C=float(doc["C"]), epsilon=float(doc["epsilon"]),
                     support_vectors=_array(doc["support_vectors"], (n, d), "'support_vectors'"),
                     dual_coefs=_array(doc["dual_coefs"], (n,), "'dual_coefs'"),
-                    bias=float(doc["bias"]), standardizer=std)
+                    bias=float(_array(doc["bias"], (), "'bias'")), standardizer=std)
 
 
 def save_model(model, path):

@@ -204,6 +204,8 @@ class GruRegressor:
             if arr.shape != model.params[name].shape:
                 raise ValueError(f"params: {name!r} has shape {arr.shape}, "
                                  f"expected {model.params[name].shape}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"params: {name!r} holds a non-finite number")
         model.params = params
         model.training_log = list(doc.get("training_log", []))
         return model

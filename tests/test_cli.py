@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -281,6 +282,18 @@ def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, cap
     assert not (tmp_path / "out").exists()
 
 
+def test_unsplittable_corpus_rejected(synth_dir, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text((synth_dir / "labels_short.csv").read_text().splitlines()[0] + "\n")
+    cfg = _feature_only_config(synth_dir)
+    cfg["data"]["labels"] = {"short": str(labels)}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["experiment", "--config", str(cfg_path)]) == 1
+    assert capsys.readouterr().err == "error: need at least 2 ids to split\n"
+    assert not (tmp_path / "out").exists()
+
+
 def _train_argv(synth_dir, tmp_path, model, params):
     argv = ["train", "--labels", str(synth_dir / "labels_short.csv"), "--model", model,
             "--params", params, "--out", str(tmp_path / "m.json")]
@@ -411,11 +424,18 @@ _GRU_FILE = model_to_dict(GruRegressor(input_dim=4, hidden_units=2, dense_widths
     ({**_SVR_FILE, "support_vectors": [[0.1, 0.2, 0.3]]},
      "'support_vectors' has shape (1, 3), expected (1, 4)"),
     ({**_RIDGE_FILE, "weights": [0.1, 0.2, 0.3]}, "'weights' has shape (3,), expected (4,)"),
+    ({**_RIDGE_FILE, "intercept": math.nan}, "'intercept' holds a non-finite number"),
+    ({**_RIDGE_FILE, "weights": [0.1, math.inf, 0.3, 0.4]},
+     "'weights' holds a non-finite number"),
+    (json.dumps({**_GRU_FILE, "params": {**_GRU_FILE["params"], "db0": [12345.5]}})
+     .replace("12345.5", "1e400"), "params: 'db0' holds a non-finite number"),
+    ({**_SVR_FILE, "dual_coefs": [math.nan]}, "'dual_coefs' holds a non-finite number"),
 ], ids=["empty-object", "not-object", "linear-without-standardizer", "gru-without-uz",
-        "gru-without-dense-layers", "narrow-support-vector", "weights-width"])
+        "gru-without-dense-layers", "narrow-support-vector", "weights-width", "nan-intercept",
+        "infinite-weight", "overflowing-gru-param", "nan-dual-coef"])
 def test_malformed_model_file_rejected(synth_dir, tmp_path, capsys, doc, message):
     model = tmp_path / "m.json"
-    model.write_text(json.dumps(doc))
+    model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     assert main(["predict", "--model", str(model), "--features", str(synth_dir / "featA.csv"),
                  "--out", str(tmp_path / "pred.csv")]) == 1
     assert capsys.readouterr().err == f"error: {model}: {message}\n"

@@ -192,6 +192,19 @@ class TestApplyWeights:
         w = EnsembleWeights(("m1", "m2"), (0.5, 0.5), 0.05, 0.5)
         assert apply_weights(w, [t1, t2]).scores["a"] == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_equals_per_video_sum(self, k):
+        rng = np.random.default_rng(k)
+        ids = [f"v{i}" for i in range(300)]
+        tables = [table(f"m{m}", dict(zip(ids, rng.normal(size=len(ids)).tolist())))
+                  for m in range(k)]
+        w = EnsembleWeights(tuple(tb.model_name for tb in tables),
+                            tuple(rng.dirichlet(np.ones(k)).tolist()), 0.05, 0.5)
+        out = apply_weights(w, tables)
+        assert list(out.scores) == ids
+        assert out.scores == {vid: sum(wm * tb.scores[vid] for wm, tb in zip(w.weights, tables))
+                              for vid in ids}
+
     def test_misaligned_names_rejected(self):
         t1 = table("m1", {"a": 0.2})
         w = EnsembleWeights(("other",), (1.0,), 0.05, 0.5)

@@ -146,6 +146,19 @@ class TestTrainOnce:
         run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1], seeds=[0, 1], workers=2)
         assert len(calls) == len(set(calls)) == len(CONFIGS) * 2 * 2
 
+    def test_each_seed_split_once(self, small_corpus, monkeypatch):
+        seeds = []
+        original = harness.split
+
+        def counting(ids, seed, train_fraction=0.8):
+            seeds.append(seed)
+            return original(ids, seed, train_fraction)
+
+        monkeypatch.setattr(harness, "split", counting)
+        run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1], seeds=[0, 1],
+                            test_labels=dict(small_corpus.labels))
+        assert seeds == [0, 1]
+
     def test_full_report_equals_separate_reports(self, small_corpus):
         test_tab = dict(small_corpus.labels)
         full = run_full_experiment(small_corpus, CONFIGS, CONFIGS[::-1], seeds=[0, 1],

@@ -1,5 +1,6 @@
-"""The library imports only the standard library, numpy and itself, and every
-name a module imports at top level is used."""
+"""The library imports only the standard library, numpy and itself, every
+name a module imports at top level is used, and every private top-level
+name is referenced somewhere in the library."""
 
 import ast
 import sys
@@ -60,3 +61,40 @@ def test_no_unused_top_level_import(path):
     unused = [f"{path.name}:{line}: {name}" for line, name in _top_level_bindings(tree)
               if name not in used]
     assert unused == []
+
+
+def _private_definitions(tree):
+    """(line, name) of every private function, class or variable the module
+    body defines; dunder names are not private."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield node.lineno, name
+
+
+def _references(tree):
+    """Every name the module reads, by itself, as an attribute or through an
+    import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def test_no_unreferenced_private_name():
+    trees = {path.name: ast.parse(path.read_text()) for path in MODULES}
+    referenced = {name for tree in trees.values() for name in _references(tree)}
+    unreferenced = [f"{name}:{line}: {private}" for name, tree in trees.items()
+                    for line, private in _private_definitions(tree)
+                    if private not in referenced]
+    assert unreferenced == []
