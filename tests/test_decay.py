@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,6 +70,50 @@ def test_interleaved_trials_fit_as_grouped():
     fit, fit_i = fit_decay(grouped, 75.0, 10), fit_decay(interleaved, 75.0, 10)
     assert fit_i.alpha_trajectory == fit.alpha_trajectory
     assert list(fit_i.m_t.items()) == list(fit.m_t.items())
+
+
+def _ragged_log(rng, lengths, shuffle=True, delay=None):
+    """A log with `lengths[k]` trials for video k, trials shuffled across
+    videos unless `shuffle` is false; every delay is `delay` if given."""
+    vids = [f"v{k:03d}" for k in range(len(lengths))]
+    video_id = [vid for vid, n in zip(vids, lengths) for _ in range(n)]
+    rates = np.repeat(rng.uniform(0.2, 0.9, len(vids)), lengths)
+    recognized = (rng.random(len(video_id)) < rates).astype(int)
+    delays = (np.full(len(video_id), delay) if delay is not None
+              else rng.uniform(30.0, 150.0, len(video_id)))
+    order = rng.permutation(len(video_id)) if shuffle else np.arange(len(video_id))
+    return AnnotationLog([video_id[i] for i in order], delays[order], recognized[order])
+
+
+def _pinned_decay_fits():
+    """`fit_decay` on ragged logs: every length 1-40, shuffled and grouped
+    trial order, seeded random logs, one video, equal lengths, and all
+    delays at the target.  The per-video means carry the bits."""
+    rng = np.random.default_rng(2024)
+    all_lengths = np.concatenate([np.arange(1, 41), rng.integers(1, 41, 60)])
+    cases = {"lengths-1-40-shuffled": (_ragged_log(rng, all_lengths), 75.0, 10),
+             "lengths-1-40-grouped": (_ragged_log(rng, all_lengths, shuffle=False), 75.0, 10)}
+    for k in range(24):
+        lengths = rng.integers(1, 41, int(rng.integers(1, 40)))
+        cases[f"seeded-{k}"] = (_ragged_log(rng, lengths), float(rng.uniform(40, 120)), 10)
+    cases["single-video"] = (_ragged_log(rng, [9]), 75.0, 10)
+    cases["single-trial"] = (_ragged_log(rng, [1]), 75.0, 3)
+    cases["equal-lengths"] = (_ragged_log(rng, [12] * 50), 75.0, 10)
+    cases["all-delays-at-target"] = (_ragged_log(rng, rng.integers(1, 41, 30), delay=75.0),
+                                     75.0, 10)
+    out = {}
+    for name, (log, target, iterations) in cases.items():
+        fit = fit_decay(log, target, iterations)
+        out[name] = {"alpha_trajectory": list(fit.alpha_trajectory), "m_t": fit.m_t,
+                     "warnings": list(fit.warnings)}
+    return json.dumps(out, indent=1) + "\n"
+
+
+def test_ragged_fits_match_recording():
+    """Each video's four means are taken over its own trials; a change to
+    their summation order moves these bytes."""
+    recorded = (Path(__file__).parent / "data" / "decay_parent_fits.json").read_text()
+    assert _pinned_decay_fits() == recorded
 
 
 class TestAdjustLabels:

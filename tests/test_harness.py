@@ -260,10 +260,46 @@ def _pinned_gru_predictions():
     return json.dumps(out, indent=1) + "\n"
 
 
+RAGGED_CONFIGS = [FeatureModelConfig("feat", "ols"),
+                  FeatureModelConfig("feat", "ridge", {"lam": 1.0}),
+                  FeatureModelConfig("feat", "lasso", {"lam": 0.01}),
+                  FeatureModelConfig("feat", "bayes_ridge"),
+                  FeatureModelConfig("feat", "svr", {"kernel": "rbf", "epsilon": 0.05}),
+                  FeatureModelConfig("feat", "svr", {"kernel": "linear", "epsilon": 0.05}),
+                  FeatureModelConfig("feat", "svr", {"epsilon": 10.0})]  # no support vectors
+
+
+def _pinned_ragged_predictions():
+    """Every video's raw score and coverage from each linear kind and SVR
+    under every aggregation, on 1-5 feature rows per video stored in
+    shuffled order; every sixth video has no rows and falls back."""
+    rng = np.random.default_rng(13)
+    vids = [f"v{i:03d}" for i in range(60)]
+    covered = [vid for i, vid in enumerate(vids) if i % 6 != 5]
+    row_ids = [vid for vid, n in zip(covered, rng.integers(1, 6, len(covered)))
+               for _ in range(n)]
+    row_ids = [row_ids[i] for i in rng.permutation(len(row_ids))]
+    features = FeatureSet("video", "feat", row_ids, rng.normal(size=(len(row_ids), 4)))
+    scores = {vid: 1.0 / (1.0 + math.exp(-float(rows.sum(axis=0) @ [1.0, -0.5, 0.25, 0.0])))
+              for vid, rows in features.rows.items()}
+    scores.update({vid: float(rng.uniform()) for vid in vids if vid not in scores})
+    corpus = Corpus(features={"feat": features}, labels={"short": LabelTable("short", scores)})
+    out = {}
+    for config in RAGGED_CONFIGS:
+        model = train_feature_model(corpus, config, corpus.labels["short"],
+                                    split(vids, 0).train_ids, 0)
+        for aggregation in ("median", "mean", "max", "min"):
+            table = predict_table(corpus, config, model, vids, aggregation)
+            key = f"{config.model}:{json.dumps(config.hyper, sort_keys=True)}:{aggregation}"
+            out[key] = {"scores": table.scores, "coverage": table.coverage}
+    return json.dumps(out, indent=1) + "\n"
+
+
 @pytest.mark.parametrize("make, name", [(_pinned_report, "report"),
                                         (_pinned_predictions, "predictions"),
-                                        (_pinned_gru_predictions, "gru_predictions")],
-                         ids=["report", "predictions", "gru-predictions"])
+                                        (_pinned_gru_predictions, "gru_predictions"),
+                                        (_pinned_ragged_predictions, "ragged_predictions")],
+                         ids=["report", "predictions", "gru-predictions", "ragged-predictions"])
 def test_experiment_bytes_match_recording(make, name):
     """Training rows are stacked in split order and each video is predicted
     on its own rows or captions; a change to either moves these bytes."""
