@@ -7,14 +7,29 @@ directly-aggregated scores and are marked as such.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass
 
+import numpy as np
+
+from .corpus import length_buckets
+
+
+def _median(block):
+    """statistics.median of each line: the middle of the stably sorted
+    line, or the mean of the middle two."""
+    s = np.sort(block, axis=1, kind="stable")
+    h = s.shape[1] // 2
+    return s[:, h] if s.shape[1] % 2 else (s[:, h - 1] + s[:, h]) / 2
+
+
+# Each strategy maps an (n, L) block, one video's rows per line, to the n
+# scores that the per-video statistics.median, sum / len, max and min give;
+# argmax and argmin pick the first extreme, as max and min do (0.0 vs -0.0).
 _AGG = {
-    "median": statistics.median,
-    "mean": lambda xs: sum(xs) / len(xs),
-    "max": max,
-    "min": min,
+    "median": _median,
+    "mean": lambda block: np.array([sum(xs) / len(xs) for xs in block.tolist()]),
+    "max": lambda block: block[np.arange(len(block)), block.argmax(axis=1)],
+    "min": lambda block: block[np.arange(len(block)), block.argmin(axis=1)],
 }
 STRATEGIES = tuple(_AGG)
 
@@ -41,11 +56,14 @@ def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
     if not ids:
         raise ValueError("empty id universe")
 
-    agg = _AGG[strategy]
-    direct = {vid: float(agg(list(rows))) for vid in ids
-              if (rows := per_row_scores.get(vid))}
-    if not direct:
+    rows = {vid: r for vid in ids if (r := per_row_scores.get(vid)) is not None and len(r)}
+    if not rows:
         raise ValueError("no video has any prediction rows; fallback has no basis")
+    groups = list(rows.values())
+    buckets = length_buckets(groups)
+    scores = buckets.stack(groups).astype(float, copy=False)
+    direct = dict(zip(rows, buckets.unstack(
+        [_AGG[strategy](block) for block in buckets.blocks(scores)]).tolist()))
     fallback = sum(direct.values()) / len(direct)
     return PredictionTable(model_name=model_name,
                            scores={vid: direct.get(vid, fallback) for vid in ids},

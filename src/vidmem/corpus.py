@@ -176,6 +176,68 @@ def _group_by_video(video_id):
     return list(first), order, np.cumsum(np.bincount(codes, minlength=len(first)))[:-1]
 
 
+@dataclass(frozen=True)
+class LengthBuckets:
+    """Per-video groups of entries bucketed by length, so that arithmetic
+    over each video's entries runs as one numpy call per bucket.
+
+    `order` lists the group positions sorted by length (stably: equal
+    lengths keep their input order) and `sizes` holds one `(L, n_L)` per
+    distinct length, ascending.  `stack` concatenates the groups in `order`;
+    `blocks` cuts a column aligned with that concatenation into one
+    `(n_L, L, ...)` view per bucket.  A reduction along axis 1 of a block,
+    or a stacked 3-D matmul over it, gives each video the bits of the same
+    call on that video's own entries.
+    """
+
+    order: np.ndarray
+    sizes: tuple[tuple[int, int], ...]
+
+    def stack(self, groups):
+        if not len(self.order):
+            return np.empty(0)
+        return np.concatenate([groups[k] for k in self.order.tolist()])
+
+    def blocks(self, column):
+        views, start = [], 0
+        for length, count in self.sizes:
+            views.append(column[start:start + length * count].reshape(
+                count, length, *column.shape[1:]))
+            start += length * count
+        return views
+
+    def unstack(self, per_bucket):
+        """Per-bucket results with one entry per video along axis 0, as one
+        array in group order."""
+        values = np.concatenate(per_bucket)
+        out = np.empty_like(values)
+        out[self.order] = values
+        return out
+
+
+def length_buckets(groups) -> LengthBuckets:
+    """Bucket a sequence of per-video arrays (or lists) by length."""
+    lengths = np.fromiter(map(len, groups), np.intp, len(groups))
+    counts = np.bincount(lengths)
+    sizes = np.flatnonzero(counts)
+    return LengthBuckets(order=np.argsort(lengths, kind="stable"),
+                         sizes=tuple(zip(sizes.tolist(), counts[sizes].tolist())))
+
+
+def json_floats(value, what):
+    """A number or nested list of numbers read from JSON, as a float array.
+    A boolean, a string (numeric or not) or any other entry raises
+    ValueError naming `what`."""
+    arr = np.asarray(value, dtype=object)
+    if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+               for v in arr.flat):
+        raise ValueError(f"{what} holds a non-numeric entry")
+    try:
+        return arr.astype(float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{what} holds a non-finite number") from None
+
+
 def _parse_float(value, path, line_no, what):
     try:
         x = float(value)

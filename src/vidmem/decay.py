@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregate import clamp_unit
-from .corpus import AnnotationLog, LabelTable
+from .corpus import AnnotationLog, LabelTable, length_buckets
 
 DEGENERATE_WARNING = "all delays equal the target duration; decay rate not identifiable"
 
@@ -48,18 +48,19 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
 
     video_ids = list(log.entries)
     groups = list(log.entries.values())
-    # Trials regrouped video by video, so each video's trials form one slice
-    # and a per-slice .mean() sums in the order of a per-video array.
-    order = np.concatenate(groups)
-    x = log.recognized[order].astype(float)
-    lr = np.log(log.delay_seconds[order] / target_duration)
-    bounds = np.cumsum([0] + [len(g) for g in groups]).tolist()
-    slices = [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-    # Per-video sufficient statistics: the means of x, log(t/T), x log(t/T) and
-    # log(t/T)^2.  The alpha denominator and the log-ratio sums never change
-    # across iterations.
-    hit_rate, mean_lr, mean_xlr, mean_lr2 = (np.array([col[s].mean() for s in slices])
-                                             for col in (x, lr, x * lr, lr * lr))
+    # Trials regrouped video by video, videos in length order, so the videos
+    # with L trials form one (n_L, L) view and a .mean(axis=1) over it sums
+    # each video's trials in the order of a per-video array.
+    buckets = length_buckets(groups)
+    trials = buckets.stack(groups)
+    x = log.recognized[trials].astype(float)
+    lr = np.log(log.delay_seconds[trials] / target_duration)
+    # Per-video sufficient statistics, in video order: the means of x,
+    # log(t/T), x log(t/T) and log(t/T)^2.  The alpha denominator and the
+    # log-ratio sums never change across iterations.
+    hit_rate, mean_lr, mean_xlr, mean_lr2 = (
+        buckets.unstack([block.mean(axis=1) for block in buckets.blocks(col)])
+        for col in (x, lr, x * lr, lr * lr))
 
     denominator = mean_lr2.sum()
     degenerate = denominator == 0.0

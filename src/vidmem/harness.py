@@ -11,6 +11,7 @@ runs and across worker counts.
 from __future__ import annotations
 
 import inspect
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +20,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .aggregate import PredictionTable, aggregate_rows, clamp_unit
-from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable
+from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
+                     length_buckets)
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
 from .regress import LINEAR_HYPER_KEYS, fit_linear, fit_svr
@@ -250,8 +252,20 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
 
 def predict_table(corpus, config: FeatureModelConfig, model, ids,
                   aggregation="median") -> PredictionTable:
-    """Per-input predictions aggregated to one score per requested video."""
-    per_row = {vid: list(model.predict(x)) for vid, x in _inputs(corpus, config, ids).items()}
+    """Per-input predictions aggregated to one score per requested video.
+
+    A feature model predicts the videos with the same row count L in one
+    call on their `(n_L, L, d)` block; a GRU predicts each video's captions.
+    """
+    inputs = _inputs(corpus, config, ids)
+    if config.model == "gru":
+        per_row = {vid: model.predict(x) for vid, x in inputs.items()}
+    else:
+        groups = list(inputs.values())
+        buckets = length_buckets(groups)
+        vids = list(inputs)
+        per_row = dict(zip([vids[k] for k in buckets.order.tolist()], itertools.chain.from_iterable(
+            model.predict(block) for block in buckets.blocks(buckets.stack(groups)))))
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
 

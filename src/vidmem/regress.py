@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import json_floats
 from .textmodel import GruRegressor
 
 
@@ -40,11 +41,12 @@ class Standardizer:
     stds: np.ndarray  # zeros replaced by 1 at fit time
 
     def transform(self, X):
+        """Rows along the last axis: one row, `(n, d)` or `(n, L, d)`."""
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
             X = X[None, :]
-        if X.shape[1] != len(self.means):
-            raise ValueError(f"expected {len(self.means)} features, got {X.shape[1]}")
+        if X.shape[-1] != len(self.means):
+            raise ValueError(f"expected {len(self.means)} features, got {X.shape[-1]}")
         return (X - self.means) / self.stds
 
 
@@ -78,6 +80,8 @@ class LinearModel:
     history: dict = field(default_factory=dict)  # solver diagnostics
 
     def predict(self, X):
+        """One score per row; an `(n, L, d)` block is n stacked gemvs, each
+        equal bit for bit to the call on its own `(L, d)` slice."""
         Xs = self.standardizer.transform(X)
         return Xs @ self.weights + self.intercept
 
@@ -239,17 +243,20 @@ class SvrModel:
     history: dict = field(default_factory=dict)
 
     def predict(self, X):
+        """One score per row, like `LinearModel.predict`."""
         Xs = self.standardizer.transform(X)
         if len(self.dual_coefs) == 0:
-            return np.full(Xs.shape[0], self.bias)
+            return np.full(Xs.shape[:-1], self.bias)
         K = _kernel_matrix(self.kernel, self.gamma, self.support_vectors, Xs)
         return self.dual_coefs @ K + self.bias
 
 
 def _kernel_matrix(kernel, gamma, A, B):
+    """K[..., i, j] = k(A[i], B[..., j, :]); B may stack row blocks."""
+    AB = A @ np.swapaxes(B, -1, -2)
     if kernel == "linear":
-        return A @ B.T
-    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=1)[None, :] - 2.0 * (A @ B.T)
+        return AB
+    sq = (A * A).sum(axis=1)[:, None] + (B * B).sum(axis=-1)[..., None, :] - 2.0 * AB
     return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
@@ -351,7 +358,7 @@ def model_to_dict(model) -> dict:
 def _array(value, shape, what):
     """`value` as a finite float array of `shape`; `[]` is an empty matrix of
     any width.  A number works as a 0-d array: `_array(x, (), what)`."""
-    arr = np.asarray(value, dtype=float)
+    arr = json_floats(value, what)
     arr = arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
@@ -380,7 +387,8 @@ def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
                            hyper=dict(doc["hyper"]), standardizer=std)
     n = np.size(doc["dual_coefs"])
     return SvrModel(kernel=doc["kernel"], gamma=float(_array(doc["gamma"], (), "'gamma'")),
-                    C=float(doc["C"]), epsilon=float(doc["epsilon"]),
+                    C=float(_array(doc["C"], (), "'C'")),
+                    epsilon=float(_array(doc["epsilon"], (), "'epsilon'")),
                     support_vectors=_array(doc["support_vectors"], (n, d), "'support_vectors'"),
                     dual_coefs=_array(doc["dual_coefs"], (n,), "'dual_coefs'"),
                     bias=float(_array(doc["bias"], (), "'bias'")), standardizer=std)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import WordVectorTable
+from .corpus import WordVectorTable, json_floats
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -195,7 +195,7 @@ class GruRegressor:
                     dense_widths=tuple(doc["dense_widths"]),
                     recurrent_dropout_rate=doc["recurrent_dropout_rate"],
                     dense_dropout_rate=doc["dense_dropout_rate"], seed=doc["seed"])
-        params = {k: np.asarray(v, dtype=float) for k, v in dict(doc["params"]).items()}
+        params = {k: json_floats(v, f"params: {k!r}") for k, v in dict(doc["params"]).items()}
         unmatched = sorted(set(params) ^ set(model.params))
         if unmatched:
             what = "missing" if unmatched[0] in model.params else "unknown"

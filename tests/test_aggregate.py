@@ -1,7 +1,9 @@
+import statistics
+
 import numpy as np
 import pytest
 
-from vidmem.aggregate import aggregate_rows, clamp_unit
+from vidmem.aggregate import STRATEGIES, aggregate_rows, clamp_unit
 
 
 def test_median_odd_count():
@@ -48,6 +50,36 @@ def test_monotonicity():
         base = aggregate_rows({"v": rows}, strategy=strategy).scores["v"]
         bumped = aggregate_rows({"v": [0.2, 0.7, 0.8]}, strategy=strategy).scores["v"]
         assert bumped >= base
+
+
+_REFERENCE = {"median": statistics.median, "mean": lambda xs: sum(xs) / len(xs),
+              "max": max, "min": min}
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_equals_per_video_reference(strategy):
+    """Ragged row counts (even, odd, one and none), ties, rows given as lists
+    or arrays, and videos with no entry at all."""
+    rng = np.random.default_rng(STRATEGIES.index(strategy))
+    for trial in range(40):
+        per_row = {}
+        for i, n_rows in enumerate(list(range(9)) + rng.integers(0, 12, 30).tolist()):
+            rows = rng.normal(size=n_rows)
+            if trial % 4 == 1:  # ties
+                rows = np.round(rows, 1)
+            elif trial % 4 == 3:  # ties between 0.0 and -0.0 too
+                rows = rng.choice([-1.0, -0.0, 0.0, 1.0], size=n_rows)
+            per_row[f"v{i:02d}"] = rows if i % 3 == 0 else list(rows)
+        ids = list(rng.permutation(list(per_row) + ["w0", "w1"]))
+        table = aggregate_rows(per_row, strategy=strategy, id_universe=ids)
+        direct = {vid: float(_REFERENCE[strategy](list(per_row[vid]))) for vid in ids
+                  if len(per_row.get(vid, ()))}
+        fallback = sum(direct.values()) / len(direct)
+        # repr tells 0.0 from -0.0
+        assert [(vid, repr(x)) for vid, x in table.scores.items()] == [
+            (vid, repr(direct.get(vid, fallback))) for vid in ids]
+        assert list(table.coverage.items()) == [(vid, "direct" if vid in direct else "fallback")
+                                                for vid in ids]
 
 
 def test_empty_universe_rejected():

@@ -430,9 +430,26 @@ _GRU_FILE = model_to_dict(GruRegressor(input_dim=4, hidden_units=2, dense_widths
     (json.dumps({**_GRU_FILE, "params": {**_GRU_FILE["params"], "db0": [12345.5]}})
      .replace("12345.5", "1e400"), "params: 'db0' holds a non-finite number"),
     ({**_SVR_FILE, "dual_coefs": [math.nan]}, "'dual_coefs' holds a non-finite number"),
+    ({**_RIDGE_FILE, "intercept": "0.5"}, "'intercept' holds a non-numeric entry"),
+    ({**_RIDGE_FILE, "weights": ["0.1", "0.2", "0.3", "0.4"]},
+     "'weights' holds a non-numeric entry"),
+    ({**_RIDGE_FILE, "weights": [0.1, True, 0.3, 0.4]}, "'weights' holds a non-numeric entry"),
+    ({**_RIDGE_FILE, "standardizer": {**_STANDARDIZER, "stds": [1.0, 1.0, None, 1.0]}},
+     "standardizer 'stds' holds a non-numeric entry"),
+    ({**_SVR_FILE, "support_vectors": [[0.1, 0.2, 0.3, "0.4"]]},
+     "'support_vectors' holds a non-numeric entry"),
+    ({**_SVR_FILE, "bias": False}, "'bias' holds a non-numeric entry"),
+    ({**_SVR_FILE, "gamma": "0.25"}, "'gamma' holds a non-numeric entry"),
+    ({**_SVR_FILE, "C": "1.0"}, "'C' holds a non-numeric entry"),
+    ({**_GRU_FILE, "params": {**_GRU_FILE["params"], "db0": ["0.0"]}},
+     "params: 'db0' holds a non-numeric entry"),
+    (json.dumps({**_RIDGE_FILE, "intercept": 12345}).replace("12345", "1" + "0" * 400),
+     "'intercept' holds a non-finite number"),
 ], ids=["empty-object", "not-object", "linear-without-standardizer", "gru-without-uz",
         "gru-without-dense-layers", "narrow-support-vector", "weights-width", "nan-intercept",
-        "infinite-weight", "overflowing-gru-param", "nan-dual-coef"])
+        "infinite-weight", "overflowing-gru-param", "nan-dual-coef", "string-intercept",
+        "string-weights", "boolean-weight", "null-std", "string-support-vector",
+        "boolean-bias", "string-gamma", "string-c", "string-gru-param", "overflowing-integer"])
 def test_malformed_model_file_rejected(synth_dir, tmp_path, capsys, doc, message):
     model = tmp_path / "m.json"
     model.write_text(doc if isinstance(doc, str) else json.dumps(doc))

@@ -141,6 +141,26 @@ class TestAnnotationLog:
             corpus.AnnotationLog(video_id, delays, recognized)
 
 
+class TestLengthBuckets:
+    def test_blocks_are_views_in_stable_length_order(self):
+        groups = [np.arange(3), np.arange(3, 4), np.arange(4, 7), np.arange(7, 9), np.arange(9, 10)]
+        buckets = corpus.length_buckets(groups)
+        assert buckets.order.tolist() == [1, 4, 3, 0, 2]
+        assert buckets.sizes == ((1, 2), (2, 1), (3, 2))
+        column = buckets.stack(groups) * 10.0
+        blocks = buckets.blocks(column)
+        assert [b.tolist() for b in blocks] == [[[30.0], [90.0]], [[70.0, 80.0]],
+                                                [[0.0, 10.0, 20.0], [40.0, 50.0, 60.0]]]
+        assert all(np.shares_memory(b, column) for b in blocks)
+        sums = buckets.unstack([b.sum(axis=1) for b in blocks])
+        assert sums.tolist() == [30.0, 30.0, 150.0, 150.0, 90.0]
+
+    def test_no_groups(self):
+        buckets = corpus.length_buckets([])
+        assert buckets.sizes == ()
+        assert buckets.blocks(buckets.stack([])) == []
+
+
 class TestLabelLoader:
     def test_basic(self, tmp_path):
         t = corpus.load_labels_csv(write(tmp_path, "l.csv", "v1,0.85\n"), "short")

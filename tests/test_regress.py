@@ -254,6 +254,28 @@ class TestPredict:
         with pytest.raises(ValueError):
             model.predict([[1.0, 2.0, 3.0]])
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (5, 2, 3)], ids=["row", "rows", "block"])
+    def test_wrong_width_names_both_widths(self, shape):
+        std = Standardizer(means=np.zeros(2), stds=np.ones(2))
+        with pytest.raises(ValueError, match=r"^expected 2 features, got 3$"):
+            std.transform(np.zeros(shape))
+
+    @pytest.mark.parametrize("kind", ["ridge", "svr-rbf", "svr-linear", "svr-no-support-vectors"])
+    @pytest.mark.parametrize("n, L, d", [(1, 1, 1), (6, 1, 5), (7, 4, 3), (5, 9, 17), (3, 2, 64)])
+    def test_stacked_block_equals_per_slice_calls(self, kind, n, L, d):
+        rng = np.random.default_rng(100 * L + d)
+        X, y = rng.normal(size=(40, d)), rng.normal(size=40)
+        model = (fit_linear(X, y, kind="ridge") if kind == "ridge"
+                 else fit_svr(X, y, kernel=kind.split("-")[1]) if kind != "svr-no-support-vectors"
+                 else fit_svr(X, y, epsilon=100.0))
+        if kind.startswith("svr"):
+            assert (len(model.dual_coefs) == 0) == (kind == "svr-no-support-vectors")
+        block = 3.0 * rng.normal(size=(n, L, d))
+        stacked = model.predict(block)
+        assert stacked.shape == (n, L)
+        for i in range(n):
+            assert stacked[i].tolist() == model.predict(block[i].copy()).tolist()
+
 
 class TestSerialization:
     def test_linear_round_trip(self, tmp_path):
