@@ -229,8 +229,7 @@ def json_floats(value, what):
     A boolean, a string (numeric or not) or any other entry raises
     ValueError naming `what`."""
     arr = np.asarray(value, dtype=object)
-    if not all(isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
-               for v in arr.flat):
+    if not all(type(v) in (int, float) for v in arr.flat):  # type(True) is bool
         raise ValueError(f"{what} holds a non-numeric entry")
     try:
         return arr.astype(float)

@@ -261,11 +261,11 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
     if config.model == "gru":
         per_row = {vid: model.predict(x) for vid, x in inputs.items()}
     else:
-        groups = list(inputs.values())
+        vids, groups = list(inputs), list(inputs.values())
         buckets = length_buckets(groups)
-        vids = list(inputs)
-        per_row = dict(zip([vids[k] for k in buckets.order.tolist()], itertools.chain.from_iterable(
-            model.predict(block) for block in buckets.blocks(buckets.stack(groups)))))
+        rows = itertools.chain.from_iterable(
+            model.predict(block) for block in buckets.blocks(buckets.stack(groups)))
+        per_row = dict(zip([vids[k] for k in buckets.order.tolist()], rows))
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
 
