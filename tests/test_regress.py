@@ -9,7 +9,7 @@ from vidmem.regress import (ConvergenceError, LinearModel, SingularMatrixError,
                             Standardizer, SvrModel, _kernel_matrix, fit_linear,
                             fit_standardizer, fit_svr, load_model, model_from_dict,
                             model_to_dict, save_model)
-from vidmem.textmodel import GruRegressor
+from vidmem.textmodel import GruRegressor, TrainConfig, gru_train
 
 
 class TestStandardizer:
@@ -277,7 +277,41 @@ class TestPredict:
             assert stacked[i].tolist() == model.predict(block[i].copy()).tolist()
 
 
+def _pinned_models():
+    """One model of each file layout, fit from fixed data: the models whose
+    `save_model` text `model_parent_files.json` records."""
+    rng = np.random.default_rng(21)
+    X = rng.normal(size=(20, 3))
+    y = X @ [0.3, -0.2, 0.1] + 0.05 * rng.normal(size=20)
+    models = {kind: fit_linear(X, y, kind=kind, hyper=hyper) for kind, hyper in (
+        ("ols", {}), ("ridge", {"lam": 0.5}), ("lasso", {"lam": 0.01}), ("bayes_ridge", {}))}
+    models["svr_rbf"] = fit_svr(X, y, epsilon=0.05)
+    models["svr_linear"] = fit_svr(X, y, kernel="linear", C=2.0, epsilon=0.05)
+    models["svr_no_support_vectors"] = fit_svr(X, np.full(20, 0.42), kernel="linear")
+    gru = GruRegressor(input_dim=3, hidden_units=3, dense_widths=(2, 1), seed=5,
+                       train_config=TrainConfig(batch_size=4, max_epochs=2))
+    gru_train(gru, [(f"v{i // 2}", rng.normal(size=(2 + i % 3, 3)), float(y[i]))
+                    for i in range(12)])
+    models["gru"] = gru
+    return models
+
+
 class TestSerialization:
+    def test_saved_bytes_match_parent(self, tmp_path):
+        # recorded before GRU files moved into regress; a reload must write
+        # the same bytes again
+        recorded = json.loads((Path(__file__).parent / "data" / "model_parent_files.json")
+                              .read_text())
+        models = _pinned_models()
+        assert len(models["svr_no_support_vectors"].dual_coefs) == 0
+        assert set(models) == set(recorded)
+        for name, model in models.items():
+            path = tmp_path / f"{name}.json"
+            save_model(model, path)
+            assert path.read_text() == recorded[name], name
+            save_model(load_model(path), path)
+            assert path.read_text() == recorded[name], name
+
     def test_linear_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
         X = rng.normal(size=(30, 4))
