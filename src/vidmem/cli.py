@@ -21,7 +21,7 @@ from .harness import (FeatureModelConfig, SyntheticCorpusSpec,
                       train_feature_model, write_prediction_csv)
 from .metrics import srcc
 from .regress import ConvergenceError
-from .textmodel import GruRegressor, TrainingDivergedError
+from .textmodel import TrainingDivergedError
 
 LINEAR_ALIASES = {"bayes": "bayes_ridge"}
 
@@ -82,11 +82,9 @@ def cmd_train(args):
 
 def cmd_predict(args):
     model = regress.load_model(args.model)
-    config, c = _corpus_for_model(args, "gru" if isinstance(model, GruRegressor)
-                                  else "svr" if isinstance(model, regress.SvrModel)
-                                  else model.kind)
+    config, c = _corpus_for_model(args, model.kind)
     if args.ids:
-        ids = [line.strip() for line in Path(args.ids).read_text().splitlines() if line.strip()]
+        ids = [vid for _, vid, _ in corpus_mod._read_records(args.ids, "id", (1,), unique=True)]
     else:  # every video the model has inputs for
         ids = list(c.captions.captions if config.model == "gru" else c.features[config.feature].rows)
     table = predict_table(c, config, model, ids, aggregation=args.aggregate)

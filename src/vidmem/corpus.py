@@ -224,19 +224,6 @@ def length_buckets(groups) -> LengthBuckets:
                          sizes=tuple(zip(sizes.tolist(), counts[sizes].tolist())))
 
 
-def json_floats(value, what):
-    """A number or nested list of numbers read from JSON, as a float array.
-    A boolean, a string (numeric or not) or any other entry raises
-    ValueError naming `what`."""
-    arr = np.asarray(value, dtype=object)
-    if not all(type(v) in (int, float) for v in arr.flat):  # type(True) is bool
-        raise ValueError(f"{what} holds a non-numeric entry")
-    try:
-        return arr.astype(float)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ValueError(f"{what} holds a non-finite number") from None
-
-
 def _parse_float(value, path, line_no, what):
     try:
         x = float(value)

@@ -14,6 +14,7 @@ import inspect
 import itertools
 import json
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -182,6 +183,18 @@ _HYPER_KEYS = {
             | set(TrainConfig.__dataclass_fields__)),
 }
 
+# what a hyperparameter's value must be (a bool is no number); a key not listed is a number
+_NUMBER = ("a number", lambda v: type(v) in (int, float) and abs(v) <= sys.float_info.max)
+_HYPER_TYPES = {
+    "kernel": ("a string", lambda v: isinstance(v, str)),
+    "dense_widths": ("a list of integers",
+                     lambda v: isinstance(v, list) and all(type(w) is int for w in v)),
+    **dict.fromkeys(("hidden_units", "batch_size", "max_epochs", "patience", "max_iter",
+                     "max_sweeps"), ("an integer", lambda v: type(v) is int)),
+    **dict.fromkeys(("gamma", "fixed_alpha_noise", "fixed_lambda_prior"),
+                    ("a number or null", lambda v: v is None or _NUMBER[1](v))),
+}
+
 
 @dataclass(frozen=True)
 class FeatureModelConfig:
@@ -201,6 +214,10 @@ class FeatureModelConfig:
         unknown = sorted(set(self.hyper) - _HYPER_KEYS[self.model])
         if unknown:
             raise ValueError(f"unknown {self.model} hyperparameter {unknown[0]!r}")
+        for key, value in self.hyper.items():
+            want, valid = _HYPER_TYPES.get(key, _NUMBER)
+            if not valid(value):
+                raise ValueError(f"{self.model} hyperparameter {key!r} must be {want}")
         if self.model == "gru" and self.feature != "captions":
             raise ValueError(f"a gru model reads 'captions', not {self.feature!r}")
 
@@ -284,7 +301,7 @@ def _run_jobs(jobs, worker_fn, workers):
 
 
 def _config_key(config: FeatureModelConfig):
-    hyper = json.dumps(config.hyper, sort_keys=True, default=repr)
+    hyper = json.dumps(config.hyper, sort_keys=True)
     return config.feature, config.model, hyper
 
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .corpus import json_floats
 from .textmodel import GruRegressor
 
 
@@ -232,6 +231,7 @@ SVR_KERNELS = ("rbf", "linear")
 
 @dataclass
 class SvrModel:
+    kind = "svr"
     kernel: str
     gamma: float
     C: float
@@ -337,28 +337,38 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
 # model artifacts
 # ---------------------------------------------------------------------------
 
+# the architecture fields of a GRU file, each a `GruRegressor` keyword
+_GRU_FIELDS = ("input_dim", "hidden_units", "dense_widths", "recurrent_dropout_rate",
+               "dense_dropout_rate", "seed")
+
+
 def model_to_dict(model) -> dict:
-    if isinstance(model, GruRegressor):
-        return {"family": "gru", **model.to_dict()}
+    if model.kind == "gru":
+        return {"family": "gru", **{key: getattr(model, key) for key in _GRU_FIELDS},
+                "dense_widths": list(model.dense_widths), "training_log": model.training_log,
+                "params": {k: v.tolist() for k, v in model.params.items()}}
     std = {"means": model.standardizer.means.tolist(),
            "stds": model.standardizer.stds.tolist()}
-    if isinstance(model, LinearModel):
-        return {"family": "linear", "kind": model.kind,
-                "weights": model.weights.tolist(), "intercept": model.intercept,
-                "hyper": model.hyper, "standardizer": std}
-    if isinstance(model, SvrModel):
+    if model.kind == "svr":
         return {"family": "svr", "kernel": model.kernel, "gamma": model.gamma,
                 "C": model.C, "epsilon": model.epsilon,
                 "support_vectors": model.support_vectors.tolist(),
                 "dual_coefs": model.dual_coefs.tolist(), "bias": model.bias,
                 "standardizer": std}
-    raise TypeError(f"cannot serialize {type(model).__name__}")
+    return {"family": "linear", "kind": model.kind, "weights": model.weights.tolist(),
+            "intercept": model.intercept, "hyper": model.hyper, "standardizer": std}
 
 
 def _array(value, shape, what):
-    """`value` as a finite float array of `shape`; `[]` is an empty matrix of
-    any width.  A number works as a 0-d array: `_array(x, (), what)`."""
-    arr = json_floats(value, what)
+    """JSON numbers (no bools or strings) as a finite float array of `shape`;
+    `[]` is an empty matrix of any width, and `_array(x, (), what)` reads a number."""
+    arr = np.asarray(value, dtype=object)
+    if not all(type(v) in (int, float) for v in arr.flat):  # type(True) is bool
+        raise ValueError(f"{what} holds a non-numeric entry")
+    try:
+        arr = arr.astype(float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ValueError(f"{what} holds a non-finite number") from None
     arr = arr.reshape(shape) if arr.size == 0 and 0 in shape else arr
     if arr.shape != shape:
         raise ValueError(f"{what} has shape {arr.shape}, expected {shape}")
@@ -369,11 +379,31 @@ def _array(value, shape, what):
 
 def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
     """The model `model_to_dict` wrote; a malformed document raises ValueError,
-    or KeyError or TypeError for a missing or mistyped entry."""
+    or KeyError or TypeError for a missing or mistyped entry.  A GRU's params
+    must have the names and shapes of a fresh model of the same architecture."""
     if not isinstance(doc, dict):
         raise ValueError("a model must be a JSON object")
     if doc["family"] == "gru":
-        return GruRegressor.from_dict(doc)
+        for key, least in (("input_dim", 1), ("hidden_units", 1), ("seed", 0)):
+            if type(doc[key]) is not int or doc[key] < least:
+                raise ValueError(f"{key!r} must be an integer >= {least}")
+        if not (isinstance(doc["dense_widths"], list)
+                and all(type(w) is int and w > 0 for w in doc["dense_widths"])):
+            raise ValueError("'dense_widths' must be a list of positive integers")
+        for key in ("recurrent_dropout_rate", "dense_dropout_rate"):
+            _array(doc[key], (), repr(key))
+        if not isinstance(doc.get("training_log", []), list):
+            raise ValueError("'training_log' must be a list")
+        model = GruRegressor(**{key: doc[key] for key in _GRU_FIELDS})
+        params = dict(doc["params"])
+        unmatched = sorted(set(params) ^ set(model.params))
+        if unmatched:
+            what = "missing" if unmatched[0] in model.params else "unknown"
+            raise ValueError(f"params: {what} key {unmatched[0]!r}")
+        model.params = {name: _array(value, model.params[name].shape, f"params: {name!r}")
+                        for name, value in params.items()}
+        model.training_log = doc.get("training_log", [])
+        return model
     if not (doc["family"] == "linear" and doc["kind"] in LINEAR_KINDS
             or doc["family"] == "svr" and doc["kernel"] in SVR_KERNELS):
         raise ValueError(f"unknown model: family {doc['family']!r}, kind {doc.get('kind')!r}, "

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import WordVectorTable, json_floats
+from .corpus import WordVectorTable
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
@@ -72,6 +72,8 @@ class GruRegressor:
     The final hidden state feeds affine layers of the configured widths with
     ReLU on all but the last.  Dropout is inverted (scaled at train time).
     """
+
+    kind = "gru"
 
     def __init__(self, input_dim, hidden_units=64, dense_widths=(32, 16, 8, 1),
                  recurrent_dropout_rate=0.8, dense_dropout_rate=0.25,
@@ -174,41 +176,6 @@ class GruRegressor:
     def predict(self, sequences) -> list[float]:
         """One score per embedded caption."""
         return [self.predict_sequence(v) for v in sequences]
-
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden_units": self.hidden_units,
-            "dense_widths": list(self.dense_widths),
-            "recurrent_dropout_rate": self.recurrent_dropout_rate,
-            "dense_dropout_rate": self.dense_dropout_rate,
-            "seed": self.seed,
-            "params": {k: v.tolist() for k, v in self.params.items()},
-            "training_log": self.training_log,
-        }
-
-    @classmethod
-    def from_dict(cls, doc) -> "GruRegressor":
-        """The model `to_dict` wrote; its params must have the names and
-        shapes of a fresh model of the same architecture."""
-        model = cls(input_dim=doc["input_dim"], hidden_units=doc["hidden_units"],
-                    dense_widths=tuple(doc["dense_widths"]),
-                    recurrent_dropout_rate=doc["recurrent_dropout_rate"],
-                    dense_dropout_rate=doc["dense_dropout_rate"], seed=doc["seed"])
-        params = {k: json_floats(v, f"params: {k!r}") for k, v in dict(doc["params"]).items()}
-        unmatched = sorted(set(params) ^ set(model.params))
-        if unmatched:
-            what = "missing" if unmatched[0] in model.params else "unknown"
-            raise ValueError(f"params: {what} key {unmatched[0]!r}")
-        for name, arr in params.items():
-            if arr.shape != model.params[name].shape:
-                raise ValueError(f"params: {name!r} has shape {arr.shape}, "
-                                 f"expected {model.params[name].shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"params: {name!r} holds a non-finite number")
-        model.params = params
-        model.training_log = list(doc.get("training_log", []))
-        return model
 
 
 def _dropout_mask(shape, rate, train, rng):

@@ -1,10 +1,17 @@
 import json
 import math
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
-from vidmem.cli import main
-from vidmem.regress import model_to_dict
+from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
+from vidmem.corpus import (Corpus, load_captions_csv, load_feature_csv, load_labels_csv,
+                           load_word_vectors)
+from vidmem.harness import (FeatureModelConfig, predict_table, train_feature_model,
+                            write_prediction_csv)
+from vidmem.regress import model_to_dict, save_model
 from vidmem.textmodel import GruRegressor, TrainingDivergedError
 
 
@@ -38,27 +45,58 @@ def test_adjust_labels(synth_dir, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in scores.values())
 
 
-@pytest.mark.parametrize("model, params", [("ridge", '{"lam": 1.0}'), ("bayes", "{}"),
-                                           ("svr", '{"epsilon": 0.05}')],
-                         ids=["ridge", "bayes", "svr"])
-def test_train_predict_evaluate_round(synth_dir, tmp_path, model, params):
+@pytest.fixture(scope="module")
+def word_vectors(synth_dir):
+    """Random 4-d vectors for every word of the synthetic captions."""
+    words = set()
+    for line in (synth_dir / "captions.csv").read_text().splitlines():
+        words.update(line.split(",", 1)[1].strip('"').split())
+    rng = np.random.default_rng(0)
+    wv = synth_dir / "wv.txt"
+    wv.write_text("\n".join(
+        w + " " + " ".join(repr(float(x)) for x in rng.normal(size=4)) for w in sorted(words)) + "\n")
+    return wv
+
+
+@pytest.mark.parametrize("model, params", [("ols", "{}"), ("ridge", '{"lam": 1.0}'),
+                                           ("lasso", '{"lam": 0.001}'), ("bayes", "{}"),
+                                           ("svr", '{"epsilon": 0.05}'),
+                                           ("gru", '{"hidden_units": 4, "max_epochs": 2}')],
+                         ids=["ols", "ridge", "lasso", "bayes", "svr", "gru"])
+def test_train_predict_evaluate_round(synth_dir, word_vectors, tmp_path, model, params):
+    inputs = (["--captions", str(synth_dir / "captions.csv"), "--word-vectors", str(word_vectors)]
+              if model == "gru" else ["--features", str(synth_dir / "featA.csv")])
     model_path = tmp_path / f"{model}.json"
-    code = main(["train", "--features", str(synth_dir / "featA.csv"),
-                 "--labels", str(synth_dir / "labels_short.csv"),
-                 "--model", model, "--params", params,
-                 "--out", str(model_path)])
+    code = main(["train", *inputs, "--labels", str(synth_dir / "labels_short.csv"),
+                 "--model", model, "--params", params, "--out", str(model_path)])
     assert code == 0
 
     pred_path = tmp_path / "pred.csv"
-    code = main(["predict", "--model", str(model_path),
-                 "--features", str(synth_dir / "featA.csv"),
-                 "--out", str(pred_path)])
+    code = main(["predict", "--model", str(model_path), *inputs, "--out", str(pred_path)])
     assert code == 0
     assert len(pred_path.read_text().splitlines()) == 60
 
     code = main(["evaluate", "--pred", str(pred_path),
                  "--truth", str(synth_dir / "labels_short.csv")])
     assert code == 0
+
+    # the library, given the same inputs, writes the same model and predictions
+    corpus = Corpus()
+    if model == "gru":
+        corpus.captions = load_captions_csv(synth_dir / "captions.csv")
+        corpus.word_vectors = load_word_vectors(word_vectors)
+        config = FeatureModelConfig("captions", model, json.loads(params))
+        ids = corpus.captions.captions
+    else:
+        corpus.features["featA"] = load_feature_csv(synth_dir / "featA.csv", "video", "featA")
+        config = FeatureModelConfig("featA", LINEAR_ALIASES.get(model, model), json.loads(params))
+        ids = corpus.features["featA"].rows
+    labels = load_labels_csv(synth_dir / "labels_short.csv", "short")
+    trained = train_feature_model(corpus, config, labels, list(labels.scores), seed=0)
+    save_model(trained, tmp_path / "library.json")
+    assert (tmp_path / "library.json").read_bytes() == model_path.read_bytes()
+    write_prediction_csv(predict_table(corpus, config, trained, list(ids)), tmp_path / "library.csv")
+    assert (tmp_path / "library.csv").read_bytes() == pred_path.read_bytes()
 
 
 def test_evaluate_prints_srcc(synth_dir, tmp_path, capsys):
@@ -88,33 +126,6 @@ def test_ensemble_search_cli(synth_dir, tmp_path):
     doc = json.loads(out.read_text())
     assert abs(sum(doc["weights"]) - 1.0) <= 1e-12
     assert doc["weights"][0] >= 0.8  # informative feature dominates
-
-
-def test_gru_train_and_predict(synth_dir, tmp_path):
-    import numpy as np
-    words = set()
-    for line in (synth_dir / "captions.csv").read_text().splitlines():
-        words.update(line.split(",", 1)[1].strip('"').split())
-    rng = np.random.default_rng(0)
-    wv = tmp_path / "wv.txt"
-    wv.write_text("\n".join(
-        w + " " + " ".join(repr(float(x)) for x in rng.normal(size=4)) for w in words) + "\n")
-
-    model_path = tmp_path / "gru.json"
-    code = main(["train", "--captions", str(synth_dir / "captions.csv"),
-                 "--word-vectors", str(wv),
-                 "--labels", str(synth_dir / "labels_short.csv"),
-                 "--model", "gru",
-                 "--params", '{"hidden_units": 4, "max_epochs": 2}',
-                 "--out", str(model_path)])
-    assert code == 0
-
-    pred_path = tmp_path / "gru_pred.csv"
-    code = main(["predict", "--model", str(model_path),
-                 "--captions", str(synth_dir / "captions.csv"),
-                 "--word-vectors", str(wv), "--out", str(pred_path)])
-    assert code == 0
-    assert len(pred_path.read_text().splitlines()) == 60
 
 
 def test_experiment_command_writes_reports(synth_dir, tmp_path):
@@ -255,6 +266,12 @@ def _setting(*keys_and_value):
      "feature_models[0]: unknown key 'hyperr'"),
     (_setting("ensemble_models", [{"feature": "featA", "model": "ridge", "seeds": [0]}]),
      "ensemble_models[0]: unknown key 'seeds'"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "svr", "hyper": {"C": "1"}}]),
+     "ensemble_models[0]: svr hyperparameter 'C' must be a number"),
+    (_setting("feature_models", [{"feature": "featA", "model": "svr", "hyper": {"C": "1"}}]),
+     "feature_models[0]: svr hyperparameter 'C' must be a number"),
+    (_setting("feature_models", 0, "hyper", {"lam": None}),
+     "feature_models[0]: ridge hyperparameter 'lam' must be a number"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
         "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
@@ -265,7 +282,8 @@ def _setting(*keys_and_value):
         "output-dir-not-string", "labels-not-object", "test-labels-not-object",
         "unknown-label-term", "models-not-list", "unknown-top-key", "unknown-data-key",
         "unknown-feature-set-key", "unknown-feature-model-entry-key",
-        "unknown-ensemble-model-entry-key"])
+        "unknown-ensemble-model-entry-key", "ensemble-hyper-not-number",
+        "feature-hyper-not-number", "null-lam"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def not_reached(*args, **kwargs):
@@ -313,8 +331,19 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("ridge", "{lam: 1}",
      "--params: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
     ("gru", '{"hidden_units": 4, "dense_widths": []}', "final dense width must be 1"),
+    ("svr", '{"C": "1"}', "svr hyperparameter 'C' must be a number"),
+    ("svr", '{"gamma": "0.1"}', "svr hyperparameter 'gamma' must be a number or null"),
+    ("ridge", '{"lam": [1]}', "ridge hyperparameter 'lam' must be a number"),
+    ("svr", '{"epsilon": true}', "svr hyperparameter 'epsilon' must be a number"),
+    ("bayes", '{"tol": NaN}', "bayes_ridge hyperparameter 'tol' must be a number"),
+    ("lasso", '{"max_sweeps": 10.0}', "lasso hyperparameter 'max_sweeps' must be an integer"),
+    ("svr", '{"kernel": 1}', "svr hyperparameter 'kernel' must be a string"),
+    ("gru", '{"dense_widths": [2.0, 1]}',
+     "gru hyperparameter 'dense_widths' must be a list of integers"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
-        "unknown-ols-key", "params-not-json", "gru-without-dense-layers"])
+        "unknown-ols-key", "params-not-json", "gru-without-dense-layers", "string-c",
+        "string-gamma", "list-lam", "boolean-epsilon", "nan-tol", "float-max-sweeps",
+        "numeric-kernel", "float-dense-width"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -445,11 +474,20 @@ _GRU_FILE = model_to_dict(GruRegressor(input_dim=4, hidden_units=2, dense_widths
      "params: 'db0' holds a non-numeric entry"),
     (json.dumps({**_RIDGE_FILE, "intercept": 12345}).replace("12345", "1" + "0" * 400),
      "'intercept' holds a non-finite number"),
+    ({**_GRU_FILE, "input_dim": "4"}, "'input_dim' must be an integer >= 1"),
+    ({**_GRU_FILE, "seed": "0"}, "'seed' must be an integer >= 0"),
+    ({**_GRU_FILE, "seed": True}, "'seed' must be an integer >= 0"),
+    ({**_GRU_FILE, "hidden_units": 2.0}, "'hidden_units' must be an integer >= 1"),
+    ({**_GRU_FILE, "dense_widths": [1.0]}, "'dense_widths' must be a list of positive integers"),
+    ({**_GRU_FILE, "dense_dropout_rate": False}, "'dense_dropout_rate' holds a non-numeric entry"),
+    ({**_GRU_FILE, "training_log": "x"}, "'training_log' must be a list"),
 ], ids=["empty-object", "not-object", "linear-without-standardizer", "gru-without-uz",
         "gru-without-dense-layers", "narrow-support-vector", "weights-width", "nan-intercept",
         "infinite-weight", "overflowing-gru-param", "nan-dual-coef", "string-intercept",
         "string-weights", "boolean-weight", "null-std", "string-support-vector",
-        "boolean-bias", "string-gamma", "string-c", "string-gru-param", "overflowing-integer"])
+        "boolean-bias", "string-gamma", "string-c", "string-gru-param", "overflowing-integer",
+        "string-gru-input-dim", "string-gru-seed", "boolean-gru-seed", "float-gru-hidden-units",
+        "float-gru-dense-width", "boolean-gru-dropout", "string-gru-training-log"])
 def test_malformed_model_file_rejected(synth_dir, tmp_path, capsys, doc, message):
     model = tmp_path / "m.json"
     model.write_text(doc if isinstance(doc, str) else json.dumps(doc))
@@ -457,6 +495,29 @@ def test_malformed_model_file_rejected(synth_dir, tmp_path, capsys, doc, message
                  "--out", str(tmp_path / "pred.csv")]) == 1
     assert capsys.readouterr().err == f"error: {model}: {message}\n"
     assert not (tmp_path / "pred.csv").exists()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("v0000\na,b\n", "2: expected 1 fields, got 2"),
+    ("v0000\nv0001 v0002\n", "2: invalid video id 'v0001 v0002'"),
+    ("v0000\nv0001\nv0000\n", "3: duplicate video id 'v0000'"),
+], ids=["comma", "space", "duplicate"])
+def test_bad_prediction_ids_rejected(synth_dir, tmp_path, capsys, text, message):
+    model, ids = tmp_path / "m.json", tmp_path / "ids.txt"
+    model.write_text(json.dumps(_RIDGE_FILE))
+    ids.write_text(text)
+    assert main(["predict", "--model", str(model), "--features", str(synth_dir / "featA.csv"),
+                 "--ids", str(ids), "--out", str(tmp_path / "pred.csv")]) == 1
+    assert capsys.readouterr().err == f"error: {ids}:{message}\n"
+    assert not (tmp_path / "pred.csv").exists()
+
+
+def test_readme_lists_the_allowed_config_keys():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    items = readme.split("allowed keys are:\n\n", 1)[1].split("\n\n", 1)[0]
+    listed = [set(re.findall(r"`(\w+)`", item.split(": ", 1)[1]))
+              for item in items.removeprefix("- ").split("\n- ")]
+    assert listed == list(_CONFIG_KEYS.values())
 
 
 @pytest.mark.parametrize("text, message", [

@@ -324,7 +324,10 @@ class TestReportRendering:
     (("featA", "ridge", {"lamda": 50}), "unknown ridge hyperparameter 'lamda'"),
     (("featA", "ridge", [1]), "'hyper' must be a JSON object"),
     (("featA", "gru"), "a gru model reads 'captions', not 'featA'"),
-], ids=["unknown-kind", "unknown-key", "hyper-not-dict", "gru-on-features"])
+    (("featA", "svr", {"C": True}), "svr hyperparameter 'C' must be a number"),
+    (("featA", "svr", {"C": 10 ** 400}), "svr hyperparameter 'C' must be a number"),
+], ids=["unknown-kind", "unknown-key", "hyper-not-dict", "gru-on-features", "boolean-c",
+        "c-beyond-float-range"])
 def test_feature_model_config_rejects_invalid_entry(args, message):
     with pytest.raises(ValueError) as info:
         FeatureModelConfig(*args)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vidmem.corpus import WordVectorTable
+from vidmem.regress import model_from_dict, model_to_dict
 from vidmem.textmodel import (GruRegressor, TokenizeError, TrainConfig, _sigmoid,
                               embed, gru_train, tokenize)
 
@@ -257,7 +258,6 @@ class TestGruTraining:
 
     def test_serialization_round_trip(self):
         model = small_model()
-        doc = model.to_dict()
-        loaded = GruRegressor.from_dict(doc)
+        loaded = model_from_dict(model_to_dict(model))
         X = np.random.default_rng(9).normal(size=(3, 5))
         assert loaded.forward(X)[0] == model.forward(X)[0]
