@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import length_buckets
+from .corpus import by_length
 
 
 def _median(block):
@@ -59,11 +59,10 @@ def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
     rows = {vid: r for vid in ids if (r := per_row_scores.get(vid)) is not None and len(r)}
     if not rows:
         raise ValueError("no video has any prediction rows; fallback has no basis")
-    groups = list(rows.values())
-    buckets = length_buckets(groups)
-    scores = buckets.stack(groups).astype(float, copy=False)
-    direct = dict(zip(rows, buckets.unstack(
-        [_AGG[strategy](block) for block in buckets.blocks(scores)]).tolist()))
+    scores = np.empty(len(rows))
+    for positions, block in by_length(list(rows.values())):
+        scores[positions] = _AGG[strategy](block.astype(float, copy=False))
+    direct = dict(zip(rows, scores.tolist()))
     fallback = sum(direct.values()) / len(direct)
     return PredictionTable(model_name=model_name,
                            scores={vid: direct.get(vid, fallback) for vid in ids},

@@ -176,52 +176,21 @@ def _group_by_video(video_id):
     return list(first), order, np.cumsum(np.bincount(codes, minlength=len(first)))[:-1]
 
 
-@dataclass(frozen=True)
-class LengthBuckets:
-    """Per-video groups of entries bucketed by length, so that arithmetic
-    over each video's entries runs as one numpy call per bucket.
+def by_length(groups):
+    """Bucket a sequence of per-video arrays (or lists) by length, so that
+    arithmetic over each video's entries runs as one numpy call per bucket.
 
-    `order` lists the group positions sorted by length (stably: equal
-    lengths keep their input order) and `sizes` holds one `(L, n_L)` per
-    distinct length, ascending.  `stack` concatenates the groups in `order`;
-    `blocks` cuts a column aligned with that concatenation into one
-    `(n_L, L, ...)` view per bucket.  A reduction along axis 1 of a block,
-    or a stacked 3-D matmul over it, gives each video the bits of the same
-    call on that video's own entries.
+    Yields `(positions, block)` once per distinct length L, ascending:
+    `positions` holds the indices of the length-L groups in input order and
+    `block` those groups stacked into one `(n_L, L, ...)` array.  A reduction
+    along axis 1 of a block, or a stacked 3-D matmul over it, gives each
+    video the bits of the same call on that video's own entries.
     """
-
-    order: np.ndarray
-    sizes: tuple[tuple[int, int], ...]
-
-    def stack(self, groups):
-        if not len(self.order):
-            return np.empty(0)
-        return np.concatenate([groups[k] for k in self.order.tolist()])
-
-    def blocks(self, column):
-        views, start = [], 0
-        for length, count in self.sizes:
-            views.append(column[start:start + length * count].reshape(
-                count, length, *column.shape[1:]))
-            start += length * count
-        return views
-
-    def unstack(self, per_bucket):
-        """Per-bucket results with one entry per video along axis 0, as one
-        array in group order."""
-        values = np.concatenate(per_bucket)
-        out = np.empty_like(values)
-        out[self.order] = values
-        return out
-
-
-def length_buckets(groups) -> LengthBuckets:
-    """Bucket a sequence of per-video arrays (or lists) by length."""
     lengths = np.fromiter(map(len, groups), np.intp, len(groups))
-    counts = np.bincount(lengths)
-    sizes = np.flatnonzero(counts)
-    return LengthBuckets(order=np.argsort(lengths, kind="stable"),
-                         sizes=tuple(zip(sizes.tolist(), counts[sizes].tolist())))
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        positions = np.flatnonzero(lengths == length)
+        column = np.concatenate([groups[k] for k in positions.tolist()])
+        yield positions, column.reshape(len(positions), length, *column.shape[1:])
 
 
 def _parse_float(value, path, line_no, what):

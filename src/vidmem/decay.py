@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregate import clamp_unit
-from .corpus import AnnotationLog, LabelTable, length_buckets
+from .corpus import AnnotationLog, LabelTable, by_length
 
 DEGENERATE_WARNING = "all delays equal the target duration; decay rate not identifiable"
 
@@ -48,19 +48,25 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
 
     video_ids = list(log.entries)
     groups = list(log.entries.values())
-    # Trials regrouped video by video, videos in length order, so the videos
-    # with L trials form one (n_L, L) view and a .mean(axis=1) over it sums
-    # each video's trials in the order of a per-video array.
-    buckets = length_buckets(groups)
-    trials = buckets.stack(groups)
-    x = log.recognized[trials].astype(float)
-    lr = np.log(log.delay_seconds[trials] / target_duration)
+    x = log.recognized.astype(float)
+    with np.errstate(divide="ignore", over="ignore"):  # t/T overflowing or 0
+        lr = np.log(log.delay_seconds / target_duration)
+    if not np.all(np.isfinite(lr)):
+        raise ValueError(f"log(delay / target duration) is not finite for target duration "
+                         f"{target_duration!r}")
     # Per-video sufficient statistics, in video order: the means of x,
-    # log(t/T), x log(t/T) and log(t/T)^2.  The alpha denominator and the
-    # log-ratio sums never change across iterations.
-    hit_rate, mean_lr, mean_xlr, mean_lr2 = (
-        buckets.unstack([block.mean(axis=1) for block in buckets.blocks(col)])
-        for col in (x, lr, x * lr, lr * lr))
+    # log(t/T), x log(t/T) and log(t/T)^2.  The videos with L trials form
+    # one (n_L, L) block of trial indices, and a .mean(axis=1) over a column
+    # gathered by it sums each video's trials in the order of a per-video
+    # array.  The alpha denominator and the log-ratio sums never change
+    # across iterations.
+    hit_rate, mean_lr, mean_xlr, mean_lr2 = (np.empty(len(groups)) for _ in range(4))
+    for positions, trials in by_length(groups):
+        xb, lb = x[trials], lr[trials]
+        hit_rate[positions] = xb.mean(axis=1)
+        mean_lr[positions] = lb.mean(axis=1)
+        mean_xlr[positions] = (xb * lb).mean(axis=1)
+        mean_lr2[positions] = (lb * lb).mean(axis=1)
 
     denominator = mean_lr2.sum()
     degenerate = denominator == 0.0

@@ -11,7 +11,6 @@ runs and across worker counts.
 from __future__ import annotations
 
 import inspect
-import itertools
 import json
 import math
 import sys
@@ -21,8 +20,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .aggregate import PredictionTable, aggregate_rows, clamp_unit
-from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
-                     length_buckets)
+from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, by_length
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
 from .regress import LINEAR_HYPER_KEYS, fit_linear, fit_svr
@@ -278,11 +276,9 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
     if config.model == "gru":
         per_row = {vid: model.predict(x) for vid, x in inputs.items()}
     else:
-        vids, groups = list(inputs), list(inputs.values())
-        buckets = length_buckets(groups)
-        rows = itertools.chain.from_iterable(
-            model.predict(block) for block in buckets.blocks(buckets.stack(groups)))
-        per_row = dict(zip([vids[k] for k in buckets.order.tolist()], rows))
+        vids, per_row = list(inputs), {}
+        for positions, block in by_length(list(inputs.values())):
+            per_row.update(zip([vids[k] for k in positions.tolist()], model.predict(block)))
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
 

@@ -384,12 +384,6 @@ def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
     if not isinstance(doc, dict):
         raise ValueError("a model must be a JSON object")
     if doc["family"] == "gru":
-        for key, least in (("input_dim", 1), ("hidden_units", 1), ("seed", 0)):
-            if type(doc[key]) is not int or doc[key] < least:
-                raise ValueError(f"{key!r} must be an integer >= {least}")
-        if not (isinstance(doc["dense_widths"], list)
-                and all(type(w) is int and w > 0 for w in doc["dense_widths"])):
-            raise ValueError("'dense_widths' must be a list of positive integers")
         for key in ("recurrent_dropout_rate", "dense_dropout_rate"):
             _array(doc[key], (), repr(key))
         if not isinstance(doc.get("training_log", []), list):

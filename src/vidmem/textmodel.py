@@ -55,6 +55,15 @@ class TrainConfig:
     beta2: float = 0.999
     adam_eps: float = 1e-8
 
+    def __post_init__(self):
+        _check_integer("batch_size", self.batch_size, 1)
+        _check_integer("max_epochs", self.max_epochs, 1)
+
+
+def _check_integer(key, value, least):
+    if type(value) is not int or value < least:  # type(True) is bool
+        raise ValueError(f"{key!r} must be an integer >= {least}")
+
 
 def _glorot(rng, fan_in, fan_out, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
@@ -78,6 +87,12 @@ class GruRegressor:
     def __init__(self, input_dim, hidden_units=64, dense_widths=(32, 16, 8, 1),
                  recurrent_dropout_rate=0.8, dense_dropout_rate=0.25,
                  seed=0, train_config: TrainConfig | None = None):
+        _check_integer("input_dim", input_dim, 1)
+        _check_integer("hidden_units", hidden_units, 1)
+        _check_integer("seed", seed, 0)
+        if not (isinstance(dense_widths, (list, tuple))
+                and all(type(w) is int and w > 0 for w in dense_widths)):
+            raise ValueError("'dense_widths' must be a list of positive integers")
         if tuple(dense_widths)[-1:] != (1,):
             raise ValueError("final dense width must be 1")
         if not (0.0 <= recurrent_dropout_rate < 1.0 and 0.0 <= dense_dropout_rate < 1.0):

@@ -45,6 +45,18 @@ def test_adjust_labels(synth_dir, tmp_path):
     assert all(0.0 <= v <= 1.0 for v in scores.values())
 
 
+@pytest.mark.parametrize("duration", ["inf", "1e-310"])
+def test_non_finite_log_ratio_rejected(synth_dir, tmp_path, capsys, duration):
+    """t/T is 0 for T = inf and overflows for T = 1e-310: an error, with no
+    numpy warning before it and no label or sidecar file."""
+    code = main(["adjust-labels", "--annotations", str(synth_dir / "annotations.csv"),
+                 "--target-duration", duration, "--out", str(tmp_path / "adjusted.csv")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: log(delay / target duration) is not finite for target duration {duration}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.fixture(scope="module")
 def word_vectors(synth_dir):
     """Random 4-d vectors for every word of the synthetic captions."""
@@ -340,10 +352,15 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("svr", '{"kernel": 1}', "svr hyperparameter 'kernel' must be a string"),
     ("gru", '{"dense_widths": [2.0, 1]}',
      "gru hyperparameter 'dense_widths' must be a list of integers"),
+    ("gru", '{"hidden_units": 0}', "'hidden_units' must be an integer >= 1"),
+    ("gru", '{"dense_widths": [0, 1]}', "'dense_widths' must be a list of positive integers"),
+    ("gru", '{"max_epochs": 0}', "'max_epochs' must be an integer >= 1"),
+    ("gru", '{"batch_size": 0}', "'batch_size' must be an integer >= 1"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
         "unknown-ols-key", "params-not-json", "gru-without-dense-layers", "string-c",
         "string-gamma", "list-lam", "boolean-epsilon", "nan-tol", "float-max-sweeps",
-        "numeric-kernel", "float-dense-width"])
+        "numeric-kernel", "float-dense-width", "zero-hidden-units", "zero-dense-width",
+        "zero-max-epochs", "zero-batch-size"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -141,24 +141,30 @@ class TestAnnotationLog:
             corpus.AnnotationLog(video_id, delays, recognized)
 
 
-class TestLengthBuckets:
-    def test_blocks_are_views_in_stable_length_order(self):
+class TestByLength:
+    def test_blocks_in_ascending_length_and_input_order(self):
         groups = [np.arange(3), np.arange(3, 4), np.arange(4, 7), np.arange(7, 9), np.arange(9, 10)]
-        buckets = corpus.length_buckets(groups)
-        assert buckets.order.tolist() == [1, 4, 3, 0, 2]
-        assert buckets.sizes == ((1, 2), (2, 1), (3, 2))
-        column = buckets.stack(groups) * 10.0
-        blocks = buckets.blocks(column)
-        assert [b.tolist() for b in blocks] == [[[30.0], [90.0]], [[70.0, 80.0]],
-                                                [[0.0, 10.0, 20.0], [40.0, 50.0, 60.0]]]
-        assert all(np.shares_memory(b, column) for b in blocks)
-        sums = buckets.unstack([b.sum(axis=1) for b in blocks])
-        assert sums.tolist() == [30.0, 30.0, 150.0, 150.0, 90.0]
+        buckets = list(corpus.by_length(groups))
+        assert [block.shape[1] for _, block in buckets] == [1, 2, 3]
+        assert [positions.tolist() for positions, _ in buckets] == [[1, 4], [3], [0, 2]]
+        for positions, block in buckets:
+            assert np.array_equal(block, np.stack([groups[k] for k in positions]))
+
+    def test_two_dimensional_groups(self):
+        groups = [np.ones((2, 3)), np.zeros((1, 3)), np.full((2, 3), 2.0)]
+        (short, short_block), (long, long_block) = corpus.by_length(groups)
+        assert (short.tolist(), short_block.shape) == ([1], (1, 1, 3))
+        assert (long.tolist(), long_block.shape) == ([0, 2], (2, 2, 3))
+        assert np.array_equal(long_block, np.stack([groups[0], groups[2]]))
+
+    def test_list_groups(self):
+        groups = [[0.5, 1.5], [2.5], [3.5, 4.5]]
+        buckets = [(positions.tolist(), block.tolist())
+                   for positions, block in corpus.by_length(groups)]
+        assert buckets == [([1], [[2.5]]), ([0, 2], [[0.5, 1.5], [3.5, 4.5]])]
 
     def test_no_groups(self):
-        buckets = corpus.length_buckets([])
-        assert buckets.sizes == ()
-        assert buckets.blocks(buckets.stack([])) == []
+        assert list(corpus.by_length([])) == []
 
 
 class TestLabelLoader:

@@ -2,10 +2,12 @@
 by name; a renamed or deleted target must fail here, not only in a traced
 benchmark run."""
 
+import subprocess
 import sys
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import tracing  # noqa: E402
 
@@ -41,3 +43,12 @@ def test_load_lines_counts_every_feature_row(tmp_path):
     p.write_text("v1,0.1,0.2\nv2,0.3,0.4\n\nv1,0.5,0.6\nv3,0.7,0.8\nv2,0.9,1.0\n")
     lines = sum(1 for line in p.read_text().splitlines() if line.strip())
     assert tracing._rows(load_feature_csv(p, "video", "C3D")) == lines == 5
+
+
+def test_benchmark_selftest_passes():
+    """perfbench/selftest.py runs each workload at a tiny scale, traced and
+    untraced, and checks the per-layer counts (`aggregate.rows_in`,
+    `decay.iterations`, ...) that the library's bucketed paths feed."""
+    result = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                            capture_output=True, text=True, timeout=600)
+    assert result.returncode == 0, result.stdout + result.stderr
