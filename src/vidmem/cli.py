@@ -184,6 +184,8 @@ def _check_config(cfg, path):
     if "seeds" in cfg and not (isinstance(seeds, list) and seeds
                                and all(type(seed) is int for seed in seeds)):
         fail("'seeds' must be a non-empty list of integers")
+    if "seeds" in cfg and min(seeds) < 0:
+        fail(f"'seeds' must be >= 0, got {min(seeds)}")
     for key, rule in (("bucket", _bucket_count), ("train_fraction", check_train_fraction)):
         if key in cfg:
             if type(cfg[key]) not in (int, float):

@@ -218,7 +218,8 @@ def _read_records(path, what, fields=None, unique=False):
             if fields is None and len(row) < 2:
                 raise ParseError(path, line_no, "expected video id plus at least one value")
             if fields is not None and len(row) not in fields:
-                expected = " or ".join(map(str, fields))
+                *rest, last = map(str, fields)
+                expected = f"{', '.join(rest)} or {last}" if rest else last
                 raise ParseError(path, line_no, f"expected {expected} fields, got {len(row)}")
             vid = row[0].strip()
             try:
@@ -335,11 +336,16 @@ def load_labels_csv(path, term):
 
 
 def load_prediction_csv(path):
-    """Load `video_id,score` label rows or `video_id,score,coverage` rows as
-    written by `write_prediction_csv`, one per video; any finite score is
-    accepted."""
-    return {vid: _parse_float(row[1], path, line_no, "score")
-            for line_no, vid, row in _read_records(path, "prediction", (2, 3), unique=True)}
+    """Load `video_id,score` label rows, `video_id,score,coverage` rows, or
+    `video_id,score,coverage,raw score` rows as `write_prediction_csv` writes
+    them, one per video.  A row's raw score is read where it has one, else
+    its score; any finite number is accepted."""
+    scores = {}
+    for line_no, vid, row in _read_records(path, "prediction", (2, 3, 4), unique=True):
+        scores[vid] = _parse_float(row[1], path, line_no, "score")
+        if len(row) == 4:
+            scores[vid] = _parse_float(row[3], path, line_no, "raw score")
+    return scores
 
 
 def load_word_vectors(path):

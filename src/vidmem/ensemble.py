@@ -3,21 +3,21 @@
 Weights are enumerated as integer bucket counts (so the sum-to-one constraint
 is exact by construction) and scored by validation SRCC; ties break toward
 the lexicographically smallest weight vector.  The search ranks the truth
-once and scores the candidates a bounded chunk at a time, ranking every row
-of a chunk in one call; the scores equal scalar `srcc` bit for bit.
+once and scores the candidates a bounded chunk at a time with the one
+correlation kernel of `metrics`; the scores equal scalar `srcc` bit for bit.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .aggregate import PredictionTable
 from .corpus import LabelTable
-from .metrics import fractional_ranks
+from .metrics import centred_ranks, rank_correlation
 
 logger = logging.getLogger(__name__)
 
@@ -45,22 +45,16 @@ def _bucket_count(bucket: float) -> int:
 
 def enumerate_simplex(k: int, bucket: float = 0.05) -> list[list[float]]:
     """All k-vectors of non-negative bucket multiples summing to 1, in
-    lexicographic order; count equals C(B+k-1, k-1) for B = 1/bucket."""
+    lexicographic order; count equals C(B+k-1, k-1) for B = 1/bucket.
+
+    Stars and bars: k - 1 bars among B + k - 1 slots leave B stars in k
+    runs, and bar positions in lexicographic order give run lengths in
+    lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
     B = _bucket_count(bucket)
-    out: list[list[float]] = []
-
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            out.append(prefix + [remaining / B])
-            return
-        for c in range(remaining + 1):
-            rec(prefix + [c / B], remaining - c, slots - 1)
-
-    rec([], B, k)
-    assert len(out) == math.comb(B + k - 1, k - 1)
-    return out
+    return [[(hi - lo - 1) / B for lo, hi in zip((-1, *bars), (*bars, B + k - 1))]
+            for bars in itertools.combinations(range(B + k - 1), k - 1)]
 
 
 def _score_matrix(tables, ids) -> np.ndarray:
@@ -78,13 +72,13 @@ def _score_matrix(tables, ids) -> np.ndarray:
 def grid_search(tables, truth: LabelTable, bucket: float = 0.05) -> EnsembleWeights:
     """Find the simplex grid point maximizing SRCC against `truth`.
 
-    The truth is ranked and centred once.  Candidates are scored in chunks of
-    at most `_CHUNK_ELEMS` candidate-by-id elements (one candidate per chunk
-    when a single row is longer): each chunk's combined scores are ranked row
-    by row, centred, and correlated with the truth ranks in one product.
-    Each combined row is built exactly as `srcc` would see it, and centred
-    ranks give exact sums (see `metrics`), so every candidate's score is
-    bit-identical to `srcc(np.asarray(w) @ P, t)` for up to about 2*10**5 ids.
+    The truth is ranked once.  Candidates are scored in chunks of at most
+    `_CHUNK_ELEMS` candidate-by-id elements (one candidate per chunk when a
+    single row is longer), each chunk in one `rank_correlation` call.  The
+    stacked `(1, k) @ (k, n)` products build each combined row exactly as
+    `np.asarray(w) @ P` does (a 2-d `W @ P` would not), and the kernel's sums
+    are exact (see `metrics`), so every candidate's score is bit-identical
+    to `srcc(np.asarray(w) @ P, t)` for up to about 2*10**5 ids.
 
     Candidates whose combined scores are constant (undefined SRCC) are
     skipped with a log entry.  Deterministic: the first maximizer in
@@ -101,29 +95,23 @@ def grid_search(tables, truth: LabelTable, bucket: float = 0.05) -> EnsembleWeig
     if not np.all(np.isfinite(t)):
         raise ValueError("inputs must be finite")
 
-    mean_rank = (n + 1) / 2.0  # the exact mean of any n fractional ranks
-    rt = fractional_ranks(t) - mean_rank
-    var_t = float(rt @ rt)
+    rt = centred_ranks(t)
     grid = enumerate_simplex(len(tables), bucket)
+    W = np.array(grid)
     rows = max(1, _CHUNK_ELEMS // n)
     best_score, best_w, skipped = -np.inf, None, 0
     for start in range(0, len(grid), rows):
-        chunk = grid[start:start + rows]
-        combined = np.stack([np.asarray(w) @ P for w in chunk])
+        combined = np.matmul(W[start:start + rows, None, :], P)[:, 0]
         if not np.all(np.isfinite(combined)):
             raise ValueError("inputs must be finite")
-        rp = fractional_ranks(combined) - mean_rank
-        var_p = np.einsum("ij,ij->i", rp, rp)
-        cov = rp @ rt
-        live = (var_p != 0.0) & (var_t != 0.0)
-        for i in np.flatnonzero(~live):
+        scores = rank_correlation(centred_ranks(combined), rt)
+        for i in np.flatnonzero(np.isnan(scores)):
             skipped += 1
-            logger.debug("skipping constant-score candidate %s", chunk[i])
-        scores = np.full(len(chunk), -np.inf)  # constant candidates never win
-        scores[live] = cov[live] / np.sqrt(var_p[live] * var_t)
+            logger.debug("skipping constant-score candidate %s", grid[start + i])
+        scores[np.isnan(scores)] = -np.inf  # constant candidates never win
         i = int(np.argmax(scores))  # the first maximum
         if scores[i] > best_score:
-            best_score, best_w = scores[i], chunk[i]
+            best_score, best_w = scores[i], grid[start + i]
     if skipped:
         logger.info("grid search skipped %d constant-score candidates", skipped)
     if best_w is None:

@@ -23,8 +23,10 @@ from .aggregate import PredictionTable, aggregate_rows, clamp_unit
 from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, by_length
 from .ensemble import apply_weights, grid_search
 from .metrics import srcc
-from .regress import LINEAR_HYPER_KEYS, fit_linear, fit_svr
-from .textmodel import GruRegressor, TrainConfig, embed, gru_train, tokenize
+from .regress import (LINEAR_HYPER_KEYS, check_linear_hyper, check_svr_settings, fit_linear,
+                      fit_svr)
+from .textmodel import (GruRegressor, TrainConfig, check_architecture, embed, gru_train,
+                        tokenize)
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -194,6 +196,21 @@ _HYPER_TYPES = {
 }
 
 
+def _apply_rule(rule, fit, hyper):
+    """Call the range rule `rule` on the values of its parameters in `hyper`
+    over the defaults of `fit`, whose settings it checks."""
+    values = {p.name: p.default for p in inspect.signature(fit).parameters.values()} | hyper
+    rule(*(values[name] for name in inspect.signature(rule).parameters))
+
+
+def _gru_settings(hyper):
+    """A GRU entry's hyperparameters as its `TrainConfig` (which checks its
+    own ranges) and its `GruRegressor` architecture keywords."""
+    arch = dict(hyper)
+    train_keys = {k: arch.pop(k) for k in hyper if k in TrainConfig.__dataclass_fields__}
+    return TrainConfig(**train_keys), arch
+
+
 @dataclass(frozen=True)
 class FeatureModelConfig:
     """One model entry; construction raises ValueError for an invalid one."""
@@ -218,6 +235,12 @@ class FeatureModelConfig:
                 raise ValueError(f"{self.model} hyperparameter {key!r} must be {want}")
         if self.model == "gru" and self.feature != "captions":
             raise ValueError(f"a gru model reads 'captions', not {self.feature!r}")
+        if self.model == "svr":
+            _apply_rule(check_svr_settings, fit_svr, self.hyper)
+        elif self.model == "gru":
+            _apply_rule(check_architecture, GruRegressor, _gru_settings(self.hyper)[1])
+        else:
+            check_linear_hyper(self.model, self.hyper)
 
     @property
     def display_name(self):
@@ -244,16 +267,14 @@ def _inputs(corpus, config: FeatureModelConfig, ids) -> dict:
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
-    hyper = dict(config.hyper)
     inputs = _inputs(corpus, config, [vid for vid in train_ids if vid in labels.scores])
     if config.model == "gru":
         samples = [(vid, x, labels.scores[vid]) for vid, xs in inputs.items() for x in xs]
         if not samples:
             raise ValueError("no caption samples in the training split")
-        train_keys = {k: hyper.pop(k) for k in list(hyper)
-                      if k in TrainConfig.__dataclass_fields__}
+        train_config, arch = _gru_settings(config.hyper)
         model = GruRegressor(input_dim=corpus.word_vectors.dimension, seed=seed,
-                             train_config=TrainConfig(**train_keys), **hyper)
+                             train_config=train_config, **arch)
         gru_train(model, samples)
         return model
     if not inputs:
@@ -261,8 +282,8 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
     X = np.vstack(list(inputs.values()))
     y = np.repeat([labels.scores[vid] for vid in inputs], [len(rows) for rows in inputs.values()])
     if config.model == "svr":
-        return fit_svr(X, y, **hyper)
-    return fit_linear(X, y, kind=config.model, hyper=hyper)
+        return fit_svr(X, y, **config.hyper)
+    return fit_linear(X, y, kind=config.model, hyper=config.hyper)
 
 
 def predict_table(corpus, config: FeatureModelConfig, model, ids,
@@ -494,7 +515,9 @@ def _align(table):
 
 
 def write_prediction_csv(table: PredictionTable, path):
-    """Exported scores are clamped into [0, 1]; raw scores stay internal."""
+    """One `video_id,score,coverage,raw score` row per video: the 2nd column
+    is the score clamped into [0, 1] for label-style readers, and the raw 4th
+    column is what `load_prediction_csv` reads back, bit for bit."""
     with open(path, "w", newline="") as fh:
-        for vid in table.scores:
-            fh.write(f"{vid},{clamp_unit(table.scores[vid])!r},{table.coverage[vid]}\n")
+        for vid, score in table.scores.items():
+            fh.write(f"{vid},{clamp_unit(score)!r},{table.coverage[vid]},{score!r}\n")

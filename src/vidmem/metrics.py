@@ -4,12 +4,13 @@ The shortcut 6*sum(d^2)/(n(n^2-1)) formula is invalid under ties, so SRCC is
 always computed as the Pearson correlation of the two rank vectors.
 
 Ranks are computed along the last axis, so a 2-d array ranks each row
-independently; `ensemble.grid_search` ranks whole chunks of candidates this
-way.  Fractional ranks are multiples of 0.5 and their mean is exactly
-(n + 1) / 2, so the centred ranks, their products and every partial sum of
-those products are exact in float64 while n(n^2 - 1) / 12 < 2**51, i.e. for
-n up to about 2*10**5.  In that range `srcc` gives bit-identical results for
-any summation order.
+independently.  `rank_correlation` is the one correlation kernel: `srcc`
+scores one row with it and `ensemble.grid_search` a chunk of candidates.
+Fractional ranks are multiples of 0.5 and their mean is exactly (n + 1) / 2,
+so the centred ranks, their products and every partial sum of those
+products are exact in float64 while n(n^2 - 1) / 12 < 2**51, i.e. for n up
+to about 2*10**5.  In that range the kernel gives bit-identical results for
+any summation order and any number of rows.
 """
 
 from __future__ import annotations
@@ -41,6 +42,21 @@ def fractional_ranks(values) -> np.ndarray:
     return ranks
 
 
+def centred_ranks(values) -> np.ndarray:
+    """`fractional_ranks` minus their exact mean (n + 1) / 2."""
+    ranks = fractional_ranks(values)
+    return ranks - (ranks.shape[-1] + 1) / 2.0
+
+
+def rank_correlation(rp, rt) -> np.ndarray:
+    """Correlation of each row of centred ranks `rp` (m, n) with the centred
+    truth ranks `rt` (n,); NaN where either side has no rank variance."""
+    var_p = np.einsum("ij,ij->i", rp, rp)
+    # a side without rank variance has all-zero centred ranks, so its row is 0 / 0
+    with np.errstate(invalid="ignore"):
+        return (rp @ rt) / np.sqrt(var_p * (rt @ rt))
+
+
 def srcc(predictions, truths) -> float:
     """Spearman rank correlation between two parallel score lists."""
     p = np.asarray(predictions, dtype=float)
@@ -51,13 +67,7 @@ def srcc(predictions, truths) -> float:
         raise ValueError("need at least two pairs")
     if not (np.all(np.isfinite(p)) and np.all(np.isfinite(t))):
         raise ValueError("inputs must be finite")
-
-    rp = fractional_ranks(p)
-    rt = fractional_ranks(t)
-    rp_c = rp - rp.mean()
-    rt_c = rt - rt.mean()
-    var_p = float(rp_c @ rp_c)
-    var_t = float(rt_c @ rt_c)
-    if var_p == 0.0 or var_t == 0.0:
+    r = rank_correlation(centred_ranks(p[None]), centred_ranks(t))[0]
+    if np.isnan(r):
         raise ConstantInputError("constant input: rank correlation undefined")
-    return float(rp_c @ rt_c) / np.sqrt(var_p * var_t)
+    return r

@@ -183,6 +183,15 @@ def _bayes_ridge(Xs, yc, hyper):
     )
 
 
+def check_linear_hyper(kind, hyper):
+    """The range rules of `fit_linear`'s hyperparameters; an absent key takes
+    its default, which passes."""
+    if hyper.get("lam", 0.0) < 0:
+        raise ValueError(f"{kind} lam must be >= 0")
+    if hyper.get("max_sweeps", 1) < 1:
+        raise ValueError("'max_sweeps' must be an integer >= 1")
+
+
 def fit_linear(X, y, kind="ridge", hyper=None) -> LinearModel:
     """Fit one of ols / ridge / lasso / bayes_ridge on standardized features."""
     if kind not in LINEAR_KINDS:
@@ -192,6 +201,7 @@ def fit_linear(X, y, kind="ridge", hyper=None) -> LinearModel:
     if X.ndim != 2 or X.shape[0] != len(y) or len(y) < 2:
         raise ValueError("need a row matrix with matching targets, >= 2 rows")
     hyper = dict(hyper or {})
+    check_linear_hyper(kind, hyper)
 
     std = fit_standardizer(X)
     Xs = std.transform(X)
@@ -203,8 +213,6 @@ def fit_linear(X, y, kind="ridge", hyper=None) -> LinearModel:
         w = _solve_spd(Xs.T @ Xs, Xs.T @ yc)
     elif kind == "ridge":
         lam = float(hyper.setdefault("lam", 1.0))
-        if lam < 0:
-            raise ValueError("ridge lam must be >= 0")
         gram = Xs.T @ Xs + lam * np.eye(Xs.shape[1])
         w = _solve_spd(gram, Xs.T @ yc)
     elif kind == "lasso":
@@ -260,6 +268,14 @@ def _kernel_matrix(kernel, gamma, A, B):
     return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
+def check_svr_settings(kernel, C, epsilon):
+    """The range rules of `fit_svr`'s settings of the same names."""
+    if kernel not in SVR_KERNELS:
+        raise ValueError(f"unknown kernel {kernel!r}")
+    if C <= 0 or epsilon < 0:
+        raise ValueError("need C > 0 and epsilon >= 0")
+
+
 def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
             tol=1e-3, max_iter=1_000_000) -> SvrModel:
     """Solve the epsilon-insensitive dual by SMO on maximal-violating pairs.
@@ -269,10 +285,7 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
     constraint sum(b) = 0; beta = b[:n] + b[n:].  Stops when the max KKT
     violation drops to `tol`.
     """
-    if kernel not in SVR_KERNELS:
-        raise ValueError(f"unknown kernel {kernel!r}")
-    if C <= 0 or epsilon < 0:
-        raise ValueError("need C > 0 and epsilon >= 0")
+    check_svr_settings(kernel, C, epsilon)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(y) or len(y) < 2:

@@ -58,11 +58,27 @@ class TrainConfig:
     def __post_init__(self):
         _check_integer("batch_size", self.batch_size, 1)
         _check_integer("max_epochs", self.max_epochs, 1)
+        _check_integer("patience", self.patience, 1)
+        if not 0.0 <= self.validation_fraction < 1.0:
+            raise ValueError("'validation_fraction' must lie in [0, 1)")
 
 
 def _check_integer(key, value, least):
     if type(value) is not int or value < least:  # type(True) is bool
         raise ValueError(f"{key!r} must be an integer >= {least}")
+
+
+def check_architecture(hidden_units, dense_widths, recurrent_dropout_rate,
+                       dense_dropout_rate):
+    """The range rules of the `GruRegressor` settings of the same names."""
+    _check_integer("hidden_units", hidden_units, 1)
+    if not (isinstance(dense_widths, (list, tuple))
+            and all(type(w) is int and w > 0 for w in dense_widths)):
+        raise ValueError("'dense_widths' must be a list of positive integers")
+    if tuple(dense_widths)[-1:] != (1,):
+        raise ValueError("final dense width must be 1")
+    if not (0.0 <= recurrent_dropout_rate < 1.0 and 0.0 <= dense_dropout_rate < 1.0):
+        raise ValueError("dropout rates must lie in [0, 1)")
 
 
 def _glorot(rng, fan_in, fan_out, shape):
@@ -88,15 +104,9 @@ class GruRegressor:
                  recurrent_dropout_rate=0.8, dense_dropout_rate=0.25,
                  seed=0, train_config: TrainConfig | None = None):
         _check_integer("input_dim", input_dim, 1)
-        _check_integer("hidden_units", hidden_units, 1)
+        check_architecture(hidden_units, dense_widths, recurrent_dropout_rate,
+                           dense_dropout_rate)
         _check_integer("seed", seed, 0)
-        if not (isinstance(dense_widths, (list, tuple))
-                and all(type(w) is int and w > 0 for w in dense_widths)):
-            raise ValueError("'dense_widths' must be a list of positive integers")
-        if tuple(dense_widths)[-1:] != (1,):
-            raise ValueError("final dense width must be 1")
-        if not (0.0 <= recurrent_dropout_rate < 1.0 and 0.0 <= dense_dropout_rate < 1.0):
-            raise ValueError("dropout rates must lie in [0, 1)")
         self.input_dim = input_dim
         self.hidden_units = hidden_units
         self.dense_widths = tuple(dense_widths)

@@ -1,10 +1,13 @@
 """Independent reference implementations used only to check the library.
 
 Each oracle deliberately takes a different route than the code under test:
-SRCC by sort-and-scan ranking plus the textbook Pearson formula, the SVR
+SRCC by sort-and-scan ranking plus the textbook Pearson formula, the
+simplex grid by brute force over every bucket-count vector, the SVR
 dual by projected gradient with an exact simplex-style projection, ridge by
 explicit matrix inversion.
 """
+
+import itertools
 
 import numpy as np
 
@@ -35,6 +38,14 @@ def srcc_oracle(a, b):
     da = sum((x - ma) ** 2 for x in ra) ** 0.5
     db = sum((y - mb) ** 2 for y in rb) ** 0.5
     return num / (da * db)
+
+
+def simplex_oracle(k, bucket):
+    """Every k-vector of bucket multiples summing to 1, by filtering the full
+    (B + 1)^k product of bucket counts (lexicographic) by their sum B."""
+    B = round(1 / bucket)
+    return [[c / B for c in counts] for counts in itertools.product(range(B + 1), repeat=k)
+            if sum(counts) == B]
 
 
 def ridge_closed_form(X, y, lam):

@@ -6,11 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from vidmem.aggregate import PredictionTable, clamp_unit
 from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
-from vidmem.corpus import (Corpus, load_captions_csv, load_feature_csv, load_labels_csv,
-                           load_word_vectors)
+from vidmem.corpus import (Corpus, LabelTable, load_captions_csv, load_feature_csv,
+                           load_labels_csv, load_prediction_csv, load_word_vectors,
+                           write_labels_csv)
+from vidmem.ensemble import grid_search
 from vidmem.harness import (FeatureModelConfig, predict_table, train_feature_model,
                             write_prediction_csv)
+from vidmem.metrics import srcc
 from vidmem.regress import model_to_dict, save_model
 from vidmem.textmodel import GruRegressor, TrainingDivergedError
 
@@ -284,6 +288,21 @@ def _setting(*keys_and_value):
      "feature_models[0]: svr hyperparameter 'C' must be a number"),
     (_setting("feature_models", 0, "hyper", {"lam": None}),
      "feature_models[0]: ridge hyperparameter 'lam' must be a number"),
+    (_setting("feature_models", 0, "hyper", {"lam": -1}), "feature_models[0]: ridge lam must be >= 0"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "lasso", "hyper": {"lam": -1}}]),
+     "ensemble_models[0]: lasso lam must be >= 0"),
+    (_setting("feature_models", [{"feature": "featA", "model": "lasso", "hyper": {"max_sweeps": 0}}]),
+     "feature_models[0]: 'max_sweeps' must be an integer >= 1"),
+    (_setting("feature_models", [{"feature": "featA", "model": "svr", "hyper": {"kernel": "poly"}}]),
+     "feature_models[0]: unknown kernel 'poly'"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "svr", "hyper": {"C": 0}}]),
+     "ensemble_models[0]: need C > 0 and epsilon >= 0"),
+    (_setting("feature_models", [{"feature": "captions", "model": "gru",
+                                  "hyper": {"validation_fraction": 1.0}}]),
+     "feature_models[0]: 'validation_fraction' must lie in [0, 1)"),
+    (_setting("feature_models", [{"feature": "captions", "model": "gru", "hyper": {"patience": 0}}]),
+     "feature_models[0]: 'patience' must be an integer >= 1"),
+    (_setting("seeds", [0, -1]), "'seeds' must be >= 0, got -1"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
         "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
@@ -295,7 +314,9 @@ def _setting(*keys_and_value):
         "unknown-label-term", "models-not-list", "unknown-top-key", "unknown-data-key",
         "unknown-feature-set-key", "unknown-feature-model-entry-key",
         "unknown-ensemble-model-entry-key", "ensemble-hyper-not-number",
-        "feature-hyper-not-number", "null-lam"])
+        "feature-hyper-not-number", "null-lam", "negative-ridge-lam", "negative-lasso-lam",
+        "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience",
+        "negative-seed"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def not_reached(*args, **kwargs):
@@ -356,11 +377,19 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("gru", '{"dense_widths": [0, 1]}', "'dense_widths' must be a list of positive integers"),
     ("gru", '{"max_epochs": 0}', "'max_epochs' must be an integer >= 1"),
     ("gru", '{"batch_size": 0}', "'batch_size' must be an integer >= 1"),
+    ("ridge", '{"lam": -1}', "ridge lam must be >= 0"),
+    ("lasso", '{"lam": -1}', "lasso lam must be >= 0"),
+    ("lasso", '{"max_sweeps": 0}', "'max_sweeps' must be an integer >= 1"),
+    ("svr", '{"kernel": "poly"}', "unknown kernel 'poly'"),
+    ("svr", '{"C": 0}', "need C > 0 and epsilon >= 0"),
+    ("gru", '{"validation_fraction": 1.0}', "'validation_fraction' must lie in [0, 1)"),
+    ("gru", '{"patience": 0}', "'patience' must be an integer >= 1"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
         "unknown-ols-key", "params-not-json", "gru-without-dense-layers", "string-c",
         "string-gamma", "list-lam", "boolean-epsilon", "nan-tol", "float-max-sweeps",
         "numeric-kernel", "float-dense-width", "zero-hidden-units", "zero-dense-width",
-        "zero-max-epochs", "zero-batch-size"])
+        "zero-max-epochs", "zero-batch-size", "negative-ridge-lam", "negative-lasso-lam",
+        "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -403,7 +432,7 @@ def test_solver_failure_exits_1_without_traceback(synth_dir, tmp_path, capsys, m
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("line, message", [("v0001", "expected 2 or 3 fields, got 1"),
+@pytest.mark.parametrize("line, message", [("v0001", "expected 2, 3 or 4 fields, got 1"),
                                            ("v0001,high", "non-numeric score: 'high'"),
                                            ("v0001,nan,direct", "non-finite score: 'nan'")])
 def test_malformed_prediction_csv_reports_line(synth_dir, tmp_path, capsys, line, message):
@@ -422,6 +451,40 @@ def test_prediction_csv_scores_outside_unit_interval_accepted(tmp_path, capsys):
     pred.write_text("v0000,-3.0\nv0001,7.5,direct\n")
     assert main(["evaluate", "--pred", str(pred), "--truth", str(pred)]) == 0
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+def test_written_predictions_searched_and_evaluated_raw(tmp_path, capsys):
+    """Scores outside [0, 1] round-trip through the raw 4th column bit for
+    bit, so `ensemble-search` and `evaluate` on written tables give the
+    library's answers, which the clamped 2nd column would not."""
+    rng = np.random.default_rng(0)
+    ids = [f"v{i:04d}" for i in range(40)]
+    truth = LabelTable("short", dict(zip(ids, rng.random(40).tolist())))
+    write_labels_csv(truth, tmp_path / "truth.csv")
+    tables, paths = [], []
+    for m in range(3):
+        scores = dict(zip(ids, rng.normal(0.5, 1.0, 40).tolist()))
+        tables.append(PredictionTable(f"m{m}", scores, dict.fromkeys(ids, "direct")))
+        paths.append(str(tmp_path / f"m{m}.csv"))
+        write_prediction_csv(tables[-1], paths[-1])
+        assert load_prediction_csv(paths[-1]) == scores
+    clamped = [PredictionTable(tb.model_name, {v: clamp_unit(x) for v, x in tb.scores.items()},
+                               tb.coverage) for tb in tables]
+
+    expected = grid_search(tables, truth, bucket=0.1)
+    assert grid_search(clamped, truth, bucket=0.1).weights != expected.weights
+    assert main(["ensemble-search", "--pred", *paths, "--truth", str(tmp_path / "truth.csv"),
+                 "--bucket", "0.1", "--out", str(tmp_path / "w.json")]) == 0
+    doc = json.loads((tmp_path / "w.json").read_text())
+    assert (doc["weights"], doc["validation_srcc"]) == (list(expected.weights),
+                                                        expected.validation_srcc)
+
+    t = [truth.scores[v] for v in ids]
+    value = srcc([tables[0].scores[v] for v in ids], t)
+    assert f"{value:.6f}" != f"{srcc([clamped[0].scores[v] for v in ids], t):.6f}"
+    capsys.readouterr()
+    assert main(["evaluate", "--pred", paths[0], "--truth", str(tmp_path / "truth.csv")]) == 0
+    assert capsys.readouterr().out == f"{value:.6f}\n"
 
 
 def _train_ridge_without_features(synth_dir, tmp_path):

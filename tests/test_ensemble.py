@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oracles import srcc_oracle
+from oracles import simplex_oracle, srcc_oracle
 from vidmem import ensemble
 from vidmem.aggregate import PredictionTable
 from vidmem.corpus import LabelTable
@@ -35,6 +35,13 @@ class TestEnumerateSimplex:
             for B in (2, 5, 10, 20):
                 grid = enumerate_simplex(k, 1.0 / B)
                 assert len(grid) == math.comb(B + k - 1, k - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_matches_brute_force_oracle(self, k):
+        for bucket in (1, 0.5, 0.25, 0.2, 0.1, 0.05):
+            grid = enumerate_simplex(k, bucket)
+            assert grid == simplex_oracle(k, bucket)
+            assert all(type(x) is float for w in grid for x in w)
 
     def test_vectors_sum_to_one_nonnegative(self):
         for w in enumerate_simplex(4, 0.05):

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from oracles import ranks_oracle, srcc_oracle
-from vidmem.metrics import ConstantInputError, fractional_ranks, srcc
+from vidmem.metrics import (ConstantInputError, centred_ranks, fractional_ranks,
+                            rank_correlation, srcc)
 
 
 def test_identical_ordering():
@@ -71,6 +72,14 @@ def test_non_finite_rejected():
         srcc([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="inputs must be finite"):
         srcc([1.0, 2.0, 3.0], [1.0, np.inf, 3.0])
+
+
+def test_kernel_nan_exactly_where_a_side_is_constant():
+    rows = np.array([[0.3, 0.1, 0.2], [0.5, 0.5, 0.5], [0.1, 0.2, 0.2]])
+    got = rank_correlation(centred_ranks(rows), centred_ranks([0.1, 0.3, 0.2]))
+    assert np.isnan(got[1]) and not np.isnan(got[[0, 2]]).any()
+    assert got[0] == srcc(rows[0], [0.1, 0.3, 0.2])
+    assert np.isnan(rank_correlation(centred_ranks(rows), centred_ranks([4.0, 4.0, 4.0]))).all()
 
 
 def test_rows_ranked_independently_as_oracle():
