@@ -256,6 +256,21 @@ class TestGruTraining:
         assert {k: v.tolist() for k, v in grads.items()} == step["grads"]
         assert rng.random() == step["next_draw"]
 
+    def test_matches_recorded_minibatch_fits_bit_for_bit(self):
+        # D = H = 16, the default head and dropout, ragged lengths in shuffled
+        # order, and a partial last minibatch
+        doc = json.loads(
+            (Path(__file__).parent / "data" / "gru_parent_batch_fits.json").read_text())
+        samples = [(vid, np.array(X), y) for vid, X, y in doc["samples"]]
+        cfg = TrainConfig(batch_size=doc["batch_size"], max_epochs=doc["max_epochs"],
+                          validation_fraction=doc["validation_fraction"])
+        model = GruRegressor(input_dim=16, hidden_units=doc["hidden_units"], seed=doc["seed"],
+                             train_config=cfg)
+        assert gru_train(model, samples) == doc["training_log"]
+        assert {k: v.tolist() for k, v in model.params.items()} == doc["params"]
+        assert model.rng.random() == doc["next_draw"]
+        assert model.predict([X for _, X, _ in samples]) == doc["predictions"]
+
     def test_serialization_round_trip(self):
         model = small_model()
         loaded = model_from_dict(model_to_dict(model))
