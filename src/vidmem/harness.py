@@ -291,11 +291,13 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
     """Per-input predictions aggregated to one score per requested video.
 
     A feature model predicts the videos with the same row count L in one
-    call on their `(n_L, L, d)` block; a GRU predicts each video's captions.
+    call on their `(n_L, L, d)` block; a GRU predicts every caption of the
+    requested videos in one call.
     """
     inputs = _inputs(corpus, config, ids)
     if config.model == "gru":
-        per_row = {vid: model.predict(x) for vid, x in inputs.items()}
+        scores = iter(model.predict([x for xs in inputs.values() for x in xs]))
+        per_row = {vid: [next(scores) for _ in xs] for vid, xs in inputs.items()}
     else:
         vids, per_row = list(inputs), {}
         for positions, block in by_length(list(inputs.values())):

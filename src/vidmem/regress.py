@@ -190,6 +190,8 @@ def check_linear_hyper(kind, hyper):
         raise ValueError(f"{kind} lam must be >= 0")
     if hyper.get("max_sweeps", 1) < 1:
         raise ValueError("'max_sweeps' must be an integer >= 1")
+    if not hyper.get("tol", 1.0) > 0:  # the stop test is `change < tol`
+        raise ValueError(f"{kind} tol must be > 0")
 
 
 def fit_linear(X, y, kind="ridge", hyper=None) -> LinearModel:
@@ -268,12 +270,16 @@ def _kernel_matrix(kernel, gamma, A, B):
     return np.exp(-gamma * np.clip(sq, 0.0, None))
 
 
-def check_svr_settings(kernel, C, epsilon):
+def check_svr_settings(kernel, C, epsilon, gamma, tol):
     """The range rules of `fit_svr`'s settings of the same names."""
     if kernel not in SVR_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if C <= 0 or epsilon < 0:
         raise ValueError("need C > 0 and epsilon >= 0")
+    if not (gamma is None or gamma > 0):  # exp(+|gamma| d^2) is no kernel
+        raise ValueError("'gamma' must be > 0 or null")
+    if not tol > 0:
+        raise ValueError("svr tol must be > 0")
 
 
 def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
@@ -285,7 +291,7 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
     constraint sum(b) = 0; beta = b[:n] + b[n:].  Stops when the max KKT
     violation drops to `tol`.
     """
-    check_svr_settings(kernel, C, epsilon)
+    check_svr_settings(kernel, C, epsilon, gamma, tol)
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or X.shape[0] != len(y) or len(y) < 2:

@@ -96,6 +96,12 @@ class GruRegressor:
         h' = (1 - z)*h + z*c
     The final hidden state feeds affine layers of the configured widths with
     ReLU on all but the last.  Dropout is inverted (scaled at train time).
+
+    `forward` and `backward` take a whole minibatch of captions of any
+    lengths at once; each caption's score, dropout draws and gradient have
+    the bits they have in a minibatch of one.  `gru_train` makes one
+    forward and one backward call per minibatch, and `predict` one forward
+    call over all the captions it is given.
     """
 
     kind = "gru"
@@ -133,79 +139,138 @@ class GruRegressor:
 
     # -- forward / backward ------------------------------------------------
 
-    def forward(self, vectors, train=False, rng=None):
-        """Score one sequence; returns (score, cache for backward).  Dropout
-        masks are multipliers, 1.0 with no draw when off: masks[0] drops the
-        final hidden state and masks[k + 1] the output of dense layer k."""
-        X = np.asarray(vectors, dtype=float)
-        if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != self.input_dim:
-            raise ValueError(f"expected a non-empty (steps, {self.input_dim}) array")
-        p = self.params
-        h = np.zeros(self.hidden_units)
-        steps = []
-        for x in X:
-            z = _sigmoid(x @ p["Wz"] + h @ p["Uz"] + p["bz"])
-            r = _sigmoid(x @ p["Wr"] + h @ p["Ur"] + p["br"])
-            c = np.tanh(x @ p["Wh"] + (r * h) @ p["Uh"] + p["bh"])
-            steps.append((x, h, z, r, c))
-            h = (1.0 - z) * h + z * c
+    def forward(self, sequences, train=False, rng=None):
+        """Score a minibatch of embedded captions, each a non-empty
+        (steps, input_dim) array; returns (scores in input order, cache for
+        backward).
 
-        masks = [_dropout_mask(h.shape, self.recurrent_dropout_rate, train, rng)]
+        The samples run longest first, so those still running at step t are
+        a prefix of the batch.  Every row gives the bits it gives alone:
+        each vector-matrix product is one gemv per row (`_vecmat`).  Dropout
+        masks are multipliers, 1.0 with no draw when off: masks[0] drops the
+        final hidden state and masks[k + 1] the output of dense layer k.
+        """
+        Xs = [np.asarray(v, dtype=float) for v in sequences]
+        for X in Xs:
+            if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != self.input_dim:
+                raise ValueError(f"expected a non-empty (steps, {self.input_dim}) array")
+        lengths = np.array([len(X) for X in Xs], dtype=int)
+        order = np.argsort(-lengths, kind="stable")
+        lengths = lengths[order]
+        X_t = np.zeros((lengths.max(initial=0), len(Xs), self.input_dim))  # time-major
+        for j, b in enumerate(order.tolist()):
+            X_t[:lengths[j], j] = Xs[b]
+
+        p = self.params
+        h = np.zeros((len(Xs), self.hidden_units))
+        steps = []
+        for t, x_all in enumerate(X_t):
+            n = int(np.count_nonzero(lengths > t))
+            x, h_prev = x_all[:n], h[:n].copy()
+            z = _sigmoid(_vecmat(x, p["Wz"]) + _vecmat(h_prev, p["Uz"]) + p["bz"])
+            r = _sigmoid(_vecmat(x, p["Wr"]) + _vecmat(h_prev, p["Ur"]) + p["br"])
+            c = np.tanh(_vecmat(x, p["Wh"]) + _vecmat(r * h_prev, p["Uh"]) + p["bh"])
+            steps.append((x, h_prev, z, r, c))
+            h[:n] = (1.0 - z) * h_prev + z * c
+
+        masks = self._dropout_masks(order, train, rng)
         v = h * masks[0]
         dense = []
         n_dense = len(self.dense_widths)
         for k in range(n_dense):
-            pre = v @ p[f"dW{k}"] + p[f"db{k}"]
+            pre = _vecmat(v, p[f"dW{k}"]) + p[f"db{k}"]
             dense.append((v, pre))
             if k < n_dense - 1:
-                masks.append(_dropout_mask(pre.shape, self.dense_dropout_rate, train, rng))
-                v = np.maximum(pre, 0.0) * masks[-1]
-        return float(pre[0]), {"steps": steps, "masks": masks, "dense": dense}
+                v = np.maximum(pre, 0.0) * masks[k + 1]
+        scores = np.empty(len(Xs))
+        scores[order] = pre[:, 0]
+        return scores, {"order": order, "steps": steps, "masks": masks, "dense": dense}
 
-    def backward(self, cache, dscore):
-        """Gradients of (dscore * score) w.r.t. every parameter."""
-        p = self.params
-        grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    def _dropout_masks(self, order, train, rng):
+        """The inverted-dropout multipliers, one (batch, width) array per
+        dropped layer in the batch's sorted `order`, or 1.0 (x * 1.0 == x
+        exactly) for a layer without dropout.  One draw covers the batch:
+        row b holds sample b's draws in the order its own forward pass
+        would make them."""
+        widths = (self.hidden_units,) + self.dense_widths[:-1]
+        rates = (self.recurrent_dropout_rate,) + (self.dense_dropout_rate,) * (len(widths) - 1)
+        drawn = [w if train and rate > 0.0 else 0 for w, rate in zip(widths, rates)]
+        if not any(drawn):
+            return [1.0] * len(widths)
+        draws = np.split(rng.random((len(order), sum(drawn)))[order], np.cumsum(drawn)[:-1], axis=1)
+        return [(u >= rate) / (1.0 - rate) if w else 1.0
+                for u, w, rate in zip(draws, drawn, rates)]
+
+    def backward(self, cache, dscores):
+        """Gradients of sum_b dscores[b] * scores[b] w.r.t. every parameter.
+
+        Each sample's gradient builds up on its own over its reversed steps,
+        and the samples are added to zeros one at a time in batch order, so
+        the sum has the bits of adding the B = 1 gradients in that order.
+        """
+        p, order = self.params, cache["order"]
+        per_sample = np.zeros((len(order), sum(arr.size for arr in p.values())))
+        grads = _param_views(per_sample, p)  # rows in sorted order
         n_dense = len(self.dense_widths)
 
-        dv = np.array([dscore])
+        dv = np.asarray(dscores, dtype=float)[order][:, None]
         for k in reversed(range(n_dense)):
             v_in, pre = cache["dense"][k]
             dpre = dv * cache["masks"][k + 1] * (pre > 0.0) if k < n_dense - 1 else dv
-            grads[f"dW{k}"] += np.outer(v_in, dpre)
+            grads[f"dW{k}"] += _outer(v_in, dpre)
             grads[f"db{k}"] += dpre
-            dv = dpre @ p[f"dW{k}"].T
+            dv = _vecmat(dpre, p[f"dW{k}"].T)
 
         dh = dv * cache["masks"][0]
         for x, h_prev, z, r, c in reversed(cache["steps"]):
-            dc_pre = dh * z * (1.0 - c * c)
-            grads["Wh"] += np.outer(x, dc_pre)
-            grads["Uh"] += np.outer(r * h_prev, dc_pre)
-            grads["bh"] += dc_pre
-            tmp = dc_pre @ p["Uh"].T
-            dh_prev = dh * (1.0 - z) + tmp * r
+            n = len(x)
+            dh_n = dh[:n]
+            dc_pre = dh_n * z * (1.0 - c * c)
+            grads["Wh"][:n] += _outer(x, dc_pre)
+            grads["Uh"][:n] += _outer(r * h_prev, dc_pre)
+            grads["bh"][:n] += dc_pre
+            tmp = _vecmat(dc_pre, p["Uh"].T)
+            dh_prev = dh_n * (1.0 - z) + tmp * r
             # z before r: the order of the dh_prev sum is part of the result
-            for gate, g, dg in (("z", z, dh * (c - h_prev)), ("r", r, tmp * h_prev)):
+            for gate, g, dg in (("z", z, dh_n * (c - h_prev)), ("r", r, tmp * h_prev)):
                 dg_pre = dg * g * (1.0 - g)
-                grads[f"W{gate}"] += np.outer(x, dg_pre)
-                grads[f"U{gate}"] += np.outer(h_prev, dg_pre)
-                grads[f"b{gate}"] += dg_pre
-                dh_prev += dg_pre @ p[f"U{gate}"].T
-            dh = dh_prev
-        return grads
+                grads[f"W{gate}"][:n] += _outer(x, dg_pre)
+                grads[f"U{gate}"][:n] += _outer(h_prev, dg_pre)
+                grads[f"b{gate}"][:n] += dg_pre
+                dh_prev += _vecmat(dg_pre, p[f"U{gate}"].T)
+            dh[:n] = dh_prev
+
+        total = np.zeros(per_sample.shape[1])
+        for row in per_sample[np.argsort(order)]:  # batch order
+            total += row
+        return _param_views(total, p)
 
     def predict_sequence(self, vectors) -> float:
-        score, _ = self.forward(vectors, train=False)
-        return score
+        return self.predict([vectors])[0]
 
     def predict(self, sequences) -> list[float]:
-        """One score per embedded caption."""
-        return [self.predict_sequence(v) for v in sequences]
+        """One score per embedded caption, from one forward pass over all."""
+        return self.forward(sequences)[0].tolist()
 
 
-def _dropout_mask(shape, rate, train, rng):
-    """Inverted-dropout multiplier; 1.0 (x * 1.0 == x exactly) when off."""
-    return (rng.random(shape) >= rate) / (1.0 - rate) if train and rate > 0.0 else 1.0
+def _vecmat(a, M):
+    """Each row of `a` times `M`, as a stack of vector-matrix products: a
+    2-D matrix product would sum in another order and change the bits."""
+    return (a[:, None, :] @ M)[:, 0]
+
+
+def _outer(a, b):
+    """The outer product of each row of `a` with the same row of `b`."""
+    return a[:, :, None] * b[:, None, :]
+
+
+def _param_views(flat, params):
+    """Views of the last axis of `flat`, one per parameter, in its shape."""
+    views, start = {}, 0
+    for name, arr in params.items():
+        views[name] = flat[..., start:start + arr.size].reshape(flat.shape[:-1] + arr.shape)
+        start += arr.size
+    return views
 
 
 def _sigmoid(x):
@@ -245,8 +310,8 @@ def gru_train(model: GruRegressor, samples):
     adam_t = 0
 
     def val_mse():
-        errs = [(model.predict_sequence(samples[i][1]) - samples[i][2]) ** 2 for i in val_idx]
-        return float(np.mean(errs))
+        scores = model.predict([samples[i][1] for i in val_idx])
+        return float(np.mean([(s - samples[i][2]) ** 2 for i, s in zip(val_idx, scores)]))
 
     best_val = np.inf
     best_params = {k: v.copy() for k, v in model.params.items()}
@@ -259,16 +324,14 @@ def gru_train(model: GruRegressor, samples):
         sq_sum, count = 0.0, 0
         for start in range(0, len(order), cfg.batch_size):
             batch = [train_idx[i] for i in order[start:start + cfg.batch_size]]
-            grads = {k: np.zeros_like(v) for k, v in model.params.items()}
-            for i in batch:
-                _, vectors, label = samples[i]
-                score, cache = model.forward(vectors, train=True, rng=rng)
-                err = score - label
+            scores, cache = model.forward([samples[i][1] for i in batch], train=True, rng=rng)
+            dscores = []
+            for i, score in zip(batch, scores.tolist()):
+                err = score - samples[i][2]
                 sq_sum += err * err
                 count += 1
-                g = model.backward(cache, 2.0 * err / len(batch))
-                for k in grads:
-                    grads[k] += g[k]
+                dscores.append(2.0 * err / len(batch))
+            grads = model.backward(cache, dscores)
             adam_t += 1
             lr_t = cfg.learning_rate * np.sqrt(1.0 - cfg.beta2 ** adam_t) / (1.0 - cfg.beta1 ** adam_t)
             for k, param in model.params.items():

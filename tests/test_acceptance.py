@@ -161,11 +161,11 @@ def test_criterion_07_gru_gradients_and_determinism():
     label = 0.3
 
     def loss():
-        s, _ = model.forward(X)
-        return (s - label) ** 2
+        s, _ = model.forward([X])
+        return (s[0] - label) ** 2
 
-    s, cache = model.forward(X)
-    grads = model.backward(cache, 2.0 * (s - label))
+    s, cache = model.forward([X])
+    grads = model.backward(cache, [2.0 * (s[0] - label)])
     h = 1e-5
     max_rel = 0.0
     for name, arr in model.params.items():

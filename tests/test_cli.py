@@ -303,6 +303,17 @@ def _setting(*keys_and_value):
     (_setting("feature_models", [{"feature": "captions", "model": "gru", "hyper": {"patience": 0}}]),
      "feature_models[0]: 'patience' must be an integer >= 1"),
     (_setting("seeds", [0, -1]), "'seeds' must be >= 0, got -1"),
+    (_setting("feature_models", [{"feature": "featA", "model": "svr", "hyper": {"gamma": -1}}]),
+     "feature_models[0]: 'gamma' must be > 0 or null"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "svr", "hyper": {"gamma": 0}}]),
+     "ensemble_models[0]: 'gamma' must be > 0 or null"),
+    (_setting("feature_models", [{"feature": "featA", "model": "svr", "hyper": {"tol": 0}}]),
+     "feature_models[0]: svr tol must be > 0"),
+    (_setting("feature_models", [{"feature": "featA", "model": "lasso", "hyper": {"tol": -1}}]),
+     "feature_models[0]: lasso tol must be > 0"),
+    (_setting("ensemble_models", [{"feature": "featA", "model": "bayes_ridge",
+                                   "hyper": {"tol": 0}}]),
+     "ensemble_models[0]: bayes_ridge tol must be > 0"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
         "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
@@ -316,7 +327,8 @@ def _setting(*keys_and_value):
         "unknown-ensemble-model-entry-key", "ensemble-hyper-not-number",
         "feature-hyper-not-number", "null-lam", "negative-ridge-lam", "negative-lasso-lam",
         "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience",
-        "negative-seed"])
+        "negative-seed", "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol",
+        "zero-bayes-tol"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def not_reached(*args, **kwargs):
@@ -384,12 +396,18 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("svr", '{"C": 0}', "need C > 0 and epsilon >= 0"),
     ("gru", '{"validation_fraction": 1.0}', "'validation_fraction' must lie in [0, 1)"),
     ("gru", '{"patience": 0}', "'patience' must be an integer >= 1"),
+    ("svr", '{"gamma": -1}', "'gamma' must be > 0 or null"),
+    ("svr", '{"gamma": 0}', "'gamma' must be > 0 or null"),
+    ("svr", '{"tol": 0}', "svr tol must be > 0"),
+    ("lasso", '{"tol": -1}', "lasso tol must be > 0"),
+    ("bayes", '{"tol": 0}', "bayes_ridge tol must be > 0"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
         "unknown-ols-key", "params-not-json", "gru-without-dense-layers", "string-c",
         "string-gamma", "list-lam", "boolean-epsilon", "nan-tol", "float-max-sweeps",
         "numeric-kernel", "float-dense-width", "zero-hidden-units", "zero-dense-width",
         "zero-max-epochs", "zero-batch-size", "negative-ridge-lam", "negative-lasso-lam",
-        "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience"])
+        "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience",
+        "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol", "zero-bayes-tol"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"

@@ -337,12 +337,12 @@ class TestSerialization:
         save_model(model, path)
         loaded = load_model(path)
         X = np.random.default_rng(16).normal(size=(4, 3))
-        assert loaded.forward(X)[0] == model.forward(X)[0]
+        assert loaded.forward([X])[0][0] == model.forward([X])[0][0]
 
     def test_gru_file_from_earlier_cli_loads(self):
         # written by `vidmem train --model gru` when GRU files bypassed save_model;
         # the expected scores are what that version predicted from the file
         model = load_model(Path(__file__).parent / "data" / "gru_model_legacy_cli.json")
         X = np.array([[0.1, -0.2], [0.5, 0.3], [-0.4, 0.2]])
-        assert model.forward(X)[0] == 0.17032157143271062
-        assert model.forward(X[:1])[0] == -0.055665545823621
+        assert model.forward([X])[0][0] == 0.17032157143271062
+        assert model.forward([X[:1]])[0][0] == -0.055665545823621

@@ -70,14 +70,14 @@ class TestGruForward:
         model.params["db3"][0] = 0.125
         rng = np.random.default_rng(0)
         for _ in range(3):
-            score, _ = model.forward(rng.normal(size=(4, 5)))
-            assert score == 0.125
+            scores, _ = model.forward([rng.normal(size=(4, 5))])
+            assert scores[0] == 0.125
 
     def test_dropout_zero_train_equals_eval(self):
         model = small_model()
         X = np.random.default_rng(1).normal(size=(3, 5))
-        eval_score, _ = model.forward(X, train=False)
-        train_score, _ = model.forward(X, train=True, rng=np.random.default_rng(9))
+        eval_score, _ = model.forward([X], train=False)
+        train_score, _ = model.forward([X], train=True, rng=np.random.default_rng(9))
         assert train_score == eval_score
 
     def test_matches_step_by_step_oracle(self):
@@ -98,29 +98,29 @@ class TestGruForward:
         for k in range(4):
             pre = v @ p[f"dW{k}"] + p[f"db{k}"]
             v = np.maximum(pre, 0.0) if k < 3 else pre
-        score, _ = model.forward(X)
-        assert abs(score - v[0]) <= 1e-12
+        scores, _ = model.forward([X])
+        assert abs(scores[0] - v[0]) <= 1e-12
 
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
-            small_model().forward(np.empty((0, 5)))
+            small_model().forward([np.empty((0, 5))])
 
     def test_predict_scores_each_sequence(self):
         model = small_model()
         rng = np.random.default_rng(5)
         sequences = [rng.normal(size=(n, 5)) for n in (1, 3, 2)]
-        assert model.predict(sequences) == [model.forward(X)[0] for X in sequences]
+        assert model.predict(sequences) == [model.forward([X])[0][0] for X in sequences]
 
 
 def max_gradient_error(model, forward, label=0.3):
     """Largest relative gap between backward() and central differences of
-    (score - label)**2, where forward() maps the model to (score, cache)."""
+    (score - label)**2, where forward() maps the model to ([score], cache)."""
     def loss():
         s, _ = forward()
-        return (s - label) ** 2
+        return (s[0] - label) ** 2
 
     s, cache = forward()
-    grads = model.backward(cache, 2.0 * (s - label))
+    grads = model.backward(cache, [2.0 * (s[0] - label)])
 
     h = 1e-5
     max_rel = 0.0
@@ -145,17 +145,40 @@ class TestGruGradients:
     def test_gradient_check(self):
         model = small_model()
         X = np.random.default_rng(3).normal(size=(3, 5))
-        assert max_gradient_error(model, lambda: model.forward(X)) <= 1e-4
+        assert max_gradient_error(model, lambda: model.forward([X])) <= 1e-4
+
+    def test_minibatch_equals_minibatches_of_one(self):
+        model = small_model(recurrent_dropout_rate=0.5, dense_dropout_rate=0.3, seed=13)
+        data = np.random.default_rng(14)
+        lengths = (3, 1, 7, 3, 5, 2, 7, 1, 4)  # ragged, unsorted, with ties
+        sequences = [data.normal(size=(n, 5)) for n in lengths]
+        dscores = data.normal(size=len(lengths)).tolist()
+
+        rng = np.random.default_rng(15)
+        scores, cache = model.forward(sequences, train=True, rng=rng)
+        grads = model.backward(cache, dscores)
+
+        rng_one = np.random.default_rng(15)
+        summed = {k: np.zeros_like(v) for k, v in model.params.items()}
+        for X, d, score in zip(sequences, dscores, scores.tolist()):
+            one, cache_one = model.forward([X], train=True, rng=rng_one)
+            assert one.tolist() == [score]
+            g = model.backward(cache_one, [d])
+            for k in summed:
+                summed[k] += g[k]
+        assert {k: v.tolist() for k, v in grads.items()} == \
+            {k: v.tolist() for k, v in summed.items()}
+        assert rng.random() == rng_one.random()
 
     def test_gradient_check_with_dropout_masks(self):
         # re-seeding before every forward keeps the drawn masks fixed, so the
         # masked backward path is checked against the same function
         model = small_model(recurrent_dropout_rate=0.5, dense_dropout_rate=0.3, seed=11)
         X = np.random.default_rng(12).normal(size=(4, 5))
-        _, cache = model.forward(X, train=True, rng=np.random.default_rng(7))
+        _, cache = model.forward([X], train=True, rng=np.random.default_rng(7))
         assert 0.0 in cache["masks"][0] and any(0.0 in m for m in cache["masks"][1:])
         assert max_gradient_error(
-            model, lambda: model.forward(X, train=True, rng=np.random.default_rng(7))) <= 1e-4
+            model, lambda: model.forward([X], train=True, rng=np.random.default_rng(7))) <= 1e-4
 
 
 class TestDropout:
@@ -250,9 +273,9 @@ class TestGruTraining:
         model = GruRegressor(input_dim=3, hidden_units=4, dense_widths=(3, 2, 2, 1),
                              recurrent_dropout_rate=0.5, dense_dropout_rate=0.3, seed=11)
         rng = np.random.default_rng(step["rng_seed"])
-        score, cache = model.forward(np.array(step["X"]), train=True, rng=rng)
-        grads = model.backward(cache, step["dscore"])
-        assert score == step["score"]
+        scores, cache = model.forward([np.array(step["X"])], train=True, rng=rng)
+        grads = model.backward(cache, [step["dscore"]])
+        assert scores[0] == step["score"]
         assert {k: v.tolist() for k, v in grads.items()} == step["grads"]
         assert rng.random() == step["next_draw"]
 
@@ -275,4 +298,4 @@ class TestGruTraining:
         model = small_model()
         loaded = model_from_dict(model_to_dict(model))
         X = np.random.default_rng(9).normal(size=(3, 5))
-        assert loaded.forward(X)[0] == model.forward(X)[0]
+        assert loaded.forward([X])[0][0] == model.forward([X])[0][0]
