@@ -272,14 +272,19 @@ def _kernel_matrix(kernel, gamma, A, B):
 
 def check_svr_settings(kernel, C, epsilon, gamma, tol):
     """The range rules of `fit_svr`'s settings of the same names."""
+    check_svr_model(kernel, C, epsilon, gamma)
+    if not tol > 0:
+        raise ValueError("svr tol must be > 0")
+
+
+def check_svr_model(kernel, C, epsilon, gamma):
+    """The range rules of the settings an `SvrModel` keeps (not the solver's `tol`)."""
     if kernel not in SVR_KERNELS:
         raise ValueError(f"unknown kernel {kernel!r}")
     if C <= 0 or epsilon < 0:
         raise ValueError("need C > 0 and epsilon >= 0")
     if not (gamma is None or gamma > 0):  # exp(+|gamma| d^2) is no kernel
         raise ValueError("'gamma' must be > 0 or null")
-    if not tol > 0:
-        raise ValueError("svr tol must be > 0")
 
 
 def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
@@ -399,7 +404,8 @@ def _array(value, shape, what):
 def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
     """The model `model_to_dict` wrote; a malformed document raises ValueError,
     or KeyError or TypeError for a missing or mistyped entry.  A GRU's params
-    must have the names and shapes of a fresh model of the same architecture."""
+    must have the names and shapes of a fresh model of the same architecture,
+    and an SVR's settings must pass `check_svr_model`."""
     if not isinstance(doc, dict):
         raise ValueError("a model must be a JSON object")
     if doc["family"] == "gru":
@@ -429,12 +435,14 @@ def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
                            intercept=float(_array(doc["intercept"], (), "'intercept'")),
                            hyper=dict(doc["hyper"]), standardizer=std)
     n = np.size(doc["dual_coefs"])
-    return SvrModel(kernel=doc["kernel"], gamma=float(_array(doc["gamma"], (), "'gamma'")),
-                    C=float(_array(doc["C"], (), "'C'")),
-                    epsilon=float(_array(doc["epsilon"], (), "'epsilon'")),
-                    support_vectors=_array(doc["support_vectors"], (n, d), "'support_vectors'"),
-                    dual_coefs=_array(doc["dual_coefs"], (n,), "'dual_coefs'"),
-                    bias=float(_array(doc["bias"], (), "'bias'")), standardizer=std)
+    model = SvrModel(kernel=doc["kernel"], gamma=float(_array(doc["gamma"], (), "'gamma'")),
+                     C=float(_array(doc["C"], (), "'C'")),
+                     epsilon=float(_array(doc["epsilon"], (), "'epsilon'")),
+                     support_vectors=_array(doc["support_vectors"], (n, d), "'support_vectors'"),
+                     dual_coefs=_array(doc["dual_coefs"], (n,), "'dual_coefs'"),
+                     bias=float(_array(doc["bias"], (), "'bias'")), standardizer=std)
+    check_svr_model(model.kernel, model.C, model.epsilon, model.gamma)
+    return model
 
 
 def save_model(model, path):

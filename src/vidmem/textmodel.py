@@ -14,6 +14,9 @@ from .corpus import WordVectorTable
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
+# Adam's fixed constants (Kingma & Ba, arXiv:1412.6980)
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class TokenizeError(ValueError):
     """Caption produced no tokens."""
@@ -51,11 +54,10 @@ class TrainConfig:
     max_epochs: int = 150
     patience: int = 10
     validation_fraction: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
 
     def __post_init__(self):
+        if not self.learning_rate > 0:
+            raise ValueError("'learning_rate' must be > 0")
         _check_integer("batch_size", self.batch_size, 1)
         _check_integer("max_epochs", self.max_epochs, 1)
         _check_integer("patience", self.patience, 1)
@@ -98,10 +100,10 @@ class GruRegressor:
     ReLU on all but the last.  Dropout is inverted (scaled at train time).
 
     `forward` and `backward` take a whole minibatch of captions of any
-    lengths at once; each caption's score, dropout draws and gradient have
-    the bits they have in a minibatch of one.  `gru_train` makes one
-    forward and one backward call per minibatch, and `predict` one forward
-    call over all the captions it is given.
+    lengths at once, in batch order; each caption's score, dropout draws
+    and gradient have the bits they have in a minibatch of one.
+    `gru_train` makes one forward and one backward call per minibatch, and
+    `predict` one forward call per `train_config.batch_size` captions.
     """
 
     kind = "gru"
@@ -141,39 +143,36 @@ class GruRegressor:
 
     def forward(self, sequences, train=False, rng=None):
         """Score a minibatch of embedded captions, each a non-empty
-        (steps, input_dim) array; returns (scores in input order, cache for
-        backward).
+        (steps, input_dim) array; returns (scores, cache for backward).
 
-        The samples run longest first, so those still running at step t are
-        a prefix of the batch.  Every row gives the bits it gives alone:
-        each vector-matrix product is one gemv per row (`_vecmat`).  Dropout
-        masks are multipliers, 1.0 with no draw when off: masks[0] drops the
-        final hidden state and masks[k + 1] the output of dense layer k.
+        The rows still running at step t are the mask `lengths > t`.  Every
+        row gives the bits it gives alone: each vector-matrix product is one
+        gemv per row (`_vecmat`).  Dropout masks are multipliers, 1.0 with
+        no draw when off: masks[0] drops the final hidden state and
+        masks[k + 1] the output of dense layer k.
         """
         Xs = [np.asarray(v, dtype=float) for v in sequences]
         for X in Xs:
             if X.ndim != 2 or X.shape[0] == 0 or X.shape[1] != self.input_dim:
                 raise ValueError(f"expected a non-empty (steps, {self.input_dim}) array")
         lengths = np.array([len(X) for X in Xs], dtype=int)
-        order = np.argsort(-lengths, kind="stable")
-        lengths = lengths[order]
         X_t = np.zeros((lengths.max(initial=0), len(Xs), self.input_dim))  # time-major
-        for j, b in enumerate(order.tolist()):
-            X_t[:lengths[j], j] = Xs[b]
+        for b, X in enumerate(Xs):
+            X_t[:len(X), b] = X
 
         p = self.params
         h = np.zeros((len(Xs), self.hidden_units))
         steps = []
         for t, x_all in enumerate(X_t):
-            n = int(np.count_nonzero(lengths > t))
-            x, h_prev = x_all[:n], h[:n].copy()
+            running = lengths > t
+            x, h_prev = x_all[running], h[running]
             z = _sigmoid(_vecmat(x, p["Wz"]) + _vecmat(h_prev, p["Uz"]) + p["bz"])
             r = _sigmoid(_vecmat(x, p["Wr"]) + _vecmat(h_prev, p["Ur"]) + p["br"])
             c = np.tanh(_vecmat(x, p["Wh"]) + _vecmat(r * h_prev, p["Uh"]) + p["bh"])
-            steps.append((x, h_prev, z, r, c))
-            h[:n] = (1.0 - z) * h_prev + z * c
+            steps.append((running, x, h_prev, z, r, c))
+            h[running] = (1.0 - z) * h_prev + z * c
 
-        masks = self._dropout_masks(order, train, rng)
+        masks = self._dropout_masks(len(Xs), train, rng)
         v = h * masks[0]
         dense = []
         n_dense = len(self.dense_widths)
@@ -182,38 +181,35 @@ class GruRegressor:
             dense.append((v, pre))
             if k < n_dense - 1:
                 v = np.maximum(pre, 0.0) * masks[k + 1]
-        scores = np.empty(len(Xs))
-        scores[order] = pre[:, 0]
-        return scores, {"order": order, "steps": steps, "masks": masks, "dense": dense}
+        return pre[:, 0], {"steps": steps, "masks": masks, "dense": dense}
 
-    def _dropout_masks(self, order, train, rng):
+    def _dropout_masks(self, batch, train, rng):
         """The inverted-dropout multipliers, one (batch, width) array per
-        dropped layer in the batch's sorted `order`, or 1.0 (x * 1.0 == x
-        exactly) for a layer without dropout.  One draw covers the batch:
-        row b holds sample b's draws in the order its own forward pass
-        would make them."""
+        dropped layer, or 1.0 (x * 1.0 == x exactly) for a layer without
+        dropout.  One draw covers the batch: row b holds sample b's draws in
+        the order its own forward pass would make them."""
         widths = (self.hidden_units,) + self.dense_widths[:-1]
         rates = (self.recurrent_dropout_rate,) + (self.dense_dropout_rate,) * (len(widths) - 1)
         drawn = [w if train and rate > 0.0 else 0 for w, rate in zip(widths, rates)]
         if not any(drawn):
             return [1.0] * len(widths)
-        draws = np.split(rng.random((len(order), sum(drawn)))[order], np.cumsum(drawn)[:-1], axis=1)
+        draws = np.split(rng.random((batch, sum(drawn))), np.cumsum(drawn)[:-1], axis=1)
         return [(u >= rate) / (1.0 - rate) if w else 1.0
                 for u, w, rate in zip(draws, drawn, rates)]
 
     def backward(self, cache, dscores):
         """Gradients of sum_b dscores[b] * scores[b] w.r.t. every parameter.
 
-        Each sample's gradient builds up on its own over its reversed steps,
-        and the samples are added to zeros one at a time in batch order, so
-        the sum has the bits of adding the B = 1 gradients in that order.
+        Each sample's gradient builds up in its own row over its reversed
+        steps, and the rows are added to zeros one at a time in batch order,
+        so the sum has the bits of adding the B = 1 gradients in that order.
         """
-        p, order = self.params, cache["order"]
-        per_sample = np.zeros((len(order), sum(arr.size for arr in p.values())))
-        grads = _param_views(per_sample, p)  # rows in sorted order
+        p = self.params
+        dv = np.asarray(dscores, dtype=float)[:, None]
+        per_sample = np.zeros((len(dv), sum(arr.size for arr in p.values())))
+        grads = _param_views(per_sample, p)
         n_dense = len(self.dense_widths)
 
-        dv = np.asarray(dscores, dtype=float)[order][:, None]
         for k in reversed(range(n_dense)):
             v_in, pre = cache["dense"][k]
             dpre = dv * cache["masks"][k + 1] * (pre > 0.0) if k < n_dense - 1 else dv
@@ -222,26 +218,25 @@ class GruRegressor:
             dv = _vecmat(dpre, p[f"dW{k}"].T)
 
         dh = dv * cache["masks"][0]
-        for x, h_prev, z, r, c in reversed(cache["steps"]):
-            n = len(x)
-            dh_n = dh[:n]
+        for running, x, h_prev, z, r, c in reversed(cache["steps"]):
+            dh_n = dh[running]
             dc_pre = dh_n * z * (1.0 - c * c)
-            grads["Wh"][:n] += _outer(x, dc_pre)
-            grads["Uh"][:n] += _outer(r * h_prev, dc_pre)
-            grads["bh"][:n] += dc_pre
+            grads["Wh"][running] += _outer(x, dc_pre)
+            grads["Uh"][running] += _outer(r * h_prev, dc_pre)
+            grads["bh"][running] += dc_pre
             tmp = _vecmat(dc_pre, p["Uh"].T)
             dh_prev = dh_n * (1.0 - z) + tmp * r
             # z before r: the order of the dh_prev sum is part of the result
             for gate, g, dg in (("z", z, dh_n * (c - h_prev)), ("r", r, tmp * h_prev)):
                 dg_pre = dg * g * (1.0 - g)
-                grads[f"W{gate}"][:n] += _outer(x, dg_pre)
-                grads[f"U{gate}"][:n] += _outer(h_prev, dg_pre)
-                grads[f"b{gate}"][:n] += dg_pre
+                grads[f"W{gate}"][running] += _outer(x, dg_pre)
+                grads[f"U{gate}"][running] += _outer(h_prev, dg_pre)
+                grads[f"b{gate}"][running] += dg_pre
                 dh_prev += _vecmat(dg_pre, p[f"U{gate}"].T)
-            dh[:n] = dh_prev
+            dh[running] = dh_prev
 
         total = np.zeros(per_sample.shape[1])
-        for row in per_sample[np.argsort(order)]:  # batch order
+        for row in per_sample:
             total += row
         return _param_views(total, p)
 
@@ -249,8 +244,12 @@ class GruRegressor:
         return self.predict([vectors])[0]
 
     def predict(self, sequences) -> list[float]:
-        """One score per embedded caption, from one forward pass over all."""
-        return self.forward(sequences)[0].tolist()
+        """One score per embedded caption, from eval forwards over
+        `train_config.batch_size` captions at a time: a forward keeps every
+        step of its batch for backward."""
+        size = self.train_config.batch_size
+        return [score for start in range(0, len(sequences), size)
+                for score in self.forward(sequences[start:start + size])[0].tolist()]
 
 
 def _vecmat(a, M):
@@ -333,11 +332,11 @@ def gru_train(model: GruRegressor, samples):
                 dscores.append(2.0 * err / len(batch))
             grads = model.backward(cache, dscores)
             adam_t += 1
-            lr_t = cfg.learning_rate * np.sqrt(1.0 - cfg.beta2 ** adam_t) / (1.0 - cfg.beta1 ** adam_t)
+            lr_t = cfg.learning_rate * np.sqrt(1.0 - _BETA2 ** adam_t) / (1.0 - _BETA1 ** adam_t)
             for k, param in model.params.items():
-                adam_m[k] = cfg.beta1 * adam_m[k] + (1.0 - cfg.beta1) * grads[k]
-                adam_v[k] = cfg.beta2 * adam_v[k] + (1.0 - cfg.beta2) * grads[k] ** 2
-                param -= lr_t * adam_m[k] / (np.sqrt(adam_v[k]) + cfg.adam_eps)
+                adam_m[k] = _BETA1 * adam_m[k] + (1.0 - _BETA1) * grads[k]
+                adam_v[k] = _BETA2 * adam_v[k] + (1.0 - _BETA2) * grads[k] ** 2
+                param -= lr_t * adam_m[k] / (np.sqrt(adam_v[k]) + _ADAM_EPS)
 
         train_mse = sq_sum / max(count, 1)
         if not np.isfinite(train_mse):

@@ -314,6 +314,14 @@ def _setting(*keys_and_value):
     (_setting("ensemble_models", [{"feature": "featA", "model": "bayes_ridge",
                                    "hyper": {"tol": 0}}]),
      "ensemble_models[0]: bayes_ridge tol must be > 0"),
+    (_setting("feature_models", [{"feature": "captions", "model": "gru",
+                                  "hyper": {"learning_rate": 0}}]),
+     "feature_models[0]: 'learning_rate' must be > 0"),
+    (_setting("ensemble_models", [{"feature": "captions", "model": "gru",
+                                   "hyper": {"learning_rate": -1}}]),
+     "ensemble_models[0]: 'learning_rate' must be > 0"),
+    (_setting("feature_models", [{"feature": "captions", "model": "gru", "hyper": {"beta1": 0.9}}]),
+     "feature_models[0]: unknown gru hyperparameter 'beta1'"),
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
         "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
@@ -328,7 +336,7 @@ def _setting(*keys_and_value):
         "feature-hyper-not-number", "null-lam", "negative-ridge-lam", "negative-lasso-lam",
         "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience",
         "negative-seed", "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol",
-        "zero-bayes-tol"])
+        "zero-bayes-tol", "zero-learning-rate", "negative-learning-rate", "gru-beta1"])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def not_reached(*args, **kwargs):
@@ -401,13 +409,18 @@ def _train_argv(synth_dir, tmp_path, model, params):
     ("svr", '{"tol": 0}', "svr tol must be > 0"),
     ("lasso", '{"tol": -1}', "lasso tol must be > 0"),
     ("bayes", '{"tol": 0}', "bayes_ridge tol must be > 0"),
+    ("gru", '{"learning_rate": 0}', "'learning_rate' must be > 0"),
+    ("gru", '{"learning_rate": -1}', "'learning_rate' must be > 0"),
+    ("gru", '{"beta1": -5}', "unknown gru hyperparameter 'beta1'"),
+    ("gru", '{"adam_eps": -1e-8}', "unknown gru hyperparameter 'adam_eps'"),
 ], ids=["params-not-object", "unknown-svr-key", "unknown-gru-key", "unknown-ridge-key",
         "unknown-ols-key", "params-not-json", "gru-without-dense-layers", "string-c",
         "string-gamma", "list-lam", "boolean-epsilon", "nan-tol", "float-max-sweeps",
         "numeric-kernel", "float-dense-width", "zero-hidden-units", "zero-dense-width",
         "zero-max-epochs", "zero-batch-size", "negative-ridge-lam", "negative-lasso-lam",
         "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience",
-        "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol", "zero-bayes-tol"])
+        "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol", "zero-bayes-tol",
+        "zero-learning-rate", "negative-learning-rate", "gru-beta1", "gru-adam-eps"])
 def test_malformed_train_params_rejected(synth_dir, tmp_path, capsys, model, params, message):
     assert main(_train_argv(synth_dir, tmp_path, model, params)) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
@@ -579,13 +592,18 @@ _GRU_FILE = model_to_dict(GruRegressor(input_dim=4, hidden_units=2, dense_widths
     ({**_GRU_FILE, "dense_widths": [1.0]}, "'dense_widths' must be a list of positive integers"),
     ({**_GRU_FILE, "dense_dropout_rate": False}, "'dense_dropout_rate' holds a non-numeric entry"),
     ({**_GRU_FILE, "training_log": "x"}, "'training_log' must be a list"),
+    ({**_SVR_FILE, "gamma": -1.0}, "'gamma' must be > 0 or null"),
+    ({**_SVR_FILE, "gamma": 0.0}, "'gamma' must be > 0 or null"),
+    ({**_SVR_FILE, "C": -5.0}, "need C > 0 and epsilon >= 0"),
+    ({**_SVR_FILE, "epsilon": -1.0}, "need C > 0 and epsilon >= 0"),
 ], ids=["empty-object", "not-object", "linear-without-standardizer", "gru-without-uz",
         "gru-without-dense-layers", "narrow-support-vector", "weights-width", "nan-intercept",
         "infinite-weight", "overflowing-gru-param", "nan-dual-coef", "string-intercept",
         "string-weights", "boolean-weight", "null-std", "string-support-vector",
         "boolean-bias", "string-gamma", "string-c", "string-gru-param", "overflowing-integer",
         "string-gru-input-dim", "string-gru-seed", "boolean-gru-seed", "float-gru-hidden-units",
-        "float-gru-dense-width", "boolean-gru-dropout", "string-gru-training-log"])
+        "float-gru-dense-width", "boolean-gru-dropout", "string-gru-training-log",
+        "negative-svr-gamma", "zero-svr-gamma", "negative-svr-c", "negative-svr-epsilon"])
 def test_malformed_model_file_rejected(synth_dir, tmp_path, capsys, doc, message):
     model = tmp_path / "m.json"
     model.write_text(doc if isinstance(doc, str) else json.dumps(doc))

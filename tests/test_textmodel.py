@@ -111,6 +111,16 @@ class TestGruForward:
         sequences = [rng.normal(size=(n, 5)) for n in (1, 3, 2)]
         assert model.predict(sequences) == [model.forward([X])[0][0] for X in sequences]
 
+    def test_predict_forwards_a_batch_size_at_a_time(self, monkeypatch):
+        model = small_model(train_config=TrainConfig(batch_size=4))
+        rng = np.random.default_rng(6)
+        sequences = [rng.normal(size=(n, 5)) for n in (3, 1, 4, 2, 5, 1, 2, 3, 6, 2)]
+        whole = model.forward(sequences)[0].tolist()
+        sizes, forward = [], model.forward
+        monkeypatch.setattr(model, "forward", lambda batch: sizes.append(len(batch)) or forward(batch))
+        assert model.predict(sequences) == whole
+        assert sizes == [4, 4, 2]
+
 
 def max_gradient_error(model, forward, label=0.3):
     """Largest relative gap between backward() and central differences of
