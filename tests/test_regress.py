@@ -197,6 +197,29 @@ class TestSvr:
             assert model.history == {"iterations": case["iterations"],
                                      "kkt_violation": case["kkt_violation"]}
 
+    def test_matches_recorded_edge_fits_bit_for_bit(self):
+        # Recorded from the array-per-update SMO loop: the protocol-models
+        # shape (n = 120, d = 2), duplicated rows (the first pair is two copies
+        # of one row, so eta is clamped), quantized targets (selection ties),
+        # epsilon = 0, an explicit gamma, a linear kernel at tol 1e-5 and an
+        # exhausted max_iter.
+        cases = json.loads((Path(__file__).parent / "data" / "svr_parent_edge_fits.json")
+                           .read_text())
+        assert len(cases) == 8
+        for case in cases:
+            X, y = np.array(case["X"]), np.array(case["y"])
+            if "error" in case:
+                with pytest.raises(ConvergenceError) as err:
+                    fit_svr(X, y, **case["settings"])
+                assert str(err.value) == case["error"], case["name"]
+                assert err.value.diagnostics == {"kkt_violation": case["kkt_violation"]}
+                continue
+            model = fit_svr(X, y, **case["settings"])
+            assert model.dual_coefs.tolist() == case["dual_coefs"], case["name"]
+            assert model.support_vectors.tolist() == case["support_vectors"], case["name"]
+            assert model.bias == case["bias"], case["name"]
+            assert model.history == case["history"], case["name"]
+
     def test_max_iter_exhausted_raises_with_gap(self):
         rng = np.random.default_rng(13)
         X = rng.normal(size=(30, 3))
