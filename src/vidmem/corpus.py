@@ -110,10 +110,15 @@ class CaptionSet:
 
 @dataclass(frozen=True)
 class WordVectorTable:
-    """Pretrained word vectors keyed by lowercase token."""
+    """Pretrained word vectors keyed by lowercase token.
+
+    `embedded` keeps each token sequence's embedding once it is made
+    (`harness` fills it), so a run embeds each distinct caption once."""
 
     dimension: int
     vectors: dict[str, np.ndarray]
+    embedded: dict[tuple[str, ...], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, token):
         return self.vectors.get(token.lower())

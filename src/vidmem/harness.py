@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -256,12 +257,25 @@ def _inputs(corpus, config: FeatureModelConfig, ids) -> dict:
         if corpus.captions is None or corpus.word_vectors is None:
             raise ValueError("gru model needs captions and word vectors in the corpus")
         captions = corpus.captions.captions
-        return {vid: [embed(tokenize(c), corpus.word_vectors) for c in captions[vid]]
+        return {vid: [_embedded(c, corpus.word_vectors) for c in captions[vid]]
                 for vid in ids if vid in captions}
     if config.feature not in corpus.features:
         raise ValueError(f"feature set {config.feature!r} is not in the corpus")
     rows = corpus.features[config.feature].rows
     return {vid: rows[vid] for vid in ids if vid in rows}
+
+
+_EMBED_LOCK = threading.Lock()
+
+
+def _embedded(caption, table):
+    """The embedding of `caption`, made once per table and token sequence;
+    the lock keeps two worker threads from making it twice."""
+    tokens = tuple(tokenize(caption))
+    with _EMBED_LOCK:
+        if tokens not in table.embedded:
+            table.embedded[tokens] = embed(tokens, table)
+        return table.embedded[tokens]
 
 
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,

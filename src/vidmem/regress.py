@@ -183,6 +183,18 @@ def _bayes_ridge(Xs, yc, hyper):
     )
 
 
+def _rows_and_targets(X, y):
+    """`X` and `y` as float arrays: a row matrix and one target per row, at
+    least 2 rows, every number finite."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if X.ndim != 2 or X.shape[0] != len(y) or len(y) < 2:
+        raise ValueError("need a row matrix with matching targets, >= 2 rows")
+    if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        raise ValueError("inputs must be finite")
+    return X, y
+
+
 def check_linear_hyper(kind, hyper):
     """The range rules of `fit_linear`'s hyperparameters; an absent key takes
     its default, which passes."""
@@ -198,10 +210,7 @@ def fit_linear(X, y, kind="ridge", hyper=None) -> LinearModel:
     """Fit one of ols / ridge / lasso / bayes_ridge on standardized features."""
     if kind not in LINEAR_KINDS:
         raise ValueError(f"unknown linear kind {kind!r}")
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != len(y) or len(y) < 2:
-        raise ValueError("need a row matrix with matching targets, >= 2 rows")
+    X, y = _rows_and_targets(X, y)
     hyper = dict(hyper or {})
     check_linear_hyper(kind, hyper)
 
@@ -297,10 +306,7 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
     violation drops to `tol`.
     """
     check_svr_settings(kernel, C, epsilon, gamma, tol)
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if X.ndim != 2 or X.shape[0] != len(y) or len(y) < 2:
-        raise ValueError("need a row matrix with matching targets, >= 2 rows")
+    X, y = _rows_and_targets(X, y)
 
     std = fit_standardizer(X)
     Xs = std.transform(X)
@@ -310,21 +316,33 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
         gamma = 1.0 / (d * total_var) if total_var > 0 else 1.0 / d
 
     K = _kernel_matrix(kernel, gamma, Xs, Xs)
-    box, zeros = np.full(n, float(C)), np.zeros(n)
-    lo, hi = np.concatenate((zeros, -box)), np.concatenate((box, zeros))
-    b = np.zeros(2 * n)
+    rows, diag = list(K), K.diagonal().tolist()
+    C = float(C)
+    lo, hi = [0.0] * n + [-C] * n, [C] * n + [0.0] * n
+    b = [0.0] * (2 * n)
     u = np.zeros(n)  # current sum_j beta_j K_ij
+    r, vals, step = np.empty(n), np.empty(2 * n), np.empty(n)
+    vals_a, vals_a_star = vals[:n], vals[n:]
+    # Selection adds 0.0 where b has room to grow (I_up) or to shrink (I_low)
+    # and -inf / +inf elsewhere; vals are finite, so the penalized entries
+    # come out as the -inf / +inf the rule excludes.
+    pen_up, pen_low = np.zeros(2 * n), np.zeros(2 * n)
+    pen_up[n:], pen_low[:n] = -np.inf, np.inf
+    up, low = np.empty(2 * n), np.empty(2 * n)
 
     iterations = 0
     while True:
-        # -G per variable: y - u - eps on the a half, y - u + eps on the a* half.
+        # -G per variable: y - u - eps on the a half, y - u + eps on the a* half
+        np.subtract(y, u, out=r)
+        np.subtract(r, epsilon, out=vals_a)
+        np.add(r, epsilon, out=vals_a_star)
+        np.add(vals, pen_up, out=up)
+        np.add(vals, pen_low, out=low)
         # argmax/argmin return the first extreme: ties go to a, then the lowest index.
-        r = y - u
-        vals = np.concatenate((r - epsilon, r + epsilon))
-        up = np.where(b < hi, vals, -np.inf)   # I_up: room to grow b
-        low = np.where(b > lo, vals, np.inf)   # I_low: room to shrink b
-        p, q = int(np.argmax(up)), int(np.argmin(low))
-        m_val, M_val = up[p], low[q]
+        p, q = int(up.argmax()), int(low.argmin())
+        # read from vals, which keeps the sign of a zero (-0.0 + 0.0 is +0.0);
+        # neither set is empty, since sum(b) = 0 keeps some b below hi and some above lo
+        m_val, M_val = vals.item(p), vals.item(q)
         if m_val - M_val <= tol:
             break
         if iterations >= max_iter:
@@ -335,19 +353,23 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
         iterations += 1
 
         i, j = p % n, q % n
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = diag[i] + diag[j] - 2.0 * K.item(i, j)
         t = min((m_val - M_val) / max(eta, 1e-12), hi[p] - b[p], b[q] - lo[q])
         if t <= 0.0:
             break  # numerically stuck at the box; violation is within noise
         b[p] += t
         b[q] -= t
-        u += t * (K[i] - K[j])
+        for k in (p, q):
+            pen_up[k] = 0.0 if b[k] < hi[k] else -np.inf
+            pen_low[k] = 0.0 if b[k] > lo[k] else np.inf
+        # u += t * (K[i] - K[j]) in that order; another grouping changes the bits
+        np.subtract(rows[i], rows[j], out=step)
+        step *= t
+        u += step
 
     # both exits leave b unchanged since (m_val, M_val) were selected
-    if np.isfinite(m_val) and np.isfinite(M_val):
-        bias = 0.5 * (m_val + M_val)
-    else:
-        bias = float(np.mean(y - u))  # every dual variable at a bound
+    bias = 0.5 * (m_val + M_val)
+    b = np.array(b)
     beta = b[:n] + b[n:]
     sv = np.abs(beta) > 1e-12
     return SvrModel(kernel=kernel, gamma=float(gamma), C=float(C), epsilon=float(epsilon),
@@ -441,6 +463,8 @@ def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
                      support_vectors=_array(doc["support_vectors"], (n, d), "'support_vectors'"),
                      dual_coefs=_array(doc["dual_coefs"], (n,), "'dual_coefs'"),
                      bias=float(_array(doc["bias"], (), "'bias'")), standardizer=std)
+    if not model.gamma > 0:  # a file holds the resolved gamma, never null
+        raise ValueError("'gamma' must be > 0")
     check_svr_model(model.kernel, model.C, model.epsilon, model.gamma)
     return model
 

@@ -318,43 +318,47 @@ def gru_train(model: GruRegressor, samples):
     patience_left = cfg.patience
     log = []
 
-    for epoch in range(cfg.max_epochs):
-        order = rng.permutation(len(train_idx))
-        sq_sum, count = 0.0, 0
-        for start in range(0, len(order), cfg.batch_size):
-            batch = [train_idx[i] for i in order[start:start + cfg.batch_size]]
-            scores, cache = model.forward([samples[i][1] for i in batch], train=True, rng=rng)
-            dscores = []
-            for i, score in zip(batch, scores.tolist()):
-                err = score - samples[i][2]
-                sq_sum += err * err
-                count += 1
-                dscores.append(2.0 * err / len(batch))
-            grads = model.backward(cache, dscores)
-            adam_t += 1
-            lr_t = cfg.learning_rate * np.sqrt(1.0 - _BETA2 ** adam_t) / (1.0 - _BETA1 ** adam_t)
-            for k, param in model.params.items():
-                adam_m[k] = _BETA1 * adam_m[k] + (1.0 - _BETA1) * grads[k]
-                adam_v[k] = _BETA2 * adam_v[k] + (1.0 - _BETA2) * grads[k] ** 2
-                param -= lr_t * adam_m[k] / (np.sqrt(adam_v[k]) + _ADAM_EPS)
+    # A diverging fit overflows to inf and nan on the way; the loss checks
+    # report it as TrainingDivergedError, so the arithmetic stays quiet.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.max_epochs):
+            order = rng.permutation(len(train_idx))
+            sq_sum, count = 0.0, 0
+            for start in range(0, len(order), cfg.batch_size):
+                batch = [train_idx[i] for i in order[start:start + cfg.batch_size]]
+                scores, cache = model.forward([samples[i][1] for i in batch], train=True, rng=rng)
+                dscores = []
+                for i, score in zip(batch, scores.tolist()):
+                    err = score - samples[i][2]
+                    sq_sum += err * err
+                    count += 1
+                    dscores.append(2.0 * err / len(batch))
+                grads = model.backward(cache, dscores)
+                adam_t += 1
+                lr_t = (cfg.learning_rate * np.sqrt(1.0 - _BETA2 ** adam_t)
+                        / (1.0 - _BETA1 ** adam_t))
+                for k, param in model.params.items():
+                    adam_m[k] = _BETA1 * adam_m[k] + (1.0 - _BETA1) * grads[k]
+                    adam_v[k] = _BETA2 * adam_v[k] + (1.0 - _BETA2) * grads[k] ** 2
+                    param -= lr_t * adam_m[k] / (np.sqrt(adam_v[k]) + _ADAM_EPS)
 
-        train_mse = sq_sum / max(count, 1)
-        if not np.isfinite(train_mse):
-            raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
-        v_mse = val_mse()
-        if not np.isfinite(v_mse):
-            raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
-        log.append({"epoch": epoch, "train_mse": train_mse, "val_mse": v_mse})
+            train_mse = sq_sum / max(count, 1)
+            if not np.isfinite(train_mse):
+                raise TrainingDivergedError(f"non-finite training loss at epoch {epoch}")
+            v_mse = val_mse()
+            if not np.isfinite(v_mse):
+                raise TrainingDivergedError(f"non-finite validation loss at epoch {epoch}")
+            log.append({"epoch": epoch, "train_mse": train_mse, "val_mse": v_mse})
 
-        if v_mse < best_val:
-            best_val = v_mse
-            best_params = {k: v.copy() for k, v in model.params.items()}
-            best_epoch = epoch
-            patience_left = cfg.patience
-        else:
-            patience_left -= 1
-            if patience_left == 0:
-                break
+            if v_mse < best_val:
+                best_val = v_mse
+                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_epoch = epoch
+                patience_left = cfg.patience
+            else:
+                patience_left -= 1
+                if patience_left == 0:
+                    break
 
     model.params = best_params
     model.training_log = log + [{"restored_epoch": best_epoch, "best_val_mse": best_val}]

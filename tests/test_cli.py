@@ -592,8 +592,8 @@ _GRU_FILE = model_to_dict(GruRegressor(input_dim=4, hidden_units=2, dense_widths
     ({**_GRU_FILE, "dense_widths": [1.0]}, "'dense_widths' must be a list of positive integers"),
     ({**_GRU_FILE, "dense_dropout_rate": False}, "'dense_dropout_rate' holds a non-numeric entry"),
     ({**_GRU_FILE, "training_log": "x"}, "'training_log' must be a list"),
-    ({**_SVR_FILE, "gamma": -1.0}, "'gamma' must be > 0 or null"),
-    ({**_SVR_FILE, "gamma": 0.0}, "'gamma' must be > 0 or null"),
+    ({**_SVR_FILE, "gamma": -1.0}, "'gamma' must be > 0"),
+    ({**_SVR_FILE, "gamma": 0.0}, "'gamma' must be > 0"),
     ({**_SVR_FILE, "C": -5.0}, "need C > 0 and epsilon >= 0"),
     ({**_SVR_FILE, "epsilon": -1.0}, "need C > 0 and epsilon >= 0"),
 ], ids=["empty-object", "not-object", "linear-without-standardizer", "gru-without-uz",

@@ -236,6 +236,21 @@ class TestSvr:
             fit_svr(X, [0.0, 0.0, 0.0], epsilon=-0.1)
 
 
+@pytest.mark.parametrize("fit", [
+    lambda X, y: fit_linear(X, y, kind="ols"), lambda X, y: fit_linear(X, y, kind="ridge"),
+    lambda X, y: fit_linear(X, y, kind="lasso"), lambda X, y: fit_linear(X, y, kind="bayes_ridge"),
+    lambda X, y: fit_svr(X, y), lambda X, y: fit_svr(X, y, kernel="linear"),
+], ids=["ols", "ridge", "lasso", "bayes_ridge", "svr-rbf", "svr-linear"])
+@pytest.mark.parametrize("where, value", [("X", np.nan), ("y", np.nan), ("X", np.inf),
+                                          ("y", -np.inf)])
+def test_non_finite_inputs_rejected(fit, where, value):
+    rng = np.random.default_rng(16)
+    data = {"X": rng.normal(size=(10, 2)), "y": rng.normal(size=10)}
+    data[where].flat[3] = value
+    with pytest.raises(ValueError, match="^inputs must be finite$"):
+        fit(data["X"], data["y"])
+
+
 def _full_beta(model, Xs):
     beta = np.zeros(len(Xs))
     used = np.zeros(len(Xs), dtype=bool)

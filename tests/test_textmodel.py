@@ -7,8 +7,8 @@ import pytest
 
 from vidmem.corpus import WordVectorTable
 from vidmem.regress import model_from_dict, model_to_dict
-from vidmem.textmodel import (GruRegressor, TokenizeError, TrainConfig, _sigmoid,
-                              embed, gru_train, tokenize)
+from vidmem.textmodel import (GruRegressor, TokenizeError, TrainConfig, TrainingDivergedError,
+                              _sigmoid, embed, gru_train, tokenize)
 
 
 class TestTokenize:
@@ -233,6 +233,18 @@ class TestGruTraining:
         restored = log[-1]["restored_epoch"]
         best_val = log[-1]["best_val_mse"]
         assert all(e["val_mse"] >= best_val for e in epochs if e["epoch"] > restored)
+
+    def test_diverging_fit_fails_without_warnings(self):
+        # the first Adam step at this rate overflows the weights to inf and nan
+        rng = np.random.default_rng(8)
+        samples = make_samples(rng, 8, 5, lambda X: float(X.mean()))
+        model = small_model(recurrent_dropout_rate=0.5,
+                            train_config=TrainConfig(learning_rate=1e300, batch_size=4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match="^non-finite training loss at epoch 0$"):
+                gru_train(model, samples)
 
     def test_synthetic_linear_task_reaches_low_mse(self):
         rng = np.random.default_rng(7)
