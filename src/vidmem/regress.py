@@ -324,8 +324,8 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
     r, vals, step = np.empty(n), np.empty(2 * n), np.empty(n)
     vals_a, vals_a_star = vals[:n], vals[n:]
     # Selection adds 0.0 where b has room to grow (I_up) or to shrink (I_low)
-    # and -inf / +inf elsewhere; vals are finite, so the penalized entries
-    # come out as the -inf / +inf the rule excludes.
+    # and -inf / +inf elsewhere; finite inputs keep vals finite, so the
+    # penalized entries come out as the -inf / +inf the rule excludes.
     pen_up, pen_low = np.zeros(2 * n), np.zeros(2 * n)
     pen_up[n:], pen_low[:n] = -np.inf, np.inf
     up, low = np.empty(2 * n), np.empty(2 * n)
@@ -372,7 +372,7 @@ def fit_svr(X, y, kernel="rbf", gamma=None, C=1.0, epsilon=0.1,
     b = np.array(b)
     beta = b[:n] + b[n:]
     sv = np.abs(beta) > 1e-12
-    return SvrModel(kernel=kernel, gamma=float(gamma), C=float(C), epsilon=float(epsilon),
+    return SvrModel(kernel=kernel, gamma=float(gamma), C=C, epsilon=float(epsilon),
                     support_vectors=Xs[sv], dual_coefs=beta[sv], bias=float(bias),
                     standardizer=std,
                     history={"iterations": iterations,
