@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -12,8 +13,8 @@ from vidmem.corpus import (Corpus, LabelTable, load_captions_csv, load_feature_c
                            load_labels_csv, load_prediction_csv, load_word_vectors,
                            write_labels_csv)
 from vidmem.ensemble import grid_search
-from vidmem.harness import (FeatureModelConfig, predict_table, train_feature_model,
-                            write_prediction_csv)
+from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec, generate_synthetic,
+                            predict_table, train_feature_model, write_prediction_csv)
 from vidmem.metrics import srcc
 from vidmem.regress import model_to_dict, save_model
 from vidmem.textmodel import GruRegressor, TrainingDivergedError
@@ -33,6 +34,50 @@ def test_synth_writes_expected_files(synth_dir):
     for name in ("annotations.csv", "featA.csv", "featB.csv", "captions.csv",
                  "labels_short.csv", "labels_long.csv", "truth.json"):
         assert (synth_dir / name).exists()
+
+
+# Generator settings whose `vidmem synth` output is pinned: one video, noise
+# on and off (a subnormal noise scale among them), 1 and 3 rows per video,
+# 1 to 30 trials per video, feature widths 1 to 32, m_low == m_high, equal
+# integer delay bounds, clipped recall probabilities, and the default spec.
+SYNTH_PINNED_SPECS = {
+    "default": {},
+    "one-video": {"n_videos": 1, "obs_per_video": 1, "feature_dim": 1, "seed": 3},
+    "noisy-rows": {"n_videos": 40, "rows_per_video": 3, "feature_dim": 32, "noise": 0.2,
+                   "seed": 5},
+    "pinned-m": {"n_videos": 25, "obs_per_video": 7, "m_low": 0.5, "m_high": 0.5,
+                 "feature_dim": 2, "noise": 0.05, "seed": 7},
+    "labels-shape": {"n_videos": 60, "feature_dim": 1, "seed": 1},
+    "clipped": {"n_videos": 30, "obs_per_video": 1, "true_alpha": 0.5, "m_low": 0, "m_high": 1,
+                "delay_low": 10, "delay_high": 900, "rows_per_video": 3, "feature_dim": 2,
+                "noise": 1, "seed": 11},
+    "equal-delays": {"n_videos": 12, "obs_per_video": 30, "delay_low": 75, "delay_high": 75,
+                     "rows_per_video": 3, "feature_dim": 1, "noise": 1e-320, "seed": 13},
+}
+
+
+def _pinned_synth_corpora(tmp_path):
+    """SHA-256 and size of every file `vidmem synth` writes, and of the
+    `repr` of the generator's `true_m`, per pinned spec."""
+    def digest(data):
+        return {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+
+    out = {}
+    for name, doc in SYNTH_PINNED_SPECS.items():
+        spec, where = tmp_path / f"{name}.json", tmp_path / name
+        spec.write_text(json.dumps(doc))
+        assert main(["synth", "--spec", str(spec), "--out", str(where)]) == 0
+        files = {path.name: digest(path.read_bytes()) for path in sorted(where.iterdir())}
+        true_m = repr(generate_synthetic(SyntheticCorpusSpec(**doc)).true_m)
+        out[name] = {"spec": doc, "files": files, "true_m": digest(true_m.encode())}
+    return json.dumps(out, indent=1) + "\n"
+
+
+def test_synth_bytes_match_recording(tmp_path):
+    """The generator's draw order and the writers' bytes are pinned: a
+    change to either moves these digests."""
+    recorded = (Path(__file__).parent / "data" / "synthetic_parent_corpora.json").read_text()
+    assert _pinned_synth_corpora(tmp_path) == recorded
 
 
 def test_adjust_labels(synth_dir, tmp_path):
