@@ -378,25 +378,45 @@ def load_word_vectors(path):
     return WordVectorTable(dimension=dimension, vectors=vectors)
 
 
+class _Echo:
+    """A file whose `write` returns the text, so that `csv.writer` formats
+    a row into a string."""
+
+    def write(self, text):
+        return text
+
+
+def _quoted_ids(ids):
+    """Each distinct id as `csv.writer` writes it in a field (an id may
+    hold `"`), so that the writers below format the rest of each line
+    themselves."""
+    writer = csv.writer(_Echo(), lineterminator="")
+    return {vid: writer.writerow([vid]) for vid in dict.fromkeys(ids)}
+
+
+# The writers below stream one line per row, with the bytes `csv.writer`
+# writes: numbers never need quoting, and `_quoted_ids` quotes the ids.
+
 def write_feature_csv(feature_set, path):
     """Inverse of load_feature_csv; writes the rows grouped by video."""
+    ids = _quoted_ids(feature_set.video_id)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([vid, *map(repr, row)] for vid, row
-                                 in zip(feature_set.video_id, feature_set.values.tolist()))
+        fh.writelines(f"{ids[vid]},{','.join(map(repr, row))}\r\n"
+                      for vid, row in zip(feature_set.video_id, feature_set.values.tolist()))
 
 
 def write_labels_csv(table, path):
+    ids = _quoted_ids(table.scores)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        for vid, score in table.scores.items():
-            writer.writerow([vid, repr(float(score))])
+        fh.writelines(f"{ids[vid]},{float(score)!r}\r\n" for vid, score in table.scores.items())
 
 
 def write_annotations_csv(log, path):
     """Inverse of load_annotations_csv; writes the trials in column order."""
+    ids = _quoted_ids(log.video_id)
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows(zip(log.video_id, map(repr, log.delay_seconds.tolist()),
-                                     log.recognized.tolist()))
+        fh.writelines(f"{ids[vid]},{delay!r},{hit}\r\n" for vid, delay, hit
+                      in zip(log.video_id, log.delay_seconds.tolist(), log.recognized.tolist()))
 
 
 def write_captions_csv(caption_set, path):

@@ -121,44 +121,51 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     row mean (plus optional gaussian noise before squashing).  `featB` is
     pure noise.  Recognition observations follow
     x ~ Bernoulli(clamp(m* + alpha* log(t/T), 0, 1)).
+
+    The stream is drawn in this order: all m*; then per video its trial
+    delays and its trial draws; then per video its featA rows, its featB
+    rows and (with noise) one label-noise draw; then per video its caption
+    count and, per caption, a word count and the words.  Each of the first
+    three kinds is drawn for all videos in one block whose rows follow that
+    order, which gives the bits of one call per video.  Bounded-integer
+    calls buffer 32-bit halves within a call, so the captions keep one call
+    per draw.
     """
+    n, obs, k = spec.n_videos, spec.obs_per_video, spec.rows_per_video * spec.feature_dim
     rng = np.random.default_rng(spec.seed)
-    vids = [f"v{i:04d}" for i in range(spec.n_videos)]
+    vids = [f"v{i:04d}" for i in range(n)]
 
-    m_star = rng.uniform(spec.m_low, spec.m_high, size=spec.n_videos)
-    delays, hits = [], []
-    for k in range(spec.n_videos):
-        delays.append(rng.uniform(spec.delay_low, spec.delay_high, size=spec.obs_per_video))
-        p = np.clip(m_star[k] + spec.true_alpha * np.log(delays[-1] / spec.target_duration),
-                    0.0, 1.0)
-        hits.append(rng.random(spec.obs_per_video) < p)
-    log = AnnotationLog([vid for vid in vids for _ in range(spec.obs_per_video)],
-                        np.concatenate(delays), np.concatenate(hits))
+    m_star = rng.uniform(spec.m_low, spec.m_high, size=n)
+    u = rng.random((n, 2 * obs))  # row: the video's delay draws, then its trial draws
+    low = float(spec.delay_low)
+    delays = low + (float(spec.delay_high) - low) * u[:, :obs]  # as Generator.uniform computes
+    p = np.clip(m_star[:, None] + spec.true_alpha * np.log(delays / spec.target_duration),
+                0.0, 1.0)
+    log = AnnotationLog([vid for vid in vids for _ in range(obs)],
+                        delays.ravel(), (u[:, obs:] < p).ravel())
 
-    feat_a_rows, feat_b_rows, labels = [], [], {}
-    for vid in vids:
-        rows = rng.normal(size=(spec.rows_per_video, spec.feature_dim))
-        feat_a_rows.append(rows)
-        feat_b_rows.append(rng.normal(size=(spec.rows_per_video, spec.feature_dim)))
-        signal = float(rows.mean())
-        if spec.noise > 0.0:
-            signal += float(rng.normal(scale=spec.noise))
-        labels[vid] = 1.0 / (1.0 + math.exp(-signal))
+    z = rng.normal(size=(n, 2 * k + (spec.noise > 0.0)))  # row: featA, featB, label noise
+    signal = z[:, :k].mean(axis=1).tolist()  # each row summed as its own .mean() sums it
+    if spec.noise > 0.0:
+        # `normal(scale=noise)` computes 0.0 + noise * z
+        signal = [s + x for s, x in zip(signal, (0.0 + spec.noise * z[:, 2 * k]).tolist())]
+    labels = {vid: 1.0 / (1.0 + math.exp(-s)) for vid, s in zip(vids, signal)}
 
     captions = {}
     for vid in vids:
-        n_caps = int(rng.integers(2, 6))
         caps = []
-        for _ in range(n_caps):
-            words = rng.choice(_CAPTION_WORDS, size=int(rng.integers(3, 8)))
-            caps.append("a video of " + " ".join(words))
+        for _ in range(int(rng.integers(2, 6))):
+            words = rng.integers(0, len(_CAPTION_WORDS), size=int(rng.integers(3, 8)))
+            caps.append("a video of " + " ".join(_CAPTION_WORDS[w] for w in words.tolist()))
         captions[vid] = tuple(caps)
 
     row_ids = [vid for vid in vids for _ in range(spec.rows_per_video)]
     corpus = Corpus(
         features={
-            "featA": FeatureSet("video", "featA", row_ids, np.concatenate(feat_a_rows)),
-            "featB": FeatureSet("image", "featB", row_ids, np.concatenate(feat_b_rows)),
+            "featA": FeatureSet("video", "featA", row_ids,
+                                z[:, :k].reshape(-1, spec.feature_dim)),
+            "featB": FeatureSet("image", "featB", row_ids,
+                                z[:, k:2 * k].reshape(-1, spec.feature_dim)),
         },
         captions=CaptionSet(captions),
         labels={

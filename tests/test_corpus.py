@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -361,3 +363,46 @@ def test_fast_path_loads_without_record_reader(tmp_path, monkeypatch, kind, edit
     monkeypatch.setattr(corpus, "_read_records", unused)
     assert _outcome(load, p) == expected
     assert not isinstance(expected[0], type)
+
+
+QUOTED_IDS = ('a"b', '"lead', 'trail"', '""', "v1")
+
+
+@pytest.mark.parametrize("vid", QUOTED_IDS)
+def test_video_id_may_hold_a_quote(vid):
+    corpus._check_video_id(vid)
+
+
+def _written_by(kind, ids):
+    """A table of `kind` over `ids`, the rows `csv.writer` writes for it,
+    its writer and loader, and its columns as lists."""
+    rng = np.random.default_rng(len(ids))
+    if kind == "feature":
+        table = corpus.FeatureSet("video", "C3D", ids, rng.normal(size=(len(ids), 3)))
+        rows = [[vid, *map(repr, row)] for vid, row in zip(table.video_id, table.values.tolist())]
+        return (table, rows, corpus.write_feature_csv,
+                lambda p: corpus.load_feature_csv(p, "video", "C3D"),
+                lambda t: (t.video_id, t.values.tolist()))
+    if kind == "label":
+        table = corpus.LabelTable("short", dict(zip(ids, rng.random(len(ids)).tolist())))
+        rows = [[vid, repr(score)] for vid, score in table.scores.items()]
+        return (table, rows, corpus.write_labels_csv, lambda p: corpus.load_labels_csv(p, "short"),
+                lambda t: t.scores)
+    table = corpus.AnnotationLog(ids, rng.uniform(1.0, 200.0, len(ids)),
+                                 rng.integers(0, 2, len(ids)))
+    rows = zip(table.video_id, map(repr, table.delay_seconds.tolist()), table.recognized.tolist())
+    return (table, rows, corpus.write_annotations_csv, corpus.load_annotations_csv,
+            lambda t: (t.video_id, t.delay_seconds.tolist(), t.recognized.tolist()))
+
+
+@pytest.mark.parametrize("kind", ["feature", "label", "annotation"])
+def test_writer_bytes_equal_csv_writer_and_load_back(tmp_path, kind):
+    """The streaming writers quote an id that holds `"` as `csv.writer`
+    does, and the matching loader reads every id back."""
+    ids = list(QUOTED_IDS) if kind == "label" else [*QUOTED_IDS, 'a"b', "v1", '"lead']
+    table, rows, write_table, load, columns = _written_by(kind, ids)
+    with open(tmp_path / "expected.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+    write_table(table, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert columns(load(tmp_path / "out.csv")) == columns(table)
