@@ -145,11 +145,10 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
                         delays.ravel(), (u[:, obs:] < p).ravel())
 
     z = rng.normal(size=(n, 2 * k + (spec.noise > 0.0)))  # row: featA, featB, label noise
-    signal = z[:, :k].mean(axis=1).tolist()  # each row summed as its own .mean() sums it
+    signal = z[:, :k].mean(axis=1)  # each row summed as its own .mean() sums it
     if spec.noise > 0.0:
-        # `normal(scale=noise)` computes 0.0 + noise * z
-        signal = [s + x for s, x in zip(signal, (0.0 + spec.noise * z[:, 2 * k]).tolist())]
-    labels = {vid: 1.0 / (1.0 + math.exp(-s)) for vid, s in zip(vids, signal)}
+        signal += 0.0 + spec.noise * z[:, 2 * k]  # as `normal(scale=noise)` computes it
+    labels = {vid: 1.0 / (1.0 + math.exp(-s)) for vid, s in zip(vids, signal.tolist())}
 
     captions = {}
     for vid in vids:
