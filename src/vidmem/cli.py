@@ -14,11 +14,10 @@ from . import regress
 from .aggregate import STRATEGIES, PredictionTable
 from .corpus import MODALITIES, TERMS, Corpus, load_labels_csv
 from .decay import adjust_labels, fit_decay
-from .ensemble import _bucket_count, grid_search
-from .harness import (FeatureModelConfig, SyntheticCorpusSpec,
-                      check_train_fraction, generate_synthetic, predict_table,
-                      report_to_json, report_to_text, run_full_experiment,
-                      train_feature_model, write_prediction_csv)
+from .ensemble import grid_search
+from .harness import (ExperimentSettings, FeatureModelConfig, SyntheticCorpusSpec,
+                      generate_synthetic, predict_table, report_to_json, report_to_text,
+                      run_full_experiment, train_feature_model, write_prediction_csv)
 from .metrics import srcc
 from .regress import ConvergenceError
 from .textmodel import TrainingDivergedError
@@ -27,8 +26,8 @@ LINEAR_ALIASES = {"bayes": "bayes_ridge"}
 
 # the keys each object of an experiment config may hold
 _CONFIG_KEYS = {
-    "top": {"data", "feature_models", "ensemble_models", "seeds", "bucket", "train_fraction",
-            "aggregation", "workers", "test_labels", "output_dir"},
+    "top": {"data", "feature_models", "ensemble_models", "test_labels", "output_dir",
+            *ExperimentSettings.__dataclass_fields__},
     "data": {"features", "labels", "captions", "word_vectors"},
     "feature set": {"name", "path", "modality"},
     "model entry": {"feature", "model", "hyper"},
@@ -139,8 +138,9 @@ def _load_corpus_from_config(cfg, base):
 
 def _check_config(cfg, path):
     """Reject a config that cannot run, before any data is loaded, and return
-    its feature and ensemble model entries as `FeatureModelConfig`s.  Every
-    error names the config path and the offending key."""
+    its `ExperimentSettings` and its feature and ensemble model entries as
+    `FeatureModelConfig`s.  Every error names the config path and the
+    offending key."""
     def fail(message):
         raise ValueError(f"{path}: {message}")
 
@@ -180,24 +180,11 @@ def _check_config(cfg, path):
                        ("output_dir", cfg.get("output_dir", "out"))):
         if not isinstance(value, str):
             fail(f"{key} must be a path string")
-    seeds = cfg.get("seeds")
-    if "seeds" in cfg and not (isinstance(seeds, list) and seeds
-                               and all(type(seed) is int for seed in seeds)):
-        fail("'seeds' must be a non-empty list of integers")
-    if "seeds" in cfg and min(seeds) < 0:
-        fail(f"'seeds' must be >= 0, got {min(seeds)}")
-    for key, rule in (("bucket", _bucket_count), ("train_fraction", check_train_fraction)):
-        if key in cfg:
-            if type(cfg[key]) not in (int, float):
-                fail(f"'{key}' must be a number")
-            try:
-                rule(cfg[key])
-            except ValueError as exc:
-                fail(str(exc))
-    if cfg.get("aggregation", "median") not in STRATEGIES:
-        fail(f"unknown aggregation {cfg['aggregation']!r}")
-    if type(cfg.get("workers", 1)) is not int:
-        fail("'workers' must be an integer")
+    try:
+        settings = ExperimentSettings(**{key: cfg[key] for key in
+                                         ExperimentSettings.__dataclass_fields__ if key in cfg})
+    except ValueError as exc:
+        fail(str(exc))
     sections = {"feature_models": [], "ensemble_models": []}
     for section, configs in sections.items():
         for i, entry in enumerate(cfg.get(section, [])):
@@ -218,7 +205,7 @@ def _check_config(cfg, path):
             elif config.feature not in features:
                 fail(f"{where}: feature set {config.feature!r} is not in data.features")
             configs.append(config)
-    return sections["feature_models"], sections["ensemble_models"]
+    return settings, sections["feature_models"], sections["ensemble_models"]
 
 
 def cmd_experiment(args):
@@ -227,14 +214,12 @@ def cmd_experiment(args):
         cfg = json.loads(cfg_path.read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"{cfg_path}: {exc}") from None
-    feature_configs, ensemble_configs = _check_config(cfg, cfg_path)
+    settings, feature_configs, ensemble_configs = _check_config(cfg, cfg_path)
     base = cfg_path.parent
     c = _load_corpus_from_config(cfg, base)
     test_labels = _label_tables(base, cfg["test_labels"]) if cfg.get("test_labels") else None
-    settings = {key: cfg[key] for key in ("seeds", "bucket", "train_fraction", "aggregation",
-                                          "workers") if key in cfg}
-    report = run_full_experiment(c, feature_configs, ensemble_configs,
-                                 test_labels=test_labels, **settings)
+    report = run_full_experiment(c, feature_configs, ensemble_configs, test_labels,
+                                 **asdict(settings))
     out_dir = base / cfg.get("output_dir", "out")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report_to_json(report))
@@ -304,7 +289,7 @@ def build_parser():
     p.add_argument("--features")
     p.add_argument("--captions")
     p.add_argument("--word-vectors")
-    p.add_argument("--aggregate", default="median", choices=STRATEGIES)
+    p.add_argument("--aggregate", default=ExperimentSettings.aggregation, choices=STRATEGIES)
     p.add_argument("--ids", help="text file with one video id per line")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)
@@ -317,7 +302,7 @@ def build_parser():
     p = sub.add_parser("ensemble-search", help="grid-search simplex ensemble weights")
     p.add_argument("--pred", nargs="+", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--bucket", type=float, default=0.05)
+    p.add_argument("--bucket", type=float, default=ExperimentSettings.bucket)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_ensemble_search)
 

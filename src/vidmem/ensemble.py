@@ -34,7 +34,7 @@ class EnsembleWeights:
     validation_srcc: float
 
 
-def _bucket_count(bucket: float) -> int:
+def bucket_count(bucket: float) -> int:
     if not (0.0 < bucket <= 1.0):
         raise ValueError(f"bucket must lie in (0, 1], got {bucket}")
     b = 1.0 / bucket
@@ -52,7 +52,7 @@ def enumerate_simplex(k: int, bucket: float = 0.05) -> list[list[float]]:
     lexicographic order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    B = _bucket_count(bucket)
+    B = bucket_count(bucket)
     return [[(hi - lo - 1) / B for lo, hi in zip((-1, *bars), (*bars, B + k - 1))]
             for bars in itertools.combinations(range(B + k - 1), k - 1)]
 

@@ -20,9 +20,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .aggregate import PredictionTable, aggregate_rows, clamp_unit
+from .aggregate import STRATEGIES, PredictionTable, aggregate_rows, clamp_unit
 from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, by_length
-from .ensemble import apply_weights, grid_search
+from .ensemble import apply_weights, bucket_count, grid_search
 from .metrics import srcc
 from .regress import (LINEAR_HYPER_KEYS, check_linear_hyper, check_svr_settings, fit_linear,
                       fit_svr)
@@ -339,12 +339,39 @@ def _run_jobs(jobs, worker_fn, workers):
         return list(pool.map(worker_fn, jobs))
 
 
+@dataclass(frozen=True)
+class ExperimentSettings:
+    """An experiment's run-wide settings; construction raises ValueError for
+    settings that cannot run.  `seeds` is kept as a tuple."""
+    seeds: tuple = DEFAULT_SEEDS
+    bucket: float = 0.05
+    train_fraction: float = 0.8
+    aggregation: str = "median"
+    workers: int = 1
+
+    def __post_init__(self):
+        seeds = self.seeds
+        if not (isinstance(seeds, (list, tuple)) and seeds and all(type(s) is int for s in seeds)):
+            raise ValueError("'seeds' must be a non-empty list of integers")
+        if min(seeds) < 0:
+            raise ValueError(f"'seeds' must be >= 0, got {min(seeds)}")
+        object.__setattr__(self, "seeds", tuple(seeds))
+        for name, rule in (("bucket", bucket_count), ("train_fraction", check_train_fraction)):
+            if type(getattr(self, name)) not in (int, float):
+                raise ValueError(f"'{name}' must be a number")
+            rule(getattr(self, name))
+        if self.aggregation not in STRATEGIES:
+            raise ValueError(f"unknown aggregation {self.aggregation!r}")
+        if type(self.workers) is not int:
+            raise ValueError("'workers' must be an integer")
+
+
 def _config_key(config: FeatureModelConfig):
     hyper = json.dumps(config.hyper, sort_keys=True)
     return config.feature, config.model, hyper
 
 
-def _fit_all(corpus: Corpus, configs, splits, aggregation, workers) -> dict:
+def _fit_all(corpus: Corpus, configs, splits, settings) -> dict:
     """Train every distinct (config, seed, term) once on `splits[seed]` and
     predict its validation ids.
 
@@ -362,11 +389,11 @@ def _fit_all(corpus: Corpus, configs, splits, aggregation, workers) -> dict:
         try:
             model = train_feature_model(corpus, config, corpus.labels[term],
                                         sp.train_ids, seed)
-            return model, predict_table(corpus, config, model, sp.valid_ids, aggregation)
+            return model, predict_table(corpus, config, model, sp.valid_ids, settings.aggregation)
         except Exception as exc:  # the feature report records it, the ensemble raises it
             return exc
 
-    return dict(zip(jobs, _run_jobs(jobs, fit, workers)))
+    return dict(zip(jobs, _run_jobs(jobs, fit, settings.workers)))
 
 
 def _validation_srcc(fit, labels: LabelTable):
@@ -382,9 +409,8 @@ def _validation_srcc(fit, labels: LabelTable):
         return exc
 
 
-def _feature_report(corpus: Corpus, configs, fits, seeds, train_fraction,
-                    aggregation) -> dict:
-    terms = sorted(corpus.labels)
+def _feature_report(corpus: Corpus, configs, fits, settings) -> dict:
+    seeds, terms = settings.seeds, sorted(corpus.labels)
     rows, best = [], {term: {} for term in terms}
     for config in configs:
         key = _config_key(config)
@@ -407,16 +433,15 @@ def _feature_report(corpus: Corpus, configs, fits, seeds, train_fraction,
                 best[term][modality] = {"feature": config.feature,
                                         "model": config.model, "mean": mean}
 
-    return {"kind": "feature_experiment", "seeds": seeds,
-            "train_fraction": train_fraction, "aggregation": aggregation,
+    return {"kind": "feature_experiment", "seeds": list(seeds),
+            "train_fraction": settings.train_fraction, "aggregation": settings.aggregation,
             "rows": rows, "best_per_modality": best}
 
 
-def _ensemble_report(corpus: Corpus, configs, fits, seeds, bucket, train_fraction,
-                     aggregation, test_labels) -> dict:
+def _ensemble_report(corpus: Corpus, configs, fits, settings, test_labels) -> dict:
     keys = [_config_key(config) for config in configs]
     rows = []
-    for seed in seeds if configs else []:  # no ensemble configs: no rows
+    for seed in settings.seeds if configs else []:  # no ensemble configs: no rows
         for term in sorted(corpus.labels):
             stored = [fits[key, seed, term] for key in keys]
             for fit in stored:  # the first failure in config order
@@ -425,7 +450,7 @@ def _ensemble_report(corpus: Corpus, configs, fits, seeds, bucket, train_fractio
             # every stored table holds the seed's validation ids in split order
             labels = corpus.labels[term].scores
             truth = LabelTable(term, {v: labels[v] for v in stored[0][1].scores if v in labels})
-            weights = grid_search([table for _, table in stored], truth, bucket)
+            weights = grid_search([table for _, table in stored], truth, settings.bucket)
             row = {"seed": seed, "term": term,
                    "model_names": list(weights.model_names),
                    "weights": list(weights.weights),
@@ -434,55 +459,45 @@ def _ensemble_report(corpus: Corpus, configs, fits, seeds, bucket, train_fractio
             if test_labels is not None and term in test_labels:
                 test_tab = test_labels[term]
                 test_ids = list(test_tab.scores)
-                tables = [predict_table(corpus, config, model, test_ids, aggregation)
+                tables = [predict_table(corpus, config, model, test_ids, settings.aggregation)
                           for config, (model, _) in zip(configs, stored)]
                 combined = apply_weights(weights, tables)
                 row["test_srcc"] = srcc([combined.scores[v] for v in test_ids],
                                         [test_tab.scores[v] for v in test_ids])
             rows.append(row)
-    return {"kind": "ensemble_experiment", "seeds": seeds, "bucket": bucket,
-            "train_fraction": train_fraction, "aggregation": aggregation,
-            "rows": rows}
+    return {"kind": "ensemble_experiment", "seeds": list(settings.seeds),
+            "bucket": settings.bucket, "train_fraction": settings.train_fraction,
+            "aggregation": settings.aggregation, "rows": rows}
 
 
-def run_feature_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
-                           train_fraction=0.8, aggregation="median",
-                           workers=1) -> dict:
+def run_feature_experiment(corpus: Corpus, configs, **settings) -> dict:
     """Per-feature protocol: for every config and seed, train on the split,
     aggregate per video, score validation SRCC per term; report mean and
     population variance over seeds plus the best feature per modality.
     A config that fails records its first error instead of aborting the run."""
-    return run_full_experiment(corpus, configs, [], seeds, train_fraction=train_fraction,
-                               aggregation=aggregation, workers=workers)["features"]
+    return run_full_experiment(corpus, configs, [], **settings)["features"]
 
 
-def run_ensemble_experiment(corpus: Corpus, configs, seeds=DEFAULT_SEEDS,
-                            bucket=0.05, train_fraction=0.8,
-                            aggregation="median", test_labels=None,
-                            workers=1) -> dict:
+def run_ensemble_experiment(corpus: Corpus, configs, test_labels=None, **settings) -> dict:
     """Ensemble protocol: per seed and term, train the selected per-modality
     models, grid-search simplex weights on the validation split, and
     optionally score a held-out test label table.  Any failure raises."""
-    return run_full_experiment(corpus, [], configs, seeds, bucket, train_fraction,
-                               aggregation, test_labels, workers)["ensemble"]
+    return run_full_experiment(corpus, [], configs, test_labels, **settings)["ensemble"]
 
 
-def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs,
-                        seeds=DEFAULT_SEEDS, bucket=0.05, train_fraction=0.8,
-                        aggregation="median", test_labels=None, workers=1) -> dict:
+def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs, test_labels=None,
+                        **settings) -> dict:
     """Both protocols over one set of fits: each seed is split once, and a
     config that appears in both lists is trained once per seed and term.
     With no ensemble configs the grid search is skipped and the ensemble
-    section has an empty `rows`.  A corpus that cannot be split raises
-    before any fit."""
-    seeds, ids = list(seeds), corpus.video_ids
-    splits = {seed: split(ids, seed, train_fraction) for seed in seeds}
-    fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), splits,
-                    aggregation, workers)
-    return {"features": _feature_report(corpus, feature_configs, fits, seeds,
-                                        train_fraction, aggregation),
-            "ensemble": _ensemble_report(corpus, ensemble_configs, fits, seeds, bucket,
-                                         train_fraction, aggregation, test_labels)}
+    section has an empty `rows`.  The settings are keyword-only, as in
+    `ExperimentSettings`, whose rules and texts `vidmem experiment` shares;
+    bad settings and a corpus that cannot be split raise before any fit."""
+    settings, ids = ExperimentSettings(**settings), corpus.video_ids
+    splits = {seed: split(ids, seed, settings.train_fraction) for seed in settings.seeds}
+    fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), splits, settings)
+    return {"features": _feature_report(corpus, feature_configs, fits, settings),
+            "ensemble": _ensemble_report(corpus, ensemble_configs, fits, settings, test_labels)}
 
 
 # ---------------------------------------------------------------------------

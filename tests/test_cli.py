@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from settings_cases import BAD_SETTINGS
 from vidmem.aggregate import PredictionTable, clamp_unit
 from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
 from vidmem.corpus import (Corpus, LabelTable, load_captions_csv, load_feature_csv,
@@ -266,10 +267,6 @@ def _hyper_not_object(cfg):
     cfg["feature_models"][0]["hyper"] = [1]
 
 
-def _seeds_not_list(cfg):
-    cfg["seeds"] = 3
-
-
 def _setting(*keys_and_value):
     """An edit that sets cfg[k1][k2]...[kn] = value."""
     *keys, last, value = keys_and_value
@@ -290,15 +287,6 @@ def _setting(*keys_and_value):
      "feature_models[1]: a gru model needs data.captions and data.word_vectors"),
     (_entry_without_model, "ensemble_models[0] needs 'feature' and 'model'"),
     (_hyper_not_object, "feature_models[0]: 'hyper' must be a JSON object"),
-    (_seeds_not_list, "'seeds' must be a non-empty list of integers"),
-    (_setting("bucket", "x"), "'bucket' must be a number"),
-    (_setting("bucket", 0.3), "1/bucket must be an integer, got 3.3333333333333335"),
-    (_setting("bucket", 0), "bucket must lie in (0, 1], got 0"),
-    (_setting("train_fraction", "x"), "'train_fraction' must be a number"),
-    (_setting("train_fraction", 1.5), "train fraction must lie in (0, 1)"),
-    (_setting("aggregation", "mode"), "unknown aggregation 'mode'"),
-    (_setting("workers", 1.5), "'workers' must be an integer"),
-    (_setting("workers", "2"), "'workers' must be an integer"),
     (_setting("feature_models", 0, "hyper", {"lamda": 50}),
      "feature_models[0]: unknown ridge hyperparameter 'lamda'"),
     (_setting("ensemble_models", [{"feature": "featA", "model": "ridge", "hyper": {"lamda": 50}}]),
@@ -347,7 +335,6 @@ def _setting(*keys_and_value):
      "feature_models[0]: 'validation_fraction' must lie in [0, 1)"),
     (_setting("feature_models", [{"feature": "captions", "model": "gru", "hyper": {"patience": 0}}]),
      "feature_models[0]: 'patience' must be an integer >= 1"),
-    (_setting("seeds", [0, -1]), "'seeds' must be >= 0, got -1"),
     (_setting("feature_models", [{"feature": "featA", "model": "svr", "hyper": {"gamma": -1}}]),
      "feature_models[0]: 'gamma' must be > 0 or null"),
     (_setting("ensemble_models", [{"feature": "featA", "model": "svr", "hyper": {"gamma": 0}}]),
@@ -367,12 +354,11 @@ def _setting(*keys_and_value):
      "ensemble_models[0]: 'learning_rate' must be > 0"),
     (_setting("feature_models", [{"feature": "captions", "model": "gru", "hyper": {"beta1": 0.9}}]),
      "feature_models[0]: unknown gru hyperparameter 'beta1'"),
+    *[(_setting(key, value), message) for settings, message in BAD_SETTINGS.values()
+      for key, value in settings.items()],
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
-        "entry-without-model", "hyper-not-object", "seeds-not-list", "bucket-not-number",
-        "bucket-not-reciprocal", "bucket-zero", "train-fraction-not-number",
-        "train-fraction-out-of-range", "unknown-aggregation", "workers-float",
-        "workers-string", "unknown-feature-model-key", "unknown-ensemble-model-key",
-        "model-not-string", "feature-not-string", "feature-name-not-string",
+        "entry-without-model", "hyper-not-object", "unknown-feature-model-key",
+        "unknown-ensemble-model-key", "model-not-string", "feature-not-string", "feature-name-not-string",
         "feature-path-not-string", "unknown-modality", "captions-not-string",
         "output-dir-not-string", "labels-not-object", "test-labels-not-object",
         "unknown-label-term", "models-not-list", "unknown-top-key", "unknown-data-key",
@@ -380,8 +366,9 @@ def _setting(*keys_and_value):
         "unknown-ensemble-model-entry-key", "ensemble-hyper-not-number",
         "feature-hyper-not-number", "null-lam", "negative-ridge-lam", "negative-lasso-lam",
         "zero-max-sweeps", "poly-kernel", "zero-c", "validation-fraction-one", "zero-patience",
-        "negative-seed", "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol",
-        "zero-bayes-tol", "zero-learning-rate", "negative-learning-rate", "gru-beta1"])
+        "negative-gamma", "zero-gamma", "zero-svr-tol", "negative-lasso-tol",
+        "zero-bayes-tol", "zero-learning-rate", "negative-learning-rate", "gru-beta1",
+        *BAD_SETTINGS])
 def test_bad_experiment_config_rejected_before_training(synth_dir, tmp_path, capsys,
                                                         monkeypatch, edit, message):
     def not_reached(*args, **kwargs):

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from settings_cases import BAD_SETTINGS
 from vidmem import harness
 from vidmem.corpus import CaptionSet, Corpus, FeatureSet, LabelTable, WordVectorTable
-from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec,
+from vidmem.harness import (DEFAULT_SEEDS, FeatureModelConfig, SyntheticCorpusSpec,
                             generate_synthetic, predict_table, report_to_json,
                             report_to_text, run_ensemble_experiment,
                             run_feature_experiment, run_full_experiment, split,
@@ -201,6 +202,34 @@ class TestTrainOnce:
         with pytest.raises(ValueError, match="feature set 'missing' is not in the corpus"):
             run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1] + [
                 FeatureModelConfig("missing", "ridge")], seeds=[0])
+
+
+_EXPERIMENTS = {
+    "feature": lambda corpus, settings: run_feature_experiment(corpus, CONFIGS, **settings),
+    "ensemble": lambda corpus, settings: run_ensemble_experiment(corpus, CONFIGS, **settings),
+    "full": lambda corpus, settings: run_full_experiment(corpus, CONFIGS, CONFIGS, **settings),
+}
+
+
+@pytest.mark.parametrize("experiment", list(_EXPERIMENTS))
+@pytest.mark.parametrize("case", list(BAD_SETTINGS))
+def test_bad_settings_rejected_before_any_split_or_fit(small_corpus, monkeypatch, case,
+                                                       experiment):
+    """The library rejects what `vidmem experiment` rejects, with its text,
+    with and without ensemble configs."""
+    calls = []
+    monkeypatch.setattr(harness, "split", lambda *args: calls.append("split"))
+    monkeypatch.setattr(harness, "train_feature_model", lambda *args: calls.append("fit"))
+    settings, message = BAD_SETTINGS[case]
+    with pytest.raises(ValueError) as info:
+        _EXPERIMENTS[experiment](small_corpus, settings)
+    assert (str(info.value), calls) == (message, [])
+
+
+def test_default_seeds_reported_as_a_list(small_corpus):
+    report = run_full_experiment(small_corpus, CONFIGS[:1], CONFIGS[:1])
+    assert report["features"]["seeds"] == report["ensemble"]["seeds"] == list(DEFAULT_SEEDS)
+    assert json.loads(report_to_json(report)) == report  # a tuple would read back unequal
 
 
 class TestDeterminism:
