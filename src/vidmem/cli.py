@@ -86,7 +86,11 @@ def cmd_predict(args):
         ids = [vid for _, vid, _ in corpus_mod._read_records(args.ids, "id", (1,), unique=True)]
     else:  # every video the model has inputs for
         ids = list(c.captions.captions if config.model == "gru" else c.features[config.feature].rows)
-    table = predict_table(c, config, model, ids, aggregation=args.aggregate)
+    try:
+        table = predict_table(c, config, model, ids, aggregation=args.aggregate)
+    except ValueError as exc:  # the inputs do not fit the model
+        raise ValueError(f"{args.word_vectors if model.kind == 'gru' else args.features}: "
+                         f"{exc}") from None
     write_prediction_csv(table, args.out)
     print(f"wrote {len(ids)} predictions -> {args.out}")
 
@@ -96,20 +100,20 @@ def cmd_evaluate(args):
     truth = corpus_mod.load_prediction_csv(args.truth)
     ids = sorted(set(pred) & set(truth))
     if len(ids) < 2:
-        raise ValueError("need at least 2 common video ids")
+        raise ValueError(f"{args.pred}: need at least 2 video ids in common with {args.truth}")
     value = srcc([pred[v] for v in ids], [truth[v] for v in ids])
     print(f"{value:.6f}")
 
 
 def cmd_ensemble_search(args):
     tables = []
-    for path in args.pred:
+    for path in args.pred:  # named by path, which a search error then names
         scores = corpus_mod.load_prediction_csv(path)
-        tables.append(PredictionTable(model_name=Path(path).stem, scores=scores,
+        tables.append(PredictionTable(model_name=path, scores=scores,
                                       coverage={v: "direct" for v in scores}))
     truth = load_labels_csv(args.truth, "short")
     weights = grid_search(tables, truth, bucket=args.bucket)
-    doc = {"model_names": list(weights.model_names),
+    doc = {"model_names": [Path(path).stem for path in args.pred],
            "weights": list(weights.weights),
            "bucket": weights.bucket,
            "validation_srcc": weights.validation_srcc}

@@ -566,14 +566,52 @@ def _evaluate_one_common_id(synth_dir, tmp_path):
     return ["evaluate", "--pred", str(pred), "--truth", str(synth_dir / "labels_short.csv")]
 
 
+def _evaluate_no_common_id(synth_dir, tmp_path):
+    pred = tmp_path / "pred.csv"
+    pred.write_text("x0000,0.5\nx0001,0.7\n")
+    return ["evaluate", "--pred", str(pred), "--truth", str(synth_dir / "labels_short.csv")]
+
+
+def _search_table_missing_ids(synth_dir, tmp_path):
+    labels = synth_dir / "labels_short.csv"
+    (tmp_path / "half.csv").write_text("".join(labels.read_text().splitlines(True)[:30]))
+    return ["ensemble-search", "--pred", str(tmp_path / "half.csv"), str(labels),
+            "--truth", str(labels), "--out", str(tmp_path / "out.csv")]
+
+
+def _predict_narrow_features(synth_dir, tmp_path):
+    (tmp_path / "m.json").write_text(json.dumps(_RIDGE_FILE))  # reads 4 features
+    (tmp_path / "narrow.csv").write_text("v0000,0.5\nv0001,0.2\n")
+    return ["predict", "--model", str(tmp_path / "m.json"),
+            "--features", str(tmp_path / "narrow.csv"), "--out", str(tmp_path / "out.csv")]
+
+
+def _predict_narrow_word_vectors(synth_dir, tmp_path):
+    (tmp_path / "m.json").write_text(json.dumps(_GRU_FILE))  # reads 4-d word vectors
+    (tmp_path / "wv.txt").write_text("a 0.1\nvideo 0.2\n")
+    return ["predict", "--model", str(tmp_path / "m.json"),
+            "--captions", str(synth_dir / "captions.csv"),
+            "--word-vectors", str(tmp_path / "wv.txt"), "--out", str(tmp_path / "out.csv")]
+
+
 @pytest.mark.parametrize("argv, message", [
     (_train_ridge_without_features, "ridge model requires --features"),
     (_train_gru_without_word_vectors, "gru model requires --captions and --word-vectors"),
-    (_evaluate_one_common_id, "need at least 2 common video ids"),
-], ids=["ridge-without-features", "gru-without-word-vectors", "one-common-id"])
+    (_evaluate_one_common_id,
+     "{tmp}/pred.csv: need at least 2 video ids in common with {synth}/labels_short.csv"),
+    (_evaluate_no_common_id,
+     "{tmp}/pred.csv: need at least 2 video ids in common with {synth}/labels_short.csv"),
+    (_search_table_missing_ids,
+     "table '{tmp}/half.csv' missing ids ['v0030', 'v0031', 'v0032', 'v0033', 'v0034']"),
+    (_predict_narrow_features, "{tmp}/narrow.csv: expected 4 features, got 1"),
+    (_predict_narrow_word_vectors, "{tmp}/wv.txt: expected a non-empty (steps, 4) array"),
+], ids=["ridge-without-features", "gru-without-word-vectors", "one-common-id", "no-common-id",
+        "search-table-missing-ids", "predict-narrow-features", "predict-narrow-word-vectors"])
 def test_missing_cli_input_reported_as_error(synth_dir, tmp_path, capsys, argv, message):
+    """The error names each file that is at fault."""
     assert main(argv(synth_dir, tmp_path)) == 1
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == f"error: {message.format(tmp=tmp_path, synth=synth_dir)}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 _STANDARDIZER = {"means": [0.0, 0.0, 0.0, 0.0], "stds": [1.0, 1.0, 1.0, 1.0]}
