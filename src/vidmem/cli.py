@@ -83,14 +83,14 @@ def cmd_predict(args):
     model = regress.load_model(args.model)
     config, c = _corpus_for_model(args, model.kind)
     if args.ids:
-        ids = [vid for _, vid, _ in corpus_mod._read_records(args.ids, "id", (1,), unique=True)]
+        ids = [vid for _, vid, _ in corpus_mod.read_records(args.ids, "id", (1,), unique=True)]
     else:  # every video the model has inputs for
         ids = list(c.captions.captions if config.model == "gru" else c.features[config.feature].rows)
     try:
         table = predict_table(c, config, model, ids, aggregation=args.aggregate)
     except ValueError as exc:  # the inputs do not fit the model
-        raise ValueError(f"{args.word_vectors if model.kind == 'gru' else args.features}: "
-                         f"{exc}") from None
+        inputs = args.word_vectors if model.kind == "gru" else args.features
+        raise ValueError(f"{inputs}: {exc}") from None
     write_prediction_csv(table, args.out)
     print(f"wrote {len(ids)} predictions -> {args.out}")
 

@@ -208,7 +208,7 @@ def _parse_float(value, path, line_no, what):
     return x
 
 
-def _read_records(path, what, fields=None, unique=False):
+def read_records(path, what, fields=None, unique=False):
     """Yield `(line_no, video_id, raw fields)` for each non-blank CSV row.
 
     Checks the field count against `fields` (None: the id plus at least one
@@ -241,7 +241,7 @@ def _read_records(path, what, fields=None, unique=False):
 def _parse_columns(path, columns):
     """Fast path of the feature and annotation loaders: numpy's C reader
     parses every field of every line into the structured dtype
-    `columns(first line)`, the text decoded as `_read_records` decodes it.
+    `columns(first line)`, the text decoded as `read_records` decodes it.
 
     Returns `(video ids, table)` with one string object per distinct id, or
     None where the record reader must re-read the file and decide: a blank
@@ -279,7 +279,7 @@ def load_feature_csv(path, modality, name):
         except ValueError:
             pass
     video_id, values = [], []
-    for line_no, vid, row in _read_records(path, "feature"):
+    for line_no, vid, row in read_records(path, "feature"):
         x = [_parse_float(v, path, line_no, "feature value") for v in row[1:]]
         if values and len(x) != len(values[0]):
             raise ParseError(path, line_no,
@@ -303,7 +303,7 @@ def load_annotations_csv(path):
             except ValueError:
                 pass
     video_id, delay_seconds, recognized = [], [], []
-    for line_no, vid, row in _read_records(path, "annotation", (3,)):
+    for line_no, vid, row in read_records(path, "annotation", (3,)):
         delay = _parse_float(row[1], path, line_no, "delay")
         if delay <= 0:
             raise ParseError(path, line_no, f"nonpositive delay {delay}")
@@ -319,7 +319,7 @@ def load_annotations_csv(path):
 def load_captions_csv(path):
     """Load `video_id,"caption text"` rows (standard CSV quoting)."""
     caps: dict[str, list[str]] = {}
-    for line_no, vid, row in _read_records(path, "caption", (2,)):
+    for line_no, vid, row in read_records(path, "caption", (2,)):
         if not row[1].strip():
             raise ParseError(path, line_no, "empty caption")
         video_caps = caps.setdefault(vid, [])
@@ -332,7 +332,7 @@ def load_captions_csv(path):
 def load_labels_csv(path, term):
     """Load `video_id,score` rows, one per video; scores must lie in [0, 1]."""
     scores: dict[str, float] = {}
-    for line_no, vid, row in _read_records(path, "label", (2,), unique=True):
+    for line_no, vid, row in read_records(path, "label", (2,), unique=True):
         score = _parse_float(row[1], path, line_no, "score")
         if not 0.0 <= score <= 1.0:
             raise ParseError(path, line_no, f"score {score} outside [0, 1]")
@@ -346,7 +346,7 @@ def load_prediction_csv(path):
     them, one per video.  A row's raw score is read where it has one, else
     its score; any finite number is accepted."""
     scores = {}
-    for line_no, vid, row in _read_records(path, "prediction", (2, 3, 4), unique=True):
+    for line_no, vid, row in read_records(path, "prediction", (2, 3, 4), unique=True):
         scores[vid] = _parse_float(row[1], path, line_no, "score")
         if len(row) == 4:
             scores[vid] = _parse_float(row[3], path, line_no, "raw score")

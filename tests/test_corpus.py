@@ -360,7 +360,7 @@ def test_fast_path_loads_without_record_reader(tmp_path, monkeypatch, kind, edit
     def unused(*args, **kwargs):
         raise AssertionError("the record reader was used")
 
-    monkeypatch.setattr(corpus, "_read_records", unused)
+    monkeypatch.setattr(corpus, "read_records", unused)
     assert _outcome(load, p) == expected
     assert not isinstance(expected[0], type)
 

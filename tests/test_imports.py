@@ -1,6 +1,7 @@
 """The library imports only the standard library, numpy and itself, every
-name a module imports at top level is used, and every private top-level
-name is referenced somewhere in the library."""
+name a module imports at top level is used, every private top-level name
+is referenced somewhere in the library, and no module reaches into another
+module's private names."""
 
 import ast
 import sys
@@ -98,3 +99,31 @@ def test_no_unreferenced_private_name():
                     for line, private in _private_definitions(tree)
                     if private not in referenced]
     assert unreferenced == []
+
+
+def _is_private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _private_crossings(tree):
+    """(line, name) of every private name the module imports from another
+    library module, or reads as an attribute of one it imported."""
+    modules = {alias.asname or alias.name for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level and node.module is None
+               for alias in node.names}  # `from . import corpus as corpus_mod`
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            names = [alias.name for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules):
+            names = [node.attr]
+        else:
+            continue
+        yield from ((node.lineno, name) for name in names if _is_private(name))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.stem for p in MODULES])
+def test_no_private_name_of_another_module(path):
+    crossings = [f"{path.name}:{line}: {name}"
+                 for line, name in _private_crossings(ast.parse(path.read_text()))]
+    assert crossings == []
