@@ -142,9 +142,8 @@ def _load_corpus_from_config(cfg, base):
 
 def _check_config(cfg, path):
     """Reject a config that cannot run, before any data is loaded, and return
-    its `ExperimentSettings` and its feature and ensemble model entries as
-    `FeatureModelConfig`s.  Every error names the config path and the
-    offending key."""
+    its `ExperimentSettings` and its feature and ensemble `FeatureModelConfig`s.
+    Every error names the config path and the offending key."""
     def fail(message):
         raise ValueError(f"{path}: {message}")
 

@@ -490,9 +490,9 @@ def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs, test_
     """Both protocols over one set of fits: each seed is split once, and a
     config that appears in both lists is trained once per seed and term.
     With no ensemble configs the grid search is skipped and the ensemble
-    section has an empty `rows`.  The settings are keyword-only, as in
-    `ExperimentSettings`, whose rules and texts `vidmem experiment` shares;
-    bad settings and a corpus that cannot be split raise before any fit."""
+    section has an empty `rows`.  The settings are keyword-only fields of
+    `ExperimentSettings`, checked with `vidmem experiment`'s rules and texts
+    before any split or fit; a corpus that cannot be split raises before any fit."""
     settings, ids = ExperimentSettings(**settings), corpus.video_ids
     splits = {seed: split(ids, seed, settings.train_fraction) for seed in settings.seeds}
     fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), splits, settings)

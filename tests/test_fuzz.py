@@ -5,8 +5,9 @@ Each case mutates one valid file of a small corpus with `random.Random(seed)`
 and runs `cli.main` in-process on it: the exit code is 0 or 1, no exception
 or warning escapes `main`, and where the mutated file no longer parses, the
 error is the loader's own, with `path:line`.  The corpus is kept small (24
-videos, a GRU of 2 hidden units trained for one epoch) so that every case
-runs in a few milliseconds, and `workers` never exceeds 2.
+videos, a GRU of 2 hidden units and no hidden dense layer trained for one
+epoch) so that every case runs in a few milliseconds, and `workers` never
+exceeds 2.
 """
 
 import json
@@ -34,6 +35,8 @@ _VALUES = (None, True, False, "x", "", -1, 0, 2, 2.5, -0.5, [], {}, [1.5], [True
 
 _SETTINGS_KEYS = ("seeds", "bucket", "train_fraction", "aggregation", "workers")
 
+_GRU = {"hidden_units": 2, "dense_widths": [1], "max_epochs": 1}  # a few ms per fit
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -52,7 +55,7 @@ def corpus_dir(tmp_path_factory):
     text = ["--captions", str(d / "captions.csv"), "--word-vectors", str(d / "wv.txt")]
     for model, params, inputs in (("ridge", "{}", ["--features", feat]),
                                   ("svr", '{"epsilon": 0.05}', ["--features", feat]),
-                                  ("gru", '{"hidden_units": 2, "max_epochs": 1}', text)):
+                                  ("gru", json.dumps(_GRU), text)):
         assert main(["train", *inputs, "--labels", labels, "--model", model,
                      "--params", params, "--out", str(d / f"{model}.json")]) == 0
     for name in ("featA", "featB"):
@@ -67,7 +70,7 @@ def corpus_dir(tmp_path_factory):
         "feature_models": [{"feature": "featA", "model": "ridge", "hyper": {"lam": 1.0}},
                            {"feature": "featB", "model": "lasso", "hyper": {"lam": 0.01}},
                            {"feature": "captions", "model": "gru",
-                            "hyper": {"hidden_units": 2, "max_epochs": 1}}],
+                            "hyper": _GRU}],
         "ensemble_models": [{"feature": "featA", "model": "ridge"},
                             {"feature": "featB", "model": "ridge"}],
         "seeds": [0], "bucket": 0.25, "train_fraction": 0.75, "aggregation": "median",
@@ -175,7 +178,7 @@ def _mutate_json(text, rng):
 def _run(argv, what):
     try:
         return main(argv)
-    except Exception as exc:  # noqa: BLE001 - the failure is the escaped exception
+    except Exception as exc:  # what this test looks for
         pytest.fail(f"{what}: {type(exc).__name__} escaped main: {exc}")
 
 
@@ -202,7 +205,7 @@ def test_mutated_line_file(corpus_dir, tmp_path, capsys, target):
 
 
 @pytest.mark.parametrize("target", list(_JSON_TARGETS))
-def test_mutated_json_file(corpus_dir, tmp_path, capsys, target):
+def test_mutated_json_file(corpus_dir, tmp_path, target):
     text = (corpus_dir / _JSON_TARGETS[target]).read_text()
     path = tmp_path / _JSON_TARGETS[target]
     for seed in range(CASES_PER_TARGET):
@@ -214,7 +217,7 @@ def test_mutated_json_file(corpus_dir, tmp_path, capsys, target):
 
 
 @pytest.mark.parametrize("key", _SETTINGS_KEYS)
-def test_wrong_typed_setting(corpus_dir, tmp_path, capsys, key):
+def test_wrong_typed_setting(corpus_dir, tmp_path, key):
     config = json.loads((corpus_dir / "config.json").read_text())
     path = tmp_path / "config.json"
     for value in _VALUES:
