@@ -215,7 +215,7 @@ def cmd_experiment(args):
     cfg_path = Path(args.config)
     try:
         cfg = json.loads(cfg_path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON or text that does not decode
         raise ValueError(f"{cfg_path}: {exc}") from None
     settings, feature_configs, ensemble_configs = _check_config(cfg, cfg_path)
     base = cfg_path.parent

@@ -8,6 +8,7 @@ silently.  Loaded tables are treated as immutable.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
 from dataclasses import dataclass, field
@@ -198,6 +199,26 @@ def by_length(groups):
         yield positions, column.reshape(len(positions), length, *column.shape[1:])
 
 
+@contextlib.contextmanager
+def _decoded(path):
+    """Raise a decode error from reading `path` as a ParseError at the line
+    that holds the file's first byte that does not decode.  The line is
+    counted in the file's bytes: a text reader's error gives the offset of
+    the byte within the chunk it was decoding."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode(exc.encoding)
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line_no = len(data[:exc.start + 1].splitlines())  # the byte there is no line break
+        raise ParseError(path, line_no, f"not valid {exc.encoding}: byte "
+                                        f"{exc.object[exc.start]:#04x} ({exc.reason})") from None
+
+
 def _parse_float(value, path, line_no, what):
     try:
         x = float(value)
@@ -216,7 +237,7 @@ def read_records(path, what, fields=None, unique=False):
     errors and a file without rows raise ParseError with path:line.
     """
     seen: dict[str, str] = {}  # one string object per distinct id
-    with open(path, newline="") as fh:
+    with _decoded(path), open(path, newline="") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -251,9 +272,12 @@ def _parse_columns(path, columns):
     parse error.
     """
     with open(path, newline="") as fh:
-        first = fh.readline()
-        fh.seek(0)
-        text = fh.read()
+        try:
+            first = fh.readline()
+            fh.seek(0)
+            text = fh.read()
+        except UnicodeDecodeError:  # the record reader names the line
+            return None
         if not first.strip("\r\n") or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
             return None
         del text  # not held while loadtxt parses
@@ -357,7 +381,7 @@ def load_word_vectors(path):
     """Load a `token f0 ... f(D-1)` text file; D is inferred from line 1."""
     vectors: dict[str, np.ndarray] = {}
     dimension = None
-    with open(path) as fh:
+    with _decoded(path), open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2 or not parts[0]:

@@ -509,6 +509,50 @@ def test_malformed_prediction_csv_reports_line(synth_dir, tmp_path, capsys, line
         assert f"error: {pred}:2: {message}" in capsys.readouterr().err
 
 
+# kind: (the file given a 0xff byte, the line that holds it, the command that reads
+# it).  Line 500 of the annotations lies past the text reader's first 8 KiB chunk.
+_UNDECODABLE = {
+    "annotations": ("annotations.csv", 500, "adjust-labels --annotations {bad} --out {out}"),
+    "features": ("featA.csv", 2, "train --features {bad} --labels {synth}/labels_short.csv "
+                                 "--model ridge --out {out}"),
+    "labels": ("labels_short.csv", 3, "train --features {synth}/featA.csv --labels {bad} "
+                                      "--model ridge --out {out}"),
+    "captions": ("captions.csv", 2, "train --captions {bad} --word-vectors {synth}/wv.txt "
+                                    "--labels {synth}/labels_short.csv --model gru --out {out}"),
+    "word-vectors": ("wv.txt", 4, "train --captions {synth}/captions.csv --word-vectors {bad} "
+                                  "--labels {synth}/labels_short.csv --model gru --out {out}"),
+    "predictions": ("labels_short.csv", 2, "evaluate --pred {bad} --truth {synth}/labels_short.csv"),
+    "config": ("config.json", None, "experiment --config {bad}"),
+    "model": ("model.json", None, "predict --model {bad} --features {synth}/featA.csv --out {out}"),
+}
+
+
+@pytest.mark.parametrize("kind", list(_UNDECODABLE))
+def test_undecodable_file_named(synth_dir, word_vectors, tmp_path, capsys, kind):
+    """A file that is not valid UTF-8 fails with exit code 1 and its path, and
+    a line-based file also with the line that holds its first bad byte."""
+    name, line_no, command = _UNDECODABLE[kind]
+    if name == "config.json":
+        data = json.dumps(_feature_only_config(synth_dir)).encode()
+    elif name == "model.json":
+        data = json.dumps(_RIDGE_FILE).encode()
+    else:
+        data = (synth_dir / name).read_bytes()
+    lines = data.splitlines(keepends=True)
+    k = (line_no or 1) - 1
+    lines[k] = lines[k][:2] + b"\xff" + lines[k][2:]
+    bad = tmp_path / name
+    bad.write_bytes(b"".join(lines))
+    out = tmp_path / "out.csv"
+    assert main(command.format(bad=bad, synth=synth_dir, out=out).split()) == 1
+    err = capsys.readouterr().err
+    if line_no is None:
+        assert err.startswith(f"error: {bad}: ")
+    else:
+        assert err == f"error: {bad}:{line_no}: not valid utf-8: byte 0xff (invalid start byte)\n"
+    assert not out.exists()
+
+
 def test_prediction_csv_scores_outside_unit_interval_accepted(tmp_path, capsys):
     pred = tmp_path / "pred.csv"
     pred.write_text("v0000,-3.0\nv0001,7.5,direct\n")
