@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import math
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,14 +35,17 @@ class AnnotationLog:
     """Recognition trials as three parallel columns, one entry per trial: the
     video id, the delay before the repeat, and whether it was recognized.
 
-    `entries` maps each video id to the indices of its trials, videos in
-    first-appearance order and trials in column order.
+    `groups` is `(videos, order, counts)`: the distinct video ids in
+    first-appearance order, the trial indices grouped by video (trials in
+    column order), and each video's trial count.  `entries`, built on first
+    read, maps each video id to its block of `order`.
     """
 
     video_id: tuple[str, ...]
     delay_seconds: np.ndarray
     recognized: np.ndarray
-    entries: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    groups: tuple[list[str], np.ndarray, np.ndarray] = field(init=False, repr=False,
+                                                             compare=False)
 
     def __post_init__(self):
         delays = np.asarray(self.delay_seconds, dtype=float)
@@ -52,11 +57,16 @@ class AnnotationLog:
             raise ValueError("delays must be positive and finite")
         if not np.all((recognized == 0) | (recognized == 1)):
             raise ValueError("recognized must be 0 or 1")
-        videos, order, bounds = _group_by_video(self.video_id)
-        object.__setattr__(self, "video_id", tuple(self.video_id))
+        videos, order, counts, video_id = _group_by_video(self.video_id)
+        object.__setattr__(self, "video_id", tuple(video_id))
         object.__setattr__(self, "delay_seconds", delays)
         object.__setattr__(self, "recognized", recognized.astype(int))
-        object.__setattr__(self, "entries", dict(zip(videos, np.split(order, bounds))))
+        object.__setattr__(self, "groups", (videos, order, counts))
+
+    @functools.cached_property
+    def entries(self):
+        videos, order, counts = self.groups
+        return dict(zip(videos, np.split(order, np.cumsum(counts)[:-1])))
 
 
 @dataclass(frozen=True)
@@ -83,11 +93,12 @@ class FeatureSet:
             raise ValueError("values must be an (n_rows, d >= 1) array with one row per video id")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite feature value")
-        videos, order, bounds = _group_by_video(self.video_id)
+        videos, order, counts, video_id = _group_by_video(self.video_id)
         values = values[order]
-        object.__setattr__(self, "video_id", tuple(self.video_id[i] for i in order))
+        object.__setattr__(self, "video_id", tuple(map(video_id.__getitem__, order.tolist())))
         object.__setattr__(self, "values", values)
-        object.__setattr__(self, "rows", dict(zip(videos, np.split(values, bounds))))
+        object.__setattr__(self, "rows",
+                           dict(zip(videos, np.split(values, np.cumsum(counts)[:-1]))))
 
     @property
     def dimension(self):
@@ -162,24 +173,44 @@ class Corpus:
         return sorted(ids)
 
 
+def _is_video_id(vid):
+    return vid.split() == [vid] and "," not in vid  # not empty, no whitespace or comma
+
+
 def _check_video_id(vid):
-    if vid.split() != [vid] or "," in vid:  # empty, or holds whitespace or a comma
+    if not _is_video_id(vid):
         raise ValueError(f"invalid video id {vid!r}")
 
 
 def _group_by_video(video_id):
-    """Order the entries of one id column by video, videos in first-appearance
-    order and entries in column order; each distinct id is checked once.
+    """Order the entries of one id column (a sequence of str or a `U` array)
+    by video, videos in first-appearance order and entries in column order;
+    each distinct id is checked once.
 
-    Returns the distinct ids, the entry order, and the split points between
-    videos in that order.
+    Returns the distinct ids, the entry order, each video's entry count, and
+    the column's ids as a list in column order that holds one str object per
+    distinct id.  The column is cut into runs of equal ids; when no id has two
+    runs (a file written grouped by video), the order is the column order and
+    the counts are the run lengths, else the runs are ranked by their id's
+    first appearance and stably sorted.
     """
-    first = {vid: k for k, vid in enumerate(dict.fromkeys(video_id))}  # rank by first appearance
-    codes = np.fromiter(map(first.__getitem__, video_id), np.intp, len(video_id))
-    for vid in first:
+    ids = video_id if isinstance(video_id, np.ndarray) else np.array(video_id, dtype=object)
+    starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+    if len(ids):
+        starts = np.r_[0, starts]
+    seen: dict[str, str] = {}
+    runs = [seen.setdefault(vid, vid) for vid in ids[starts].tolist()]
+    lengths = np.diff(starts, append=len(ids))
+    for vid in seen:
         _check_video_id(vid)
-    order = np.argsort(codes, kind="stable")
-    return list(first), order, np.cumsum(np.bincount(codes, minlength=len(first)))[:-1]
+    if len(seen) == len(runs):
+        order, counts = np.arange(len(ids)), lengths
+    else:
+        first = {vid: k for k, vid in enumerate(seen)}  # rank by first appearance
+        codes = np.repeat(np.fromiter(map(first.__getitem__, runs), np.intp, len(runs)), lengths)
+        order = np.argsort(codes, kind="stable")
+        counts = np.bincount(codes, minlength=len(first))
+    return list(seen), order, counts, np.repeat(np.array(runs, dtype=object), lengths).tolist()
 
 
 def by_length(groups):
@@ -260,43 +291,57 @@ def read_records(path, what, fields=None, unique=False):
 
 
 def _parse_columns(path, columns):
-    """Fast path of the feature and annotation loaders: numpy's C reader
-    parses every field of every line into the structured dtype
-    `columns(first line)`, the text decoded as `read_records` decodes it.
+    """Fast path of the CSV loaders: numpy's C reader parses every field of
+    every line into an id column and the value columns `columns(first line)`,
+    the text decoded as `read_records` decodes it.
 
-    Returns `(video ids, table)` with one string object per distinct id, or
-    None where the record reader must re-read the file and decide: a blank
-    first line (such as a file without rows, on which loadtxt warns), a
-    character the two readers treat apart (csv unquotes `"`; loadtxt strips
-    the separators U+001C-U+001F around a number, float() does not), or a
-    parse error.
+    The ids are read as `U<w>` strings, `w` one more than the longer of the
+    ids of the first and the last line, and at most `_MAX_ID_WIDTH`: such a
+    column takes 4 bytes per character of `w` on every row, so one long id
+    must not widen them all.  A `U<w>` column cuts a longer id to `w`
+    characters, so where any id fills `w`, the file is parsed once more with
+    an object id column.
+
+    Returns `(ids, table)`, or None where the record reader must re-read the
+    file and decide: text that does not decode, a blank first line (such as
+    a file without rows, on which loadtxt warns), a character the two readers
+    treat apart (csv unquotes `"`; loadtxt strips the separators
+    U+001C-U+001F around a number, float() does not; a `U` string drops a
+    trailing NUL), or a parse error.
     """
     with open(path, newline="") as fh:
         try:
-            first = fh.readline()
-            fh.seek(0)
             text = fh.read()
         except UnicodeDecodeError:  # the record reader names the line
             return None
-        if not first.strip("\r\n") or any(c in text for c in '"\x1c\x1d\x1e\x1f'):
+        first = _LINE.match(text).group()
+        if not first or any(c in text for c in '"\x1c\x1d\x1e\x1f\x00'):
             return None
+        # where the last line starts, in a file that ends in "\n" or "\r\n": elsewhere
+        # another line's id sets the width, which only costs a second parse
+        last = text.rfind("\n", 0, len(text) - 2) + 1
+        width = 1 + max(len(first.partition(",")[0]), _FIELD.match(text, last).end() - last)
+        width = min(width, _MAX_ID_WIDTH)
         del text  # not held while loadtxt parses
-        fh.seek(0)
-        try:
-            table = np.loadtxt(fh, dtype=columns(first), delimiter=",", comments=None,
-                               quotechar=None, ndmin=1)
-        except ValueError:
-            return None
-    seen: dict[str, str] = {}
-    ids = table["id"].tolist()
-    table["id"] = None  # the table keeps no second copy of each row's id
-    video_id = list(map(seen.setdefault, ids, ids))
-    return video_id, table
+        for id_dtype in (f"U{width}", "O"):
+            fh.seek(0)
+            try:
+                table = np.loadtxt(fh, dtype=[("id", id_dtype), *columns(first)], delimiter=",",
+                                   comments=None, quotechar=None, ndmin=1)
+            except ValueError:
+                return None
+            if id_dtype == "O" or not (np.char.str_len(table["id"]) == width).any():
+                return table["id"], table
+
+
+_MAX_ID_WIDTH = 32
+_LINE = re.compile(r"[^\r\n]*")
+_FIELD = re.compile(r"[^,\r\n]*")
 
 
 def load_feature_csv(path, modality, name):
     """Load `video_id,f0,...,f(d-1)` rows; multiple lines per video allowed."""
-    parsed = _parse_columns(path, lambda first: [("id", "O"), ("v", "f8", (first.count(","),))])
+    parsed = _parse_columns(path, lambda first: [("v", "f8", (first.count(","),))])
     if parsed is not None:
         try:
             return FeatureSet(modality, name, parsed[0], parsed[1]["v"])
@@ -315,8 +360,7 @@ def load_feature_csv(path, modality, name):
 
 def load_annotations_csv(path):
     """Load `video_id,delay_seconds,recognized` rows into an AnnotationLog."""
-    # `recognized` is an object column: a fixed-width one would drop a trailing NUL
-    parsed = _parse_columns(path, lambda first: [("id", "O"), ("t", "f8"), ("r", "O")])
+    parsed = _parse_columns(path, lambda first: [("t", "f8"), ("r", "U2")])
     if parsed is not None:
         video_id, table = parsed
         recognized = table["r"] == "1"
@@ -355,7 +399,15 @@ def load_captions_csv(path):
 
 def load_labels_csv(path, term):
     """Load `video_id,score` rows, one per video; scores must lie in [0, 1]."""
-    scores: dict[str, float] = {}
+    parsed = _parse_columns(path, lambda first: [("s", "f8")])
+    if parsed is not None:
+        scores = dict(zip(parsed[0].tolist(), parsed[1]["s"].tolist()))
+        if len(scores) == len(parsed[1]):  # no id twice
+            try:
+                return LabelTable(term=term, scores=scores)
+            except ValueError:
+                pass
+    scores = {}
     for line_no, vid, row in read_records(path, "label", (2,), unique=True):
         score = _parse_float(row[1], path, line_no, "score")
         if not 0.0 <= score <= 1.0:
@@ -364,11 +416,24 @@ def load_labels_csv(path, term):
     return LabelTable(term=term, scores=scores)
 
 
+# score, coverage (read as anything) and raw score: the first line's count of
+# commas takes 1-3 of them, so that a line of 1 or of 5 or more fields fails
+_PREDICTION_COLUMNS = [("s", "f8"), ("c", "U1"), ("r", "f8")]
+
+
 def load_prediction_csv(path):
     """Load `video_id,score` label rows, `video_id,score,coverage` rows, or
     `video_id,score,coverage,raw score` rows as `write_prediction_csv` writes
     them, one per video.  A row's raw score is read where it has one, else
     its score; any finite number is accepted."""
+    parsed = _parse_columns(path, lambda first: _PREDICTION_COLUMNS[:max(1, first.count(","))])
+    if parsed is not None:
+        ids, table = parsed
+        numbers = [table[name] for name in ("s", "r") if name in table.dtype.names]
+        scores = dict(zip(ids.tolist(), numbers[-1].tolist()))
+        if (len(scores) == len(ids) and np.isfinite(numbers).all()
+                and all(map(_is_video_id, scores))):
+            return scores
     scores = {}
     for line_no, vid, row in read_records(path, "prediction", (2, 3, 4), unique=True):
         scores[vid] = _parse_float(row[1], path, line_no, "score")

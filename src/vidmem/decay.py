@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .aggregate import clamp_unit
-from .corpus import AnnotationLog, LabelTable, by_length
+from .corpus import AnnotationLog, LabelTable
 
 DEGENERATE_WARNING = "all delays equal the target duration; decay rate not identifiable"
 
@@ -43,11 +43,10 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
         raise ValueError("iterations must be >= 1")
     if not (target_duration > 0):
         raise ValueError("target duration must be positive")
-    if not log.entries:
+    videos, order, counts = log.groups
+    if not videos:
         raise ValueError("empty annotation log")
 
-    video_ids = list(log.entries)
-    groups = list(log.entries.values())
     x = log.recognized.astype(float)
     with np.errstate(divide="ignore", over="ignore"):  # t/T overflowing or 0
         lr = np.log(log.delay_seconds / target_duration)
@@ -56,12 +55,15 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
                          f"{target_duration!r}")
     # Per-video sufficient statistics, in video order: the means of x,
     # log(t/T), x log(t/T) and log(t/T)^2.  The videos with L trials form
-    # one (n_L, L) block of trial indices, and a .mean(axis=1) over a column
-    # gathered by it sums each video's trials in the order of a per-video
-    # array.  The alpha denominator and the log-ratio sums never change
-    # across iterations.
-    hit_rate, mean_lr, mean_xlr, mean_lr2 = (np.empty(len(groups)) for _ in range(4))
-    for positions, trials in by_length(groups):
+    # one (n_L, L) block of trial indices, gathered from `order` at each
+    # video's start, and a .mean(axis=1) over a column gathered by it sums
+    # each video's trials in the order of a per-video array.  The alpha
+    # denominator and the log-ratio sums never change across iterations.
+    starts = np.cumsum(counts) - counts
+    hit_rate, mean_lr, mean_xlr, mean_lr2 = (np.empty(len(videos)) for _ in range(4))
+    for length in np.flatnonzero(np.bincount(counts)).tolist():
+        positions = np.flatnonzero(counts == length)
+        trials = order[starts[positions, None] + np.arange(length)]
         xb, lb = x[trials], lr[trials]
         hit_rate[positions] = xb.mean(axis=1)
         mean_lr[positions] = lb.mean(axis=1)
@@ -84,7 +86,7 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
     return DecayFit(
         alpha=alpha,
         target_duration=target_duration,
-        m_t={vid: float(m[k]) for k, vid in enumerate(video_ids)},
+        m_t=dict(zip(videos, m.tolist())),
         alpha_trajectory=tuple(trajectory),
         warnings=warnings,
     )

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,58 @@ class TestByLength:
         assert list(corpus.by_length([])) == []
 
 
+def _grouped_by_dict(ids):
+    """The reference grouping: rank each id by its first appearance, then
+    sort the entries stably by rank."""
+    first = {vid: k for k, vid in enumerate(dict.fromkeys(ids))}
+    codes = np.fromiter(map(first.__getitem__, ids), np.intp, len(ids))
+    return (list(first), np.argsort(codes, kind="stable"),
+            np.bincount(codes, minlength=len(first)), list(ids))
+
+
+def test_group_by_video_matches_reference():
+    """Grouped columns take the run path and the others the dict path; both
+    give the reference's videos, order, counts and per-row ids, from a list
+    or a `U` array, with one str object per distinct id."""
+    rng = np.random.default_rng(0)
+    for case in range(200):
+        n_videos = [0, 1, *rng.integers(2, 30, 3)][case % 5]
+        names = [f"v{k}" * int(rng.integers(1, 4)) for k in rng.permutation(max(n_videos, 1))]
+        counts = rng.integers(1, 6, n_videos)
+        ids = [vid for vid, c in zip(names, counts) for _ in range(c)]
+        if case % 2:  # interleaved
+            ids = [ids[k] for k in rng.permutation(len(ids))]
+        expected = _grouped_by_dict(ids)
+        for column in (ids, np.array(ids, dtype=f"U{max(map(len, ids), default=1)}")):
+            videos, order, counts, row_ids = corpus._group_by_video(column)
+            assert videos == expected[0]
+            assert np.array_equal(order, expected[1])
+            assert np.array_equal(counts, expected[2])
+            assert row_ids == expected[3] and all(type(v) is str for v in row_ids)
+            assert len({id(v) for v in row_ids}) == len(videos)
+
+
+def test_id_width_parses_once_unless_an_id_may_be_cut(tmp_path, monkeypatch):
+    """The id column is as wide as the first and last ids allow: ascending
+    numeric ids parse once, and an id longer than both parses twice.  A long
+    first id does not widen every row past the cap."""
+    calls = []
+    loadtxt = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["dtype"]) or loadtxt(*a, **k))
+    p = tmp_path / "a.csv"
+    p.write_text("".join(f"{k},75,1\n" for k in range(1, 2501)))
+    assert list(corpus.load_annotations_csv(p).groups[0]) == [str(k) for k in range(1, 2501)]
+    assert [dtype[0] for dtype in calls] == [("id", "U5")]
+    calls.clear()
+    p.write_text("v1,75,1\nv22,80,0\nv3,3,1\n")
+    assert corpus.load_annotations_csv(p).video_id == ("v1", "v22", "v3")
+    assert [dtype[0] for dtype in calls] == [("id", "U3"), ("id", "O")]
+    calls.clear()
+    p.write_text("x" * 2000 + ",75,1\nv1,80,0\n")
+    assert corpus.load_annotations_csv(p).video_id == ("x" * 2000, "v1")
+    assert [dtype[0] for dtype in calls] == [("id", "U32"), ("id", "O")]
+
+
 class TestLabelLoader:
     def test_basic(self, tmp_path):
         t = corpus.load_labels_csv(write(tmp_path, "l.csv", "v1,0.85\n"), "short")
@@ -244,12 +297,18 @@ def test_repeated_video_id_rejected_at_second_line(tmp_path, kind):
     assert str(exc.value) == f"{p}:3: duplicate video id 'v1'"
 
 
-# The feature and annotation loaders parse with numpy's C reader and re-read
-# through the record reader when in doubt; the two must never disagree.
+# The CSV loaders other than the caption loader parse with numpy's C reader
+# and re-read through the record reader when in doubt; the two must never
+# disagree.
 FAST_PATH_LOADERS = {
     "feature": (lambda p: corpus.load_feature_csv(p, "video", "C3D"),
                 "v1,0.5,1\nv2,1.5,-2\nv1,3,4\n"),
     "annotation": (corpus.load_annotations_csv, "v1,75,1\nv2,80.5,0\nv1,3,1\n"),
+    "label": (lambda p: corpus.load_labels_csv(p, "short"), "v1,0.5\nv2,1\nv3,0.25\n"),
+    "prediction2": (corpus.load_prediction_csv, "v1,0.5\nv2,1\nv3,-3\n"),
+    "prediction3": (corpus.load_prediction_csv, "v1,0.5,direct\nv2,3,fallback\nv3,-2,direct\n"),
+    "prediction4": (corpus.load_prediction_csv,
+                    "v1,0.5,direct,0.75\nv2,0.5,fallback,-2\nv3,3,direct,1\n"),
 }
 
 EDITS = {
@@ -297,6 +356,13 @@ EDITS = {
     "id-with-nul": lambda t: t.replace("v2", "v2\x00"),
     "value-with-x1c": lambda t: t.replace(",3,", ",3\x1c,"),
     "value-with-u2028": lambda t: t.replace(",3,", ",3\u2028,"),
+    "id-longer-than-first-and-last": lambda t: t.replace("v2", "v2222"),
+    "mixed-width-ids": lambda t: t.replace("v1", "9").replace("v2", "10").replace("v3", "100"),
+    "grouped": lambda t: "".join(sorted(t.splitlines(keepends=True))),
+    "duplicate-id": lambda t: t.replace("v2", "v1"),
+    "first-value-nan": lambda t: re.sub(r",[^,\n]*", ",nan", t, count=1),
+    "first-value-1.5": lambda t: re.sub(r",[^,\n]*", ",1.5", t, count=1),
+    "id-with-inner-nul": lambda t: t.replace("v2", "v\x002"),
 }
 
 
@@ -308,6 +374,10 @@ def _outcome(load, path):
         return type(exc), str(exc)
     if isinstance(table, corpus.FeatureSet):
         return table.video_id, table.values.dtype, table.values.shape, table.values.tobytes()
+    if isinstance(table, corpus.LabelTable):
+        return table.term, list(table.scores), np.array(list(table.scores.values())).tobytes()
+    if isinstance(table, dict):
+        return list(table), np.array(list(table.values())).tobytes()
     return (table.video_id, table.delay_seconds.dtype, table.delay_seconds.tobytes(),
             table.recognized.dtype, table.recognized.tobytes())
 
@@ -349,7 +419,7 @@ def test_fast_path_matches_record_reader_on_random_edits(tmp_path, monkeypatch, 
 
 @pytest.mark.parametrize("edit", ["clean", "crlf", "lone-cr", "bom", "blank-line-after-first",
                                   "long-id", "non-ascii-id", "tab-padded-value",
-                                  "value-with-u2028"])
+                                  "value-with-u2028", "grouped", "mixed-width-ids"])
 @pytest.mark.parametrize("kind", list(FAST_PATH_LOADERS))
 def test_fast_path_loads_without_record_reader(tmp_path, monkeypatch, kind, edit):
     load, text = FAST_PATH_LOADERS[kind]
