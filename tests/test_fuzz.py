@@ -204,6 +204,49 @@ def test_mutated_line_file(corpus_dir, tmp_path, capsys, target):
             assert err == f"error: {exc}\n", f"seed {seed}: {what}"
 
 
+def _mutate_id(data, rng):
+    """Lengthen or shorten the id of one line, which the fixed-width id column
+    of the fast path must not cut, or put a 0xff byte, which does not decode,
+    into the line."""
+    lines = data.splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    op = rng.choice(("lengthen", "shorten", "0xff"))
+    vid, comma, rest = lines[k].partition(b",")
+    if op == "lengthen":
+        vid += vid[-1:] * rng.randrange(1, 40)
+    elif op == "shorten":
+        vid = vid[:rng.randrange(len(vid))]
+    else:
+        i = rng.randrange(len(lines[k]) - 1)  # before the line break
+        vid, comma, rest = lines[k][:i] + b"\xff" + lines[k][i:], b"", b""
+    lines[k] = vid + comma + rest
+    return b"".join(lines), op, k + 1
+
+
+@pytest.mark.parametrize("target", ["annotations", "labels", "truth", "predictions-evaluate",
+                                    "predictions-search"])
+def test_mutated_id_or_byte(corpus_dir, tmp_path, capsys, target):
+    name, load = _LINE_TARGETS[target]
+    data = (corpus_dir / name).read_bytes()
+    path = tmp_path / name
+    for seed in range(CASES_PER_TARGET):
+        mutated, op, line_no = _mutate_id(data, random.Random(seed))
+        what = f"seed {seed}: {op} line {line_no}"
+        path.write_bytes(mutated)
+        capsys.readouterr()
+        code = _run(_argv(corpus_dir, target, str(path), str(tmp_path / "out")), what)
+        err = capsys.readouterr().err
+        assert code in (0, 1), what
+        if op == "0xff":  # the error names the line of the byte
+            assert err.startswith(f"error: {path}:{line_no}: not valid utf-8: byte 0xff"), what
+        elif code == 1:
+            try:
+                load(path)
+            except ParseError as exc:
+                assert re.match(rf"{re.escape(str(path))}:\d+: ", str(exc)), what
+                assert err == f"error: {exc}\n", what
+
+
 @pytest.mark.parametrize("target", list(_JSON_TARGETS))
 def test_mutated_json_file(corpus_dir, tmp_path, target):
     text = (corpus_dir / _JSON_TARGETS[target]).read_text()
