@@ -37,7 +37,8 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
 
     m_T(i) starts at the raw hit rate; each iteration updates alpha first
     (ratio of per-video-weighted cross terms to squared log-delay terms),
-    then every m_T(i).
+    then every m_T(i).  The per-video statistics come from `log.groups`;
+    `m_t` keeps the log's video order.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
