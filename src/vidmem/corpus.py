@@ -183,16 +183,15 @@ def _check_video_id(vid):
 
 
 def _group_by_video(video_id):
-    """Order the entries of one id column (a sequence of str or a `U` array)
+    """Order the entries of one id column (a sequence of str or an array)
     by video, videos in first-appearance order and entries in column order;
     each distinct id is checked once.
 
     Returns the distinct ids, the entry order, each video's entry count, and
     the column's ids as a list in column order that holds one str object per
-    distinct id.  The column is cut into runs of equal ids; when no id has two
-    runs (a file written grouped by video), the order is the column order and
-    the counts are the run lengths, else the runs are ranked by their id's
-    first appearance and stably sorted.
+    distinct id.  The column is cut into runs of equal ids, and the runs,
+    not the entries, are ranked by their id's first appearance and stably
+    sorted.
     """
     ids = video_id if isinstance(video_id, np.ndarray) else np.array(video_id, dtype=object)
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
@@ -201,16 +200,13 @@ def _group_by_video(video_id):
     seen: dict[str, str] = {}
     runs = [seen.setdefault(vid, vid) for vid in ids[starts].tolist()]
     lengths = np.diff(starts, append=len(ids))
-    for vid in seen:
+    first = {vid: k for k, vid in enumerate(seen)}  # rank by first appearance
+    for vid in first:
         _check_video_id(vid)
-    if len(seen) == len(runs):
-        order, counts = np.arange(len(ids)), lengths
-    else:
-        first = {vid: k for k, vid in enumerate(seen)}  # rank by first appearance
-        codes = np.repeat(np.fromiter(map(first.__getitem__, runs), np.intp, len(runs)), lengths)
-        order = np.argsort(codes, kind="stable")
-        counts = np.bincount(codes, minlength=len(first))
-    return list(seen), order, counts, np.repeat(np.array(runs, dtype=object), lengths).tolist()
+    codes = np.repeat(np.fromiter(map(first.__getitem__, runs), np.intp, len(runs)), lengths)
+    order = np.argsort(codes, kind="stable")
+    counts = np.bincount(codes, minlength=len(first))
+    return list(first), order, counts, np.repeat(np.array(runs, dtype=object), lengths).tolist()
 
 
 def by_length(groups):
@@ -292,22 +288,15 @@ def read_records(path, what, fields=None, unique=False):
 
 def _parse_columns(path, columns):
     """Fast path of the CSV loaders: numpy's C reader parses every field of
-    every line into an id column and the value columns `columns(first line)`,
-    the text decoded as `read_records` decodes it.
-
-    The ids are read as `U<w>` strings, `w` one more than the longer of the
-    ids of the first and the last line, and at most `_MAX_ID_WIDTH`: such a
-    column takes 4 bytes per character of `w` on every row, so one long id
-    must not widen them all.  A `U<w>` column cuts a longer id to `w`
-    characters, so where any id fills `w`, the file is parsed once more with
-    an object id column.
+    every line into an object id column and the value columns
+    `columns(first line)`, the text decoded as `read_records` decodes it.
 
     Returns `(ids, table)`, or None where the record reader must re-read the
     file and decide: text that does not decode, a blank first line (such as
     a file without rows, on which loadtxt warns), a character the two readers
     treat apart (csv unquotes `"`; loadtxt strips the separators
-    U+001C-U+001F around a number, float() does not; a `U` string drops a
-    trailing NUL), or a parse error.
+    U+001C-U+001F around a number, float() does not; a `U` value column
+    drops a trailing NUL), or a parse error.
     """
     with open(path, newline="") as fh:
         try:
@@ -317,26 +306,17 @@ def _parse_columns(path, columns):
         first = _LINE.match(text).group()
         if not first or any(c in text for c in '"\x1c\x1d\x1e\x1f\x00'):
             return None
-        # where the last line starts, in a file that ends in "\n" or "\r\n": elsewhere
-        # another line's id sets the width, which only costs a second parse
-        last = text.rfind("\n", 0, len(text) - 2) + 1
-        width = 1 + max(len(first.partition(",")[0]), _FIELD.match(text, last).end() - last)
-        width = min(width, _MAX_ID_WIDTH)
         del text  # not held while loadtxt parses
-        for id_dtype in (f"U{width}", "O"):
-            fh.seek(0)
-            try:
-                table = np.loadtxt(fh, dtype=[("id", id_dtype), *columns(first)], delimiter=",",
-                                   comments=None, quotechar=None, ndmin=1)
-            except ValueError:
-                return None
-            if id_dtype == "O" or not (np.char.str_len(table["id"]) == width).any():
-                return table["id"], table
+        fh.seek(0)
+        try:
+            table = np.loadtxt(fh, dtype=[("id", "O"), *columns(first)], delimiter=",",
+                               comments=None, quotechar=None, ndmin=1)
+        except ValueError:
+            return None
+    return table["id"], table
 
 
-_MAX_ID_WIDTH = 32
 _LINE = re.compile(r"[^\r\n]*")
-_FIELD = re.compile(r"[^,\r\n]*")
 
 
 def load_feature_csv(path, modality, name):

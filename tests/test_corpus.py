@@ -180,9 +180,9 @@ def _grouped_by_dict(ids):
 
 
 def test_group_by_video_matches_reference():
-    """Grouped columns take the run path and the others the dict path; both
-    give the reference's videos, order, counts and per-row ids, from a list
-    or a `U` array, with one str object per distinct id."""
+    """Grouped and interleaved columns give the reference's videos, order,
+    counts and per-row ids, from a list or a `U` array, with one str object
+    per distinct id."""
     rng = np.random.default_rng(0)
     for case in range(200):
         n_videos = [0, 1, *rng.integers(2, 30, 3)][case % 5]
@@ -201,25 +201,20 @@ def test_group_by_video_matches_reference():
             assert len({id(v) for v in row_ids}) == len(videos)
 
 
-def test_id_width_parses_once_unless_an_id_may_be_cut(tmp_path, monkeypatch):
-    """The id column is as wide as the first and last ids allow: ascending
-    numeric ids parse once, and an id longer than both parses twice.  A long
-    first id does not widen every row past the cap."""
+def test_annotations_parse_once_whatever_the_id_widths(tmp_path, monkeypatch):
+    """The fast path reads the file with one loadtxt call, with an object id
+    column, whether the ids are ascending numbers, of mixed widths in any
+    order, or longer than any fixed width would hold."""
     calls = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["dtype"]) or loadtxt(*a, **k))
     p = tmp_path / "a.csv"
-    p.write_text("".join(f"{k},75,1\n" for k in range(1, 2501)))
-    assert list(corpus.load_annotations_csv(p).groups[0]) == [str(k) for k in range(1, 2501)]
-    assert [dtype[0] for dtype in calls] == [("id", "U5")]
-    calls.clear()
-    p.write_text("v1,75,1\nv22,80,0\nv3,3,1\n")
-    assert corpus.load_annotations_csv(p).video_id == ("v1", "v22", "v3")
-    assert [dtype[0] for dtype in calls] == [("id", "U3"), ("id", "O")]
-    calls.clear()
-    p.write_text("x" * 2000 + ",75,1\nv1,80,0\n")
-    assert corpus.load_annotations_csv(p).video_id == ("x" * 2000, "v1")
-    assert [dtype[0] for dtype in calls] == [("id", "U32"), ("id", "O")]
+    for ids in ([str(k) for k in range(1, 2501)], ["v1", "v22", "v3", "v1"],
+                ["x" * 2000, "v1"]):
+        calls.clear()
+        p.write_text("".join(f"{vid},75,1\n" for vid in ids))
+        assert corpus.load_annotations_csv(p).video_id == tuple(ids)
+        assert [dtype[0] for dtype in calls] == [("id", "O")]
 
 
 class TestLabelLoader:

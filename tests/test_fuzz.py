@@ -205,9 +205,9 @@ def test_mutated_line_file(corpus_dir, tmp_path, capsys, target):
 
 
 def _mutate_id(data, rng):
-    """Lengthen or shorten the id of one line, which the fixed-width id column
-    of the fast path must not cut, or put a 0xff byte, which does not decode,
-    into the line."""
+    """Lengthen or shorten the id of one line, which may cut its video's run
+    of lines in two or clash with another id, or put a 0xff byte, which
+    does not decode, into the line."""
     lines = data.splitlines(keepends=True)
     k = rng.randrange(len(lines))
     op = rng.choice(("lengthen", "shorten", "0xff"))
