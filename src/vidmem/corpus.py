@@ -57,8 +57,8 @@ class AnnotationLog:
             raise ValueError("delays must be positive and finite")
         if not np.all((recognized == 0) | (recognized == 1)):
             raise ValueError("recognized must be 0 or 1")
-        videos, order, counts, video_id = _group_by_video(self.video_id)
-        object.__setattr__(self, "video_id", tuple(video_id))
+        videos, order, counts = _group_by_video(self.video_id)
+        object.__setattr__(self, "video_id", tuple(self.video_id))
         object.__setattr__(self, "delay_seconds", delays)
         object.__setattr__(self, "recognized", recognized.astype(int))
         object.__setattr__(self, "groups", (videos, order, counts))
@@ -93,9 +93,9 @@ class FeatureSet:
             raise ValueError("values must be an (n_rows, d >= 1) array with one row per video id")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite feature value")
-        videos, order, counts, video_id = _group_by_video(self.video_id)
+        videos, order, counts = _group_by_video(self.video_id)
         values = values[order]
-        object.__setattr__(self, "video_id", tuple(map(video_id.__getitem__, order.tolist())))
+        object.__setattr__(self, "video_id", tuple(self.video_id[i] for i in order))
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "rows",
                            dict(zip(videos, np.split(values, np.cumsum(counts)[:-1]))))
@@ -183,30 +183,24 @@ def _check_video_id(vid):
 
 
 def _group_by_video(video_id):
-    """Order the entries of one id column (a sequence of str or an array)
-    by video, videos in first-appearance order and entries in column order;
-    each distinct id is checked once.
+    """Order the entries of one id column by video, videos in first-appearance
+    order and entries in column order; each distinct id is checked once.
 
-    Returns the distinct ids, the entry order, each video's entry count, and
-    the column's ids as a list in column order that holds one str object per
-    distinct id.  The column is cut into runs of equal ids, and the runs,
-    not the entries, are ranked by their id's first appearance and stably
-    sorted.
+    Returns the distinct ids, the entry order, and each video's entry count.
+    The column is cut into runs of equal ids, and the runs, not the entries,
+    are ranked by their id's first appearance and stably sorted.
     """
-    ids = video_id if isinstance(video_id, np.ndarray) else np.array(video_id, dtype=object)
+    ids = np.array(video_id, dtype=object)
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     if len(ids):
         starts = np.r_[0, starts]
-    seen: dict[str, str] = {}
-    runs = [seen.setdefault(vid, vid) for vid in ids[starts].tolist()]
-    lengths = np.diff(starts, append=len(ids))
-    first = {vid: k for k, vid in enumerate(seen)}  # rank by first appearance
+    runs = ids[starts].tolist()
+    first = {vid: k for k, vid in enumerate(dict.fromkeys(runs))}  # rank by first appearance
     for vid in first:
         _check_video_id(vid)
-    codes = np.repeat(np.fromiter(map(first.__getitem__, runs), np.intp, len(runs)), lengths)
-    order = np.argsort(codes, kind="stable")
-    counts = np.bincount(codes, minlength=len(first))
-    return list(first), order, counts, np.repeat(np.array(runs, dtype=object), lengths).tolist()
+    codes = np.repeat(np.fromiter(map(first.__getitem__, runs), np.intp, len(runs)),
+                      np.diff(starts, append=len(ids)))
+    return list(first), np.argsort(codes, kind="stable"), np.bincount(codes, minlength=len(first))
 
 
 def by_length(groups):
@@ -291,12 +285,13 @@ def _parse_columns(path, columns):
     every line into an object id column and the value columns
     `columns(first line)`, the text decoded as `read_records` decodes it.
 
-    Returns `(ids, table)`, or None where the record reader must re-read the
-    file and decide: text that does not decode, a blank first line (such as
-    a file without rows, on which loadtxt warns), a character the two readers
-    treat apart (csv unquotes `"`; loadtxt strips the separators
-    U+001C-U+001F around a number, float() does not; a `U` value column
-    drops a trailing NUL), or a parse error.
+    Returns `(video ids, table)` with one string object per distinct id, or
+    None where the record reader must re-read the file and decide: text that
+    does not decode, a blank first line (such as a file without rows, on
+    which loadtxt warns), a character the two readers treat apart (csv
+    unquotes `"`; loadtxt strips the separators U+001C-U+001F around a
+    number, float() does not; a `U` value column drops a trailing NUL), or a
+    parse error.
     """
     with open(path, newline="") as fh:
         try:
@@ -313,7 +308,10 @@ def _parse_columns(path, columns):
                                comments=None, quotechar=None, ndmin=1)
         except ValueError:
             return None
-    return table["id"], table
+    seen: dict[str, str] = {}
+    ids = table["id"].tolist()
+    table["id"] = None  # the table keeps no second copy of each row's id
+    return list(map(seen.setdefault, ids, ids)), table
 
 
 _LINE = re.compile(r"[^\r\n]*")
@@ -381,7 +379,7 @@ def load_labels_csv(path, term):
     """Load `video_id,score` rows, one per video; scores must lie in [0, 1]."""
     parsed = _parse_columns(path, lambda first: [("s", "f8")])
     if parsed is not None:
-        scores = dict(zip(parsed[0].tolist(), parsed[1]["s"].tolist()))
+        scores = dict(zip(parsed[0], parsed[1]["s"].tolist()))
         if len(scores) == len(parsed[1]):  # no id twice
             try:
                 return LabelTable(term=term, scores=scores)
@@ -410,7 +408,7 @@ def load_prediction_csv(path):
     if parsed is not None:
         ids, table = parsed
         numbers = [table[name] for name in ("s", "r") if name in table.dtype.names]
-        scores = dict(zip(ids.tolist(), numbers[-1].tolist()))
+        scores = dict(zip(ids, numbers[-1].tolist()))
         if (len(scores) == len(ids) and np.isfinite(numbers).all()
                 and all(map(_is_video_id, scores))):
             return scores
