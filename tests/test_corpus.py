@@ -200,16 +200,19 @@ def test_group_by_video_matches_reference():
 def test_annotations_parse_once_whatever_the_id_widths(tmp_path, monkeypatch):
     """The fast path reads the file with one loadtxt call, with an object id
     column, whether the ids are ascending numbers, of mixed widths in any
-    order, or longer than any fixed width would hold."""
+    order, or longer than any fixed width would hold; the log holds one str
+    object per distinct id."""
     calls = []
     loadtxt = np.loadtxt
     monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(k["dtype"]) or loadtxt(*a, **k))
     p = tmp_path / "a.csv"
-    for ids in ([str(k) for k in range(1, 2501)], ["v1", "v22", "v3", "v1"],
+    for ids in ([str(k // 3 + 1) for k in range(7500)], ["v1", "v22", "v3", "v1"],
                 ["x" * 2000, "v1"]):
         calls.clear()
         p.write_text("".join(f"{vid},75,1\n" for vid in ids))
-        assert corpus.load_annotations_csv(p).video_id == tuple(ids)
+        log = corpus.load_annotations_csv(p)
+        assert log.video_id == tuple(ids)
+        assert len({id(vid) for vid in log.video_id}) == len(set(ids))
         assert [dtype[0] for dtype in calls] == [("id", "O")]
 
 
