@@ -11,7 +11,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import by_length
+
+def by_length(groups):
+    """Bucket a sequence of per-video arrays (or lists) by length, so that
+    arithmetic over each video's entries runs as one numpy call per bucket.
+
+    Yields `(positions, block)` once per distinct length L, ascending:
+    `positions` holds the indices of the length-L groups in input order and
+    `block` those groups stacked into one `(n_L, L, ...)` array.  A reduction
+    along axis 1 of a block, or a stacked 3-D matmul over it, gives each
+    video the bits of the same call on that video's own entries.
+    """
+    lengths = np.fromiter(map(len, groups), np.intp, len(groups))
+    for length in np.flatnonzero(np.bincount(lengths)).tolist():
+        positions = np.flatnonzero(lengths == length)
+        column = np.concatenate([groups[k] for k in positions.tolist()])
+        yield positions, column.reshape(len(positions), length, *column.shape[1:])
 
 
 def _median(block):

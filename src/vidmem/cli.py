@@ -85,7 +85,7 @@ def cmd_predict(args):
     if args.ids:
         ids = [vid for _, vid, _ in corpus_mod.read_records(args.ids, "id", (1,), unique=True)]
     else:  # every video the model has inputs for
-        ids = list(c.captions.captions if config.model == "gru" else c.features[config.feature].rows)
+        ids = list(c.captions.captions if config.model == "gru" else c.features[config.feature].videos)
     try:
         table = predict_table(c, config, model, ids, aggregation=args.aggregate)
     except ValueError as exc:  # the inputs do not fit the model

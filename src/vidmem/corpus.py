@@ -75,15 +75,20 @@ class FeatureSet:
 
     `video_id` and the `(n_rows, d)` array `values` hold one entry per row,
     stored grouped by video: videos in first-appearance order, each video's
-    rows in input order.  `rows` maps each video id to its block of `values`
-    (a view).
+    rows in input order.  `videos` holds the distinct ids in that order,
+    `starts` and `counts` each video's first row and row count in `values`,
+    and `codes` maps each id to its position in `videos`.  `rows`, built on
+    first read, maps each video id to its block of `values` (a view).
     """
 
     modality: str
     name: str
     video_id: tuple[str, ...]
     values: np.ndarray
-    rows: dict[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    videos: list[str] = field(init=False, repr=False, compare=False)
+    starts: np.ndarray = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    codes: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.modality not in MODALITIES:
@@ -94,11 +99,16 @@ class FeatureSet:
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite feature value")
         videos, order, counts = _group_by_video(self.video_id)
-        values = values[order]
         object.__setattr__(self, "video_id", tuple(self.video_id[i] for i in order))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "rows",
-                           dict(zip(videos, np.split(values, np.cumsum(counts)[:-1]))))
+        object.__setattr__(self, "values", values[order])
+        object.__setattr__(self, "videos", videos)
+        object.__setattr__(self, "starts", np.cumsum(counts) - counts)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "codes", dict(zip(videos, range(len(videos)))))
+
+    @functools.cached_property
+    def rows(self):
+        return dict(zip(self.videos, np.split(self.values, self.starts[1:])))
 
     @property
     def dimension(self):
@@ -169,7 +179,7 @@ class Corpus:
             ids.update(tab.scores)
         if not ids:
             for fs in self.features.values():
-                ids.update(fs.rows)
+                ids.update(fs.videos)
         return sorted(ids)
 
 
@@ -201,23 +211,6 @@ def _group_by_video(video_id):
     codes = np.repeat(np.fromiter(map(first.__getitem__, runs), np.intp, len(runs)),
                       np.diff(starts, append=len(ids)))
     return list(first), np.argsort(codes, kind="stable"), np.bincount(codes, minlength=len(first))
-
-
-def by_length(groups):
-    """Bucket a sequence of per-video arrays (or lists) by length, so that
-    arithmetic over each video's entries runs as one numpy call per bucket.
-
-    Yields `(positions, block)` once per distinct length L, ascending:
-    `positions` holds the indices of the length-L groups in input order and
-    `block` those groups stacked into one `(n_L, L, ...)` array.  A reduction
-    along axis 1 of a block, or a stacked 3-D matmul over it, gives each
-    video the bits of the same call on that video's own entries.
-    """
-    lengths = np.fromiter(map(len, groups), np.intp, len(groups))
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        positions = np.flatnonzero(lengths == length)
-        column = np.concatenate([groups[k] for k in positions.tolist()])
-        yield positions, column.reshape(len(positions), length, *column.shape[1:])
 
 
 @contextlib.contextmanager
@@ -282,8 +275,8 @@ def read_records(path, what, fields=None, unique=False):
 
 def _parse_columns(path, columns):
     """Fast path of the CSV loaders: numpy's C reader parses every field of
-    every line into an object id column and the value columns
-    `columns(first line)`, the text decoded as `read_records` decodes it.
+    every line into an object id column and the value columns `columns(n)`,
+    n the first line's comma count, decoding as `read_records` decodes.
 
     Returns `(video ids, table)` with one string object per distinct id, or
     None where the record reader must re-read the file and decide: text that
@@ -291,22 +284,20 @@ def _parse_columns(path, columns):
     which loadtxt warns), a character the two readers treat apart (csv
     unquotes `"`; loadtxt strips the separators U+001C-U+001F around a
     number, float() does not; a `U` value column drops a trailing NUL), or a
-    parse error.
+    parse error.  The first line and those characters are found in the
+    file's bytes, as each character is ASCII; loadtxt alone decodes.
     """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    first = re.match(rb"[^\r\n]*", data).group()
+    if not first or any(c in data for c in b'"\x1c\x1d\x1e\x1f\x00'):
+        return None
+    del data  # not held while loadtxt parses
     with open(path, newline="") as fh:
         try:
-            text = fh.read()
-        except UnicodeDecodeError:  # the record reader names the line
-            return None
-        first = _LINE.match(text).group()
-        if not first or any(c in text for c in '"\x1c\x1d\x1e\x1f\x00'):
-            return None
-        del text  # not held while loadtxt parses
-        fh.seek(0)
-        try:
-            table = np.loadtxt(fh, dtype=[("id", "O"), *columns(first)], delimiter=",",
-                               comments=None, quotechar=None, ndmin=1)
-        except ValueError:
+            table = np.loadtxt(fh, dtype=[("id", "O"), *columns(first.count(b","))],
+                               delimiter=",", comments=None, quotechar=None, ndmin=1)
+        except ValueError:  # a UnicodeDecodeError too: the record reader names the line
             return None
     seen: dict[str, str] = {}
     ids = table["id"].tolist()
@@ -314,12 +305,9 @@ def _parse_columns(path, columns):
     return list(map(seen.setdefault, ids, ids)), table
 
 
-_LINE = re.compile(r"[^\r\n]*")
-
-
 def load_feature_csv(path, modality, name):
     """Load `video_id,f0,...,f(d-1)` rows; multiple lines per video allowed."""
-    parsed = _parse_columns(path, lambda first: [("v", "f8", (first.count(","),))])
+    parsed = _parse_columns(path, lambda commas: [("v", "f8", (commas,))])
     if parsed is not None:
         try:
             return FeatureSet(modality, name, parsed[0], parsed[1]["v"])
@@ -338,7 +326,7 @@ def load_feature_csv(path, modality, name):
 
 def load_annotations_csv(path):
     """Load `video_id,delay_seconds,recognized` rows into an AnnotationLog."""
-    parsed = _parse_columns(path, lambda first: [("t", "f8"), ("r", "U2")])
+    parsed = _parse_columns(path, lambda commas: [("t", "f8"), ("r", "U2")])
     if parsed is not None:
         video_id, table = parsed
         recognized = table["r"] == "1"
@@ -377,7 +365,7 @@ def load_captions_csv(path):
 
 def load_labels_csv(path, term):
     """Load `video_id,score` rows, one per video; scores must lie in [0, 1]."""
-    parsed = _parse_columns(path, lambda first: [("s", "f8")])
+    parsed = _parse_columns(path, lambda commas: [("s", "f8")])
     if parsed is not None:
         scores = dict(zip(parsed[0], parsed[1]["s"].tolist()))
         if len(scores) == len(parsed[1]):  # no id twice
@@ -404,7 +392,7 @@ def load_prediction_csv(path):
     `video_id,score,coverage,raw score` rows as `write_prediction_csv` writes
     them, one per video.  A row's raw score is read where it has one, else
     its score; any finite number is accepted."""
-    parsed = _parse_columns(path, lambda first: _PREDICTION_COLUMNS[:max(1, first.count(","))])
+    parsed = _parse_columns(path, lambda commas: _PREDICTION_COLUMNS[:max(1, commas)])
     if parsed is not None:
         ids, table = parsed
         numbers = [table[name] for name in ("s", "r") if name in table.dtype.names]
@@ -453,7 +441,7 @@ class _Echo:
         return text
 
 
-def _quoted_ids(ids):
+def quoted_ids(ids):
     """Each distinct id as `csv.writer` writes it in a field (an id may
     hold `"`), so that the writers below format the rest of each line
     themselves."""
@@ -462,25 +450,25 @@ def _quoted_ids(ids):
 
 
 # The writers below stream one line per row, with the bytes `csv.writer`
-# writes: numbers never need quoting, and `_quoted_ids` quotes the ids.
+# writes: numbers never need quoting, and `quoted_ids` quotes the ids.
 
 def write_feature_csv(feature_set, path):
     """Inverse of load_feature_csv; writes the rows grouped by video."""
-    ids = _quoted_ids(feature_set.video_id)
+    ids = quoted_ids(feature_set.video_id)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{','.join(map(repr, row))}\r\n"
                       for vid, row in zip(feature_set.video_id, feature_set.values.tolist()))
 
 
 def write_labels_csv(table, path):
-    ids = _quoted_ids(table.scores)
+    ids = quoted_ids(table.scores)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{float(score)!r}\r\n" for vid, score in table.scores.items())
 
 
 def write_annotations_csv(log, path):
     """Inverse of load_annotations_csv; writes the trials in column order."""
-    ids = _quoted_ids(log.video_id)
+    ids = quoted_ids(log.video_id)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{delay!r},{hit}\r\n" for vid, delay, hit
                       in zip(log.video_id, log.delay_seconds.tolist(), log.recognized.tolist()))

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .aggregate import STRATEGIES, PredictionTable, aggregate_rows, clamp_unit
-from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, by_length
+from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, quoted_ids
 from .ensemble import apply_weights, bucket_count, grid_search
 from .metrics import srcc
 from .regress import (LINEAR_HYPER_KEYS, check_linear_hyper, check_svr_settings, fit_linear,
@@ -254,21 +254,27 @@ class FeatureModelConfig:
         return f"{self.feature}:{self.model}"
 
 
-def _inputs(corpus, config: FeatureModelConfig, ids) -> dict:
-    """What the configured model reads for each of `ids` that has any, in
-    `ids` order: a feature model reads the video's feature rows, a GRU one
-    embedded array per caption.  The model's `predict` maps these inputs
-    to one score each."""
-    if config.model == "gru":
-        if corpus.captions is None or corpus.word_vectors is None:
-            raise ValueError("gru model needs captions and word vectors in the corpus")
-        captions = corpus.captions.captions
-        return {vid: [_embedded(c, corpus.word_vectors) for c in captions[vid]]
-                for vid in ids if vid in captions}
+def _inputs(corpus, ids) -> dict:
+    """What a GRU model reads for each of `ids` that has captions, in `ids`
+    order: one embedded array per caption, which its `predict` maps to one
+    score each."""
+    if corpus.captions is None or corpus.word_vectors is None:
+        raise ValueError("gru model needs captions and word vectors in the corpus")
+    captions = corpus.captions.captions
+    return {vid: [_embedded(c, corpus.word_vectors) for c in captions[vid]]
+            for vid in ids if vid in captions}
+
+
+def _rows_of(corpus, config: FeatureModelConfig, ids):
+    """The values of the feature set a feature model reads, those of `ids`
+    that have rows there (in `ids` order, each once), and their first rows
+    and row counts."""
     if config.feature not in corpus.features:
         raise ValueError(f"feature set {config.feature!r} is not in the corpus")
-    rows = corpus.features[config.feature].rows
-    return {vid: rows[vid] for vid in ids if vid in rows}
+    fs = corpus.features[config.feature]
+    vids = list(dict.fromkeys(vid for vid in ids if vid in fs.codes))
+    codes = np.fromiter(map(fs.codes.__getitem__, vids), np.intp, len(vids))
+    return fs.values, vids, fs.starts[codes], fs.counts[codes]
 
 
 _EMBED_LOCK = threading.Lock()
@@ -287,9 +293,10 @@ def _embedded(caption, table):
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                         train_ids, seed: int):
     """Fit the configured model on the training split for one label term."""
-    inputs = _inputs(corpus, config, [vid for vid in train_ids if vid in labels.scores])
+    ids = [vid for vid in train_ids if vid in labels.scores]
     if config.model == "gru":
-        samples = [(vid, x, labels.scores[vid]) for vid, xs in inputs.items() for x in xs]
+        samples = [(vid, x, labels.scores[vid]) for vid, xs in _inputs(corpus, ids).items()
+                   for x in xs]
         if not samples:
             raise ValueError("no caption samples in the training split")
         train_config, arch = _gru_settings(config.hyper)
@@ -297,10 +304,11 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                              train_config=train_config, **arch)
         gru_train(model, samples)
         return model
-    if not inputs:
+    values, vids, starts, counts = _rows_of(corpus, config, ids)
+    if not vids:
         raise ValueError(f"no training rows for feature {config.feature!r}")
-    X = np.vstack(list(inputs.values()))
-    y = np.repeat([labels.scores[vid] for vid in inputs], [len(rows) for rows in inputs.values()])
+    X = values[np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())]
+    y = np.repeat([labels.scores[vid] for vid in vids], counts)
     if config.model == "svr":
         return fit_svr(X, y, **config.hyper)
     return fit_linear(X, y, kind=config.model, hyper=config.hyper)
@@ -311,16 +319,19 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
     """Per-input predictions aggregated to one score per requested video.
 
     A feature model predicts the videos with the same row count L in one
-    call on their `(n_L, L, d)` block; a GRU predicts every caption of the
-    requested videos in one call.
+    call on their `(n_L, L, d)` block, gathered from the feature set at
+    their starts; a GRU predicts every caption of the requested videos in
+    one call.
     """
-    inputs = _inputs(corpus, config, ids)
     if config.model == "gru":
+        inputs = _inputs(corpus, ids)
         scores = iter(model.predict([x for xs in inputs.values() for x in xs]))
         per_row = {vid: [next(scores) for _ in xs] for vid, xs in inputs.items()}
     else:
-        vids, per_row = list(inputs), {}
-        for positions, block in by_length(list(inputs.values())):
+        (values, vids, starts, counts), per_row = _rows_of(corpus, config, ids), {}
+        for length in np.flatnonzero(np.bincount(counts)).tolist():
+            positions = np.flatnonzero(counts == length)
+            block = values[starts[positions, None] + np.arange(length)]
             per_row.update(zip([vids[k] for k in positions.tolist()], model.predict(block)))
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
@@ -555,6 +566,7 @@ def write_prediction_csv(table: PredictionTable, path):
     """One `video_id,score,coverage,raw score` row per video: the 2nd column
     is the score clamped into [0, 1] for label-style readers, and the raw 4th
     column is what `load_prediction_csv` reads back, bit for bit."""
+    ids = quoted_ids(table.scores)
     with open(path, "w", newline="") as fh:
         for vid, score in table.scores.items():
-            fh.write(f"{vid},{clamp_unit(score)!r},{table.coverage[vid]},{score!r}\n")
+            fh.write(f"{ids[vid]},{clamp_unit(score)!r},{table.coverage[vid]},{score!r}\n")

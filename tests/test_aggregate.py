@@ -3,7 +3,7 @@ import statistics
 import numpy as np
 import pytest
 
-from vidmem.aggregate import STRATEGIES, aggregate_rows, clamp_unit
+from vidmem.aggregate import STRATEGIES, aggregate_rows, by_length, clamp_unit
 
 
 def test_median_odd_count():
@@ -101,3 +101,29 @@ def test_clamp_unit():
     assert clamp_unit(1.03) == 1.0
     assert clamp_unit(-0.02) == 0.0
     assert clamp_unit(0.667) == 0.667
+
+
+class TestByLength:
+    def test_blocks_in_ascending_length_and_input_order(self):
+        groups = [np.arange(3), np.arange(3, 4), np.arange(4, 7), np.arange(7, 9), np.arange(9, 10)]
+        buckets = list(by_length(groups))
+        assert [block.shape[1] for _, block in buckets] == [1, 2, 3]
+        assert [positions.tolist() for positions, _ in buckets] == [[1, 4], [3], [0, 2]]
+        for positions, block in buckets:
+            assert np.array_equal(block, np.stack([groups[k] for k in positions]))
+
+    def test_two_dimensional_groups(self):
+        groups = [np.ones((2, 3)), np.zeros((1, 3)), np.full((2, 3), 2.0)]
+        (short, short_block), (long, long_block) = by_length(groups)
+        assert (short.tolist(), short_block.shape) == ([1], (1, 1, 3))
+        assert (long.tolist(), long_block.shape) == ([0, 2], (2, 2, 3))
+        assert np.array_equal(long_block, np.stack([groups[0], groups[2]]))
+
+    def test_list_groups(self):
+        groups = [[0.5, 1.5], [2.5], [3.5, 4.5]]
+        buckets = [(positions.tolist(), block.tolist())
+                   for positions, block in by_length(groups)]
+        assert buckets == [([1], [[2.5]]), ([0, 2], [[0.5, 1.5], [3.5, 4.5]])]
+
+    def test_no_groups(self):
+        assert list(by_length([])) == []

@@ -10,9 +10,9 @@ import pytest
 from settings_cases import BAD_SETTINGS
 from vidmem.aggregate import PredictionTable, clamp_unit
 from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
-from vidmem.corpus import (Corpus, LabelTable, load_captions_csv, load_feature_csv,
+from vidmem.corpus import (Corpus, FeatureSet, LabelTable, load_captions_csv, load_feature_csv,
                            load_labels_csv, load_prediction_csv, load_word_vectors,
-                           write_labels_csv)
+                           write_feature_csv, write_labels_csv)
 from vidmem.ensemble import grid_search
 from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec, generate_synthetic,
                             predict_table, train_feature_model, write_prediction_csv)
@@ -513,8 +513,11 @@ def test_malformed_prediction_csv_reports_line(synth_dir, tmp_path, capsys, line
 # it).  Line 500 of the annotations lies past the text reader's first 8 KiB chunk.
 _UNDECODABLE = {
     "annotations": ("annotations.csv", 500, "adjust-labels --annotations {bad} --out {out}"),
+    "annotations-line-1": ("annotations.csv", 1, "adjust-labels --annotations {bad} --out {out}"),
     "features": ("featA.csv", 2, "train --features {bad} --labels {synth}/labels_short.csv "
                                  "--model ridge --out {out}"),
+    "features-line-1": ("featA.csv", 1, "train --features {bad} --labels "
+                                        "{synth}/labels_short.csv --model ridge --out {out}"),
     "labels": ("labels_short.csv", 3, "train --features {synth}/featA.csv --labels {bad} "
                                       "--model ridge --out {out}"),
     "captions": ("captions.csv", 2, "train --captions {bad} --word-vectors {synth}/wv.txt "
@@ -551,6 +554,24 @@ def test_undecodable_file_named(synth_dir, word_vectors, tmp_path, capsys, kind)
     else:
         assert err == f"error: {bad}:{line_no}: not valid utf-8: byte 0xff (invalid start byte)\n"
     assert not out.exists()
+
+
+def test_predictions_with_quoted_ids_read_back(tmp_path):
+    """`predict` quotes an id that holds `"` as the other writers do, so
+    that `evaluate` and `ensemble-search` read its output back."""
+    rng = np.random.default_rng(3)
+    ids = ['"lead', 'a"b', 'trail"', '""', *(f"v{i}" for i in range(8))]
+    feats, labels, model, pred = (tmp_path / name for name in ("f.csv", "l.csv", "m.json", "p.csv"))
+    write_feature_csv(FeatureSet("video", "feat", ids, rng.normal(size=(len(ids), 2))), feats)
+    write_labels_csv(LabelTable("short", dict(zip(ids, rng.random(len(ids)).tolist()))), labels)
+    assert main(["train", "--features", str(feats), "--labels", str(labels), "--model", "ridge",
+                 "--out", str(model)]) == 0
+    assert main(["predict", "--model", str(model), "--features", str(feats),
+                 "--out", str(pred)]) == 0
+    assert list(load_prediction_csv(pred)) == ids
+    assert main(["evaluate", "--pred", str(pred), "--truth", str(labels)]) == 0
+    assert main(["ensemble-search", "--pred", str(pred), "--truth", str(labels),
+                 "--out", str(tmp_path / "w.json")]) == 0
 
 
 def test_prediction_csv_scores_outside_unit_interval_accepted(tmp_path, capsys):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from vidmem import corpus
+from vidmem.aggregate import PredictionTable, clamp_unit
+from vidmem.harness import write_prediction_csv
 
 
 def write(tmp_path, name, text):
@@ -144,32 +146,6 @@ class TestAnnotationLog:
             corpus.AnnotationLog(video_id, delays, recognized)
 
 
-class TestByLength:
-    def test_blocks_in_ascending_length_and_input_order(self):
-        groups = [np.arange(3), np.arange(3, 4), np.arange(4, 7), np.arange(7, 9), np.arange(9, 10)]
-        buckets = list(corpus.by_length(groups))
-        assert [block.shape[1] for _, block in buckets] == [1, 2, 3]
-        assert [positions.tolist() for positions, _ in buckets] == [[1, 4], [3], [0, 2]]
-        for positions, block in buckets:
-            assert np.array_equal(block, np.stack([groups[k] for k in positions]))
-
-    def test_two_dimensional_groups(self):
-        groups = [np.ones((2, 3)), np.zeros((1, 3)), np.full((2, 3), 2.0)]
-        (short, short_block), (long, long_block) = corpus.by_length(groups)
-        assert (short.tolist(), short_block.shape) == ([1], (1, 1, 3))
-        assert (long.tolist(), long_block.shape) == ([0, 2], (2, 2, 3))
-        assert np.array_equal(long_block, np.stack([groups[0], groups[2]]))
-
-    def test_list_groups(self):
-        groups = [[0.5, 1.5], [2.5], [3.5, 4.5]]
-        buckets = [(positions.tolist(), block.tolist())
-                   for positions, block in corpus.by_length(groups)]
-        assert buckets == [([1], [[2.5]]), ([0, 2], [[0.5, 1.5], [3.5, 4.5]])]
-
-    def test_no_groups(self):
-        assert list(corpus.by_length([])) == []
-
-
 def _grouped_by_dict(ids):
     """The reference grouping: rank each id by its first appearance, then
     sort the entries stably by rank."""
@@ -195,6 +171,33 @@ def test_group_by_video_matches_reference():
             assert videos == expected[0] and all(type(v) is str for v in videos)
             assert np.array_equal(order, expected[1])
             assert np.array_equal(counts, expected[2])
+
+
+def test_feature_set_columns_match_dict_grouping():
+    """On 200 seeded id columns (grouped or interleaved, 1-5 rows per video)
+    `videos`, `codes`, `starts` and `counts` find each video's rows in
+    `values` as a dict grouping the rows by id in input order holds them;
+    `rows` is built only when read, and holds the same."""
+    rng = np.random.default_rng(1)
+    for case in range(200):
+        n_videos = int(rng.integers(1, 30))
+        names = [f"v{k}" * int(rng.integers(1, 4)) for k in rng.permutation(n_videos)]
+        ids = [vid for vid, c in zip(names, rng.integers(1, 6, n_videos)) for _ in range(c)]
+        if case % 2:  # interleaved
+            ids = [ids[k] for k in rng.permutation(len(ids))]
+        values = rng.normal(size=(len(ids), 3))
+        expected = {}
+        for vid, row in zip(ids, values.tolist()):
+            expected.setdefault(vid, []).append(row)
+        fs = corpus.FeatureSet("video", "C3D", ids, values)
+        assert fs.videos == list(expected)
+        assert fs.codes == {vid: k for k, vid in enumerate(expected)}
+        assert fs.counts.tolist() == [len(rows) for rows in expected.values()]
+        assert fs.starts.tolist() == [0, *np.cumsum(fs.counts)[:-1].tolist()]
+        for vid, k in fs.codes.items():
+            assert fs.values[fs.starts[k]:fs.starts[k] + fs.counts[k]].tolist() == expected[vid]
+        assert "rows" not in fs.__dict__
+        assert {vid: rows.tolist() for vid, rows in fs.rows.items()} == expected
 
 
 def test_annotations_parse_once_whatever_the_id_widths(tmp_path, monkeypatch):
@@ -452,6 +455,12 @@ def _written_by(kind, ids):
         rows = [[vid, repr(score)] for vid, score in table.scores.items()]
         return (table, rows, corpus.write_labels_csv, lambda p: corpus.load_labels_csv(p, "short"),
                 lambda t: t.scores)
+    if kind == "prediction":
+        scores = dict(zip(ids, rng.normal(0.5, 1.0, len(ids)).tolist()))
+        table = PredictionTable("m", scores, dict.fromkeys(ids, "direct"))
+        rows = [[vid, repr(clamp_unit(s)), "direct", repr(s)] for vid, s in scores.items()]
+        return (table, rows, write_prediction_csv, corpus.load_prediction_csv,
+                lambda t: getattr(t, "scores", t))
     table = corpus.AnnotationLog(ids, rng.uniform(1.0, 200.0, len(ids)),
                                  rng.integers(0, 2, len(ids)))
     rows = zip(table.video_id, map(repr, table.delay_seconds.tolist()), table.recognized.tolist())
@@ -459,14 +468,16 @@ def _written_by(kind, ids):
             lambda t: (t.video_id, t.delay_seconds.tolist(), t.recognized.tolist()))
 
 
-@pytest.mark.parametrize("kind", ["feature", "label", "annotation"])
+@pytest.mark.parametrize("kind", ["feature", "label", "annotation", "prediction"])
 def test_writer_bytes_equal_csv_writer_and_load_back(tmp_path, kind):
     """The streaming writers quote an id that holds `"` as `csv.writer`
-    does, and the matching loader reads every id back."""
-    ids = list(QUOTED_IDS) if kind == "label" else [*QUOTED_IDS, 'a"b', "v1", '"lead']
+    does, and the matching loader reads every id back.  Prediction files
+    end each line with LF, the others with CRLF."""
+    unique = kind in ("label", "prediction")
+    ids = list(QUOTED_IDS) if unique else [*QUOTED_IDS, 'a"b', "v1", '"lead']
     table, rows, write_table, load, columns = _written_by(kind, ids)
     with open(tmp_path / "expected.csv", "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+        csv.writer(fh, lineterminator="\n" if kind == "prediction" else "\r\n").writerows(rows)
     write_table(table, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert columns(load(tmp_path / "out.csv")) == columns(table)

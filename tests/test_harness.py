@@ -354,6 +354,41 @@ def test_experiment_bytes_match_recording(make, name):
     assert make() == recorded
 
 
+def test_training_rows_gathered_as_stacked(monkeypatch):
+    """A feature model trains on each video's row block stacked in training
+    id order and each label repeated over its video's rows, the bytes that
+    `np.vstack` and `np.repeat` of per-video dicts give; on ragged
+    interleaved rows, ids without rows or labels, and a repeated id."""
+    fitted = []
+    monkeypatch.setattr(harness, "fit_linear", lambda X, y, **_: fitted.append((X, y)))
+    rng = np.random.default_rng(7)
+    for case in range(50):
+        vids = [f"v{i:03d}" for i in range(int(rng.integers(2, 40)))]
+        counts = rng.integers(0, 6, len(vids))
+        counts[-1] += 1  # a labelled video with rows
+        row_ids = [vid for vid, n in zip(vids, counts) for _ in range(n)]
+        row_ids = [row_ids[i] for i in rng.permutation(len(row_ids))]
+        features = FeatureSet("video", "feat", row_ids, rng.normal(size=(len(row_ids), 3)))
+        labels = LabelTable("short", {vid: float(rng.uniform()) for vid in vids[1:]})
+        corpus = Corpus(features={"feat": features}, labels={"short": labels})
+        train_ids = [vids[i] for i in rng.permutation(len(vids))] + ["absent", vids[-1]]
+        train_feature_model(corpus, FeatureModelConfig("feat", "ols"), labels, train_ids, 0)
+        rows = {vid: features.rows[vid] for vid in train_ids
+                if vid in labels.scores and vid in features.rows}
+        X, y = fitted.pop()
+        expected_X = np.vstack(list(rows.values()))
+        expected_y = np.repeat([labels.scores[vid] for vid in rows], [len(r) for r in rows.values()])
+        assert X.shape == expected_X.shape and X.tobytes() == expected_X.tobytes()
+        assert y.shape == expected_y.shape and y.tobytes() == expected_y.tobytes()
+
+
+def test_experiment_builds_no_per_video_rows():
+    corpus = _pinned_corpus()
+    run_full_experiment(corpus, PINNED_CONFIGS, PINNED_CONFIGS[1:], seeds=[0],
+                        test_labels=dict(corpus.labels))
+    assert [name for name, fs in corpus.features.items() if "rows" in fs.__dict__] == []
+
+
 class TestReportRendering:
     def test_text_report_has_table_headers(self, small_corpus):
         report = run_full_experiment(small_corpus, CONFIGS, CONFIGS, seeds=[0])

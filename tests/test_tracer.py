@@ -9,7 +9,9 @@ from pathlib import Path
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
 
+import measure  # noqa: E402
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
 from vidmem.corpus import load_feature_csv  # noqa: E402
 
@@ -52,3 +54,20 @@ def test_benchmark_selftest_passes():
     result = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
                             capture_output=True, text=True, timeout=600)
     assert result.returncode == 0, result.stdout + result.stderr
+
+
+# The counts of one full-scale protocol-linear iteration, seed 0, as the
+# per-video feature dicts gave them; a columnar table or predict path must
+# keep what each counter counts.
+PROTOCOL_LINEAR_COUNTS = {"aggregate.rows_in": 6300, "corpus.load_lines": 3000,
+                          "harness.train_calls": 20, "regress.lasso_sweeps": 28,
+                          "metrics.srcc_calls": 24, "ensemble.candidates": 924,
+                          "aggregate.fallback_videos": 0}
+
+
+def test_protocol_linear_counts_pinned(tmp_path):
+    plan = workloads.setup("protocol-linear", tmp_path, seed=0)
+    _, _, codes, _, tracer = measure.run_calls(plan, trace=True)
+    assert codes == [0]
+    metrics = tracing.layer_metrics(tracer.spans, tracer.skipped_constant)
+    assert {name: metrics[name] for name in PROTOCOL_LINEAR_COUNTS} == PROTOCOL_LINEAR_COUNTS
