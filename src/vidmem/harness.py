@@ -5,7 +5,9 @@ grid search), and synthetic corpus generation used as the test oracle for
 the decay fit and the end-to-end pipeline.
 
 All randomness flows from named seeds, so results are byte-identical across
-runs and across worker counts.
+runs and across worker counts.  The fits run one at a time whatever `workers`
+says: they are Python loops over small numpy calls that hold the interpreter
+lock, so threads running them side by side only contend.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import inspect
 import json
 import math
 import sys
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
@@ -277,17 +278,13 @@ def _rows_of(corpus, config: FeatureModelConfig, ids):
     return fs.values, vids, fs.starts[codes], fs.counts[codes]
 
 
-_EMBED_LOCK = threading.Lock()
-
-
 def _embedded(caption, table):
-    """The embedding of `caption`, made once per table and token sequence;
-    the lock keeps two worker threads from making it twice."""
+    """The embedding of `caption`, made once per table and token sequence.
+    Fits run one at a time, so no lock guards the cache."""
     tokens = tuple(tokenize(caption))
-    with _EMBED_LOCK:
-        if tokens not in table.embedded:
-            table.embedded[tokens] = embed(tokens, table)
-        return table.embedded[tokens]
+    if tokens not in table.embedded:
+        table.embedded[tokens] = embed(tokens, table)
+    return table.embedded[tokens]
 
 
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
@@ -342,11 +339,12 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
 # ---------------------------------------------------------------------------
 
 def _run_jobs(jobs, worker_fn, workers):
-    """Evaluate keyed jobs, optionally in a thread pool; result order is
-    fixed by the job list so worker count never changes the output."""
+    """Evaluate keyed jobs one at a time, in job order.  With `workers` > 1
+    they run on a single pool thread: fits hold the interpreter lock, so
+    more threads only contend.  Results follow the job list."""
     if workers <= 1:
         return [worker_fn(job) for job in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=1) as pool:
         return list(pool.map(worker_fn, jobs))
 
 

@@ -1,5 +1,7 @@
 import json
 import math
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -146,6 +148,29 @@ class TestTrainOnce:
         monkeypatch.setattr(harness, "train_feature_model", counting)
         run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1], seeds=[0, 1], workers=2)
         assert len(calls) == len(set(calls)) == len(CONFIGS) * 2 * 2
+
+    def test_fits_run_one_at_a_time(self, small_corpus, monkeypatch):
+        calls, active, most = [], [0], [0]
+        lock = threading.Lock()
+        original = harness.train_feature_model
+
+        def overlapping(corpus, config, labels, train_ids, seed):
+            with lock:
+                calls.append((config.display_name, seed, labels.term))
+                active[0] += 1
+                most[0] = max(most[0], active[0])
+            time.sleep(0.005)  # long enough for a second pool thread to start a fit
+            try:
+                return original(corpus, config, labels, train_ids, seed)
+            finally:
+                with lock:
+                    active[0] -= 1
+
+        monkeypatch.setattr(harness, "train_feature_model", overlapping)
+        run_full_experiment(small_corpus, CONFIGS, CONFIGS[:1], seeds=[0, 1], workers=2)
+        assert most[0] == 1
+        assert calls == [(config.display_name, seed, term) for config in CONFIGS
+                         for seed in (0, 1) for term in sorted(small_corpus.labels)]
 
     def test_each_caption_embedded_once(self, monkeypatch):
         base = _pinned_corpus()

@@ -65,9 +65,30 @@ PROTOCOL_LINEAR_COUNTS = {"aggregate.rows_in": 6300, "corpus.load_lines": 3000,
                           "aggregate.fallback_videos": 0}
 
 
-def test_protocol_linear_counts_pinned(tmp_path):
-    plan = workloads.setup("protocol-linear", tmp_path, seed=0)
+def _traced_counts(workload, tmp_path, names):
+    """The named per-layer metrics of one traced seed-0 iteration."""
+    plan = workloads.setup(workload, tmp_path, seed=0)
     _, _, codes, _, tracer = measure.run_calls(plan, trace=True)
     assert codes == [0]
     metrics = tracing.layer_metrics(tracer.spans, tracer.skipped_constant)
-    assert {name: metrics[name] for name in PROTOCOL_LINEAR_COUNTS} == PROTOCOL_LINEAR_COUNTS
+    return {name: metrics[name] for name in names}
+
+
+def test_protocol_linear_counts_pinned(tmp_path):
+    counts = _traced_counts("protocol-linear", tmp_path, PROTOCOL_LINEAR_COUNTS)
+    assert counts == PROTOCOL_LINEAR_COUNTS
+
+
+# The counts of one full-scale protocol-models iteration, seed 0, as the
+# two-thread pool gave them; running the fits one at a time must do the
+# same work.
+PROTOCOL_MODELS_COUNTS = {"harness.train_calls": 12, "regress.fit_svr_calls": 8,
+                          "regress.svr_pair_updates": 3660, "textmodel.gru_epochs": 8,
+                          "textmodel.embed_calls": 38, "aggregate.rows_in": 266,
+                          "aggregate.fallback_videos": 94, "metrics.srcc_calls": 12,
+                          "ensemble.candidates": 84, "corpus.load_lines": 651}
+
+
+def test_protocol_models_counts_pinned(tmp_path):
+    counts = _traced_counts("protocol-models", tmp_path, PROTOCOL_MODELS_COUNTS)
+    assert counts == PROTOCOL_MODELS_COUNTS
