@@ -12,21 +12,20 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def by_length(groups):
-    """Bucket a sequence of per-video arrays (or lists) by length, so that
-    arithmetic over each video's entries runs as one numpy call per bucket.
+def by_length(starts, counts):
+    """Bucket the groups of an offsets-plus-values layout, group k holding
+    the `counts[k]` entries from `starts[k]` on, by their entry count, so that
+    arithmetic over each group's entries runs as one numpy call per bucket.
 
-    Yields `(positions, block)` once per distinct length L, ascending:
-    `positions` holds the indices of the length-L groups in input order and
-    `block` those groups stacked into one `(n_L, L, ...)` array.  A reduction
-    along axis 1 of a block, or a stacked 3-D matmul over it, gives each
-    video the bits of the same call on that video's own entries.
+    Yields `(positions, index)` once per distinct count L, ascending:
+    `positions` holds the indices of the L-entry groups in input order and
+    `index` their `(n_L, L)` entry offsets.  A reduction along axis 1 of
+    `column[index]`, or a stacked 3-D matmul over `values[index]`, gives
+    each group the bits of the same call on that group's own entries.
     """
-    lengths = np.fromiter(map(len, groups), np.intp, len(groups))
-    for length in np.flatnonzero(np.bincount(lengths)).tolist():
-        positions = np.flatnonzero(lengths == length)
-        column = np.concatenate([groups[k] for k in positions.tolist()])
-        yield positions, column.reshape(len(positions), length, *column.shape[1:])
+    for length in np.flatnonzero(np.bincount(counts)).tolist():
+        positions = np.flatnonzero(counts == length)
+        yield positions, starts[positions, None] + np.arange(length)
 
 
 def _median(block):
@@ -74,9 +73,11 @@ def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
     rows = {vid: r for vid in ids if (r := per_row_scores.get(vid)) is not None and len(r)}
     if not rows:
         raise ValueError("no video has any prediction rows; fallback has no basis")
+    counts = np.fromiter(map(len, rows.values()), np.intp, len(rows))
+    column = np.concatenate(list(rows.values())).astype(float, copy=False)
     scores = np.empty(len(rows))
-    for positions, block in by_length(list(rows.values())):
-        scores[positions] = _AGG[strategy](block.astype(float, copy=False))
+    for positions, index in by_length(np.cumsum(counts) - counts, counts):
+        scores[positions] = _AGG[strategy](column[index])
     direct = dict(zip(rows, scores.tolist()))
     fallback = sum(direct.values()) / len(direct)
     return PredictionTable(model_name=model_name,

@@ -170,6 +170,8 @@ def _check_config(cfg, path):
             fail(f"data.features[{i}]: 'name' and 'path' must be strings")
         if spec["modality"] not in MODALITIES:
             fail(f"data.features[{i}]: unknown modality {spec['modality']!r}")
+        if any(other["name"] == spec["name"] for other in data["features"][:i]):
+            fail(f"data.features[{i}]: duplicate name {spec['name']!r}")
     features = {spec["name"] for spec in data.get("features", [])}
     for where, tables in (("data.labels", data.get("labels", {})),
                           ("test_labels", cfg.get("test_labels") or {})):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import clamp_unit
+from .aggregate import by_length, clamp_unit
 from .corpus import AnnotationLog, LabelTable
 
 DEGENERATE_WARNING = "all delays equal the target duration; decay rate not identifiable"
@@ -55,16 +55,15 @@ def fit_decay(log: AnnotationLog, target_duration: float, iterations: int = 10) 
         raise ValueError(f"log(delay / target duration) is not finite for target duration "
                          f"{target_duration!r}")
     # Per-video sufficient statistics, in video order: the means of x,
-    # log(t/T), x log(t/T) and log(t/T)^2.  The videos with L trials form
-    # one (n_L, L) block of trial indices, gathered from `order` at each
-    # video's start, and a .mean(axis=1) over a column gathered by it sums
-    # each video's trials in the order of a per-video array.  The alpha
-    # denominator and the log-ratio sums never change across iterations.
+    # log(t/T), x log(t/T) and log(t/T)^2.  `by_length` gives the videos
+    # with L trials one (n_L, L) block of offsets into `order`, and a
+    # .mean(axis=1) over a column gathered through it sums each video's
+    # trials in the order of a per-video array.  The alpha denominator and
+    # the log-ratio sums never change across iterations.
     starts = np.cumsum(counts) - counts
     hit_rate, mean_lr, mean_xlr, mean_lr2 = (np.empty(len(videos)) for _ in range(4))
-    for length in np.flatnonzero(np.bincount(counts)).tolist():
-        positions = np.flatnonzero(counts == length)
-        trials = order[starts[positions, None] + np.arange(length)]
+    for positions, index in by_length(starts, counts):
+        trials = order[index]
         xb, lb = x[trials], lr[trials]
         hit_rate[positions] = xb.mean(axis=1)
         mean_lr[positions] = lb.mean(axis=1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .aggregate import STRATEGIES, PredictionTable, aggregate_rows, clamp_unit
+from .aggregate import STRATEGIES, PredictionTable, aggregate_rows, by_length, clamp_unit
 from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, quoted_ids
 from .ensemble import apply_weights, bucket_count, grid_search
 from .metrics import srcc
@@ -326,10 +326,8 @@ def predict_table(corpus, config: FeatureModelConfig, model, ids,
         per_row = {vid: [next(scores) for _ in xs] for vid, xs in inputs.items()}
     else:
         (values, vids, starts, counts), per_row = _rows_of(corpus, config, ids), {}
-        for length in np.flatnonzero(np.bincount(counts)).tolist():
-            positions = np.flatnonzero(counts == length)
-            block = values[starts[positions, None] + np.arange(length)]
-            per_row.update(zip([vids[k] for k in positions.tolist()], model.predict(block)))
+        for positions, index in by_length(starts, counts):
+            per_row.update(zip([vids[k] for k in positions.tolist()], model.predict(values[index])))
     return aggregate_rows(per_row, strategy=aggregation, id_universe=ids,
                           model_name=config.display_name)
 
@@ -364,6 +362,9 @@ class ExperimentSettings:
             raise ValueError("'seeds' must be a non-empty list of integers")
         if min(seeds) < 0:
             raise ValueError(f"'seeds' must be >= 0, got {min(seeds)}")
+        repeated = [s for s in seeds if seeds.count(s) > 1]
+        if repeated:
+            raise ValueError(f"'seeds' must be distinct, got {repeated[0]} more than once")
         object.__setattr__(self, "seeds", tuple(seeds))
         for name, rule in (("bucket", bucket_count), ("train_fraction", check_train_fraction)):
             if type(getattr(self, name)) not in (int, float):

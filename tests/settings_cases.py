@@ -7,6 +7,7 @@ BAD_SETTINGS = {
     "boolean-seed": ({"seeds": [True]}, "'seeds' must be a non-empty list of integers"),
     "float-seed": ({"seeds": [1.5]}, "'seeds' must be a non-empty list of integers"),
     "negative-seed": ({"seeds": [0, -1]}, "'seeds' must be >= 0, got -1"),
+    "repeated-seed": ({"seeds": [0, 1, 0]}, "'seeds' must be distinct, got 0 more than once"),
     "bucket-not-number": ({"bucket": "x"}, "'bucket' must be a number"),
     "bucket-not-reciprocal": ({"bucket": 0.3},
                               "1/bucket must be an integer, got 3.3333333333333335"),

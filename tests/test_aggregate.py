@@ -104,26 +104,34 @@ def test_clamp_unit():
 
 
 class TestByLength:
+    @staticmethod
+    def layout(counts, starts=None):
+        counts = np.array(counts, np.intp)
+        return (np.cumsum(counts) - counts if starts is None else np.array(starts, np.intp)), counts
+
     def test_blocks_in_ascending_length_and_input_order(self):
-        groups = [np.arange(3), np.arange(3, 4), np.arange(4, 7), np.arange(7, 9), np.arange(9, 10)]
-        buckets = list(by_length(groups))
-        assert [block.shape[1] for _, block in buckets] == [1, 2, 3]
+        starts, counts = self.layout([3, 1, 3, 2, 1])
+        buckets = list(by_length(starts, counts))
+        assert [index.shape[1] for _, index in buckets] == [1, 2, 3]
         assert [positions.tolist() for positions, _ in buckets] == [[1, 4], [3], [0, 2]]
-        for positions, block in buckets:
-            assert np.array_equal(block, np.stack([groups[k] for k in positions]))
+        assert [index.tolist() for _, index in buckets] == [[[3], [9]], [[7, 8]],
+                                                            [[0, 1, 2], [4, 5, 6]]]
 
     def test_two_dimensional_groups(self):
-        groups = [np.ones((2, 3)), np.zeros((1, 3)), np.full((2, 3), 2.0)]
-        (short, short_block), (long, long_block) = by_length(groups)
-        assert (short.tolist(), short_block.shape) == ([1], (1, 1, 3))
-        assert (long.tolist(), long_block.shape) == ([0, 2], (2, 2, 3))
-        assert np.array_equal(long_block, np.stack([groups[0], groups[2]]))
+        values = np.arange(15.0).reshape(5, 3)
+        starts, counts = self.layout([2, 1, 2])
+        (short, short_index), (long, long_index) = by_length(starts, counts)
+        assert (short.tolist(), values[short_index].shape) == ([1], (1, 1, 3))
+        block = values[long_index]
+        assert (long.tolist(), block.shape, block.flags.c_contiguous) == ([0, 2], (2, 2, 3), True)
+        assert np.array_equal(block, np.stack([values[0:2], values[3:5]]))
 
-    def test_list_groups(self):
-        groups = [[0.5, 1.5], [2.5], [3.5, 4.5]]
-        buckets = [(positions.tolist(), block.tolist())
-                   for positions, block in by_length(groups)]
-        assert buckets == [([1], [[2.5]]), ([0, 2], [[0.5, 1.5], [3.5, 4.5]])]
+    def test_out_of_order_noncontiguous_starts(self):
+        # a split's videos: their rows lie anywhere in the feature set, in any order
+        starts, counts = self.layout([2, 1, 2, 3], starts=[9, 0, 2, 5])
+        buckets = [(positions.tolist(), index.tolist())
+                   for positions, index in by_length(starts, counts)]
+        assert buckets == [([1], [[0]]), ([0, 2], [[9, 10], [2, 3]]), ([3], [[5, 6, 7]])]
 
     def test_no_groups(self):
-        assert list(by_length([])) == []
+        assert list(by_length(*self.layout([]))) == []

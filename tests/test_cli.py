@@ -267,6 +267,11 @@ def _hyper_not_object(cfg):
     cfg["feature_models"][0]["hyper"] = [1]
 
 
+def _duplicate_feature_name(cfg):
+    features = cfg["data"]["features"]
+    features.append(dict(features[0], path=features[0]["path"].replace("featA", "featB")))
+
+
 def _setting(*keys_and_value):
     """An edit that sets cfg[k1][k2]...[kn] = value."""
     *keys, last, value = keys_and_value
@@ -300,6 +305,7 @@ def _setting(*keys_and_value):
      "data.features[0]: 'name' and 'path' must be strings"),
     (_setting("data", "features", 0, "modality", "smell"),
      "data.features[0]: unknown modality 'smell'"),
+    (_duplicate_feature_name, "data.features[1]: duplicate name 'featA'"),
     (_setting("data", "captions", 5), "data.captions must be a path string"),
     (_setting("output_dir", 3), "output_dir must be a path string"),
     (_setting("data", "labels", ["labels_short.csv"]),
@@ -359,7 +365,8 @@ def _setting(*keys_and_value):
 ], ids=["no-data", "absent-feature", "unknown-kind", "gru-without-captions",
         "entry-without-model", "hyper-not-object", "unknown-feature-model-key",
         "unknown-ensemble-model-key", "model-not-string", "feature-not-string", "feature-name-not-string",
-        "feature-path-not-string", "unknown-modality", "captions-not-string",
+        "feature-path-not-string", "unknown-modality", "duplicate-feature-name",
+        "captions-not-string",
         "output-dir-not-string", "labels-not-object", "test-labels-not-object",
         "unknown-label-term", "models-not-list", "unknown-top-key", "unknown-data-key",
         "unknown-feature-set-key", "unknown-feature-model-entry-key",

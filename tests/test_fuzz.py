@@ -175,6 +175,14 @@ def _mutate_json(text, rng):
     return json.dumps(doc), f"set {path} to {value!r}"
 
 
+def _case_dir(tmp_path, case):
+    """A fresh directory for one case's input and output files: opening an
+    existing file to truncate it can cost tens of milliseconds."""
+    d = tmp_path / f"case{case}"
+    d.mkdir()
+    return d
+
+
 def _run(argv, what):
     try:
         return main(argv)
@@ -186,12 +194,13 @@ def _run(argv, what):
 def test_mutated_line_file(corpus_dir, tmp_path, capsys, target):
     name, load = _LINE_TARGETS[target]
     text = (corpus_dir / name).read_text()
-    path = tmp_path / name
     for seed in range(CASES_PER_TARGET):
+        case = _case_dir(tmp_path, seed)
+        path = case / name
         mutated, what = _mutate_lines(text, random.Random(seed), " " if name == "wv.txt" else ",")
         path.write_text(mutated)
         capsys.readouterr()
-        code = _run(_argv(corpus_dir, target, str(path), str(tmp_path / "out")),
+        code = _run(_argv(corpus_dir, target, str(path), str(case / "out")),
                     f"seed {seed}: {what}")
         err = capsys.readouterr().err
         assert code in (0, 1), f"seed {seed}: {what}"
@@ -228,13 +237,14 @@ def _mutate_id(data, rng):
 def test_mutated_id_or_byte(corpus_dir, tmp_path, capsys, target):
     name, load = _LINE_TARGETS[target]
     data = (corpus_dir / name).read_bytes()
-    path = tmp_path / name
     for seed in range(CASES_PER_TARGET):
+        case = _case_dir(tmp_path, seed)
+        path = case / name
         mutated, op, line_no = _mutate_id(data, random.Random(seed))
         what = f"seed {seed}: {op} line {line_no}"
         path.write_bytes(mutated)
         capsys.readouterr()
-        code = _run(_argv(corpus_dir, target, str(path), str(tmp_path / "out")), what)
+        code = _run(_argv(corpus_dir, target, str(path), str(case / "out")), what)
         err = capsys.readouterr().err
         assert code in (0, 1), what
         if op == "0xff":  # the error names the line of the byte
@@ -250,11 +260,12 @@ def test_mutated_id_or_byte(corpus_dir, tmp_path, capsys, target):
 @pytest.mark.parametrize("target", list(_JSON_TARGETS))
 def test_mutated_json_file(corpus_dir, tmp_path, target):
     text = (corpus_dir / _JSON_TARGETS[target]).read_text()
-    path = tmp_path / _JSON_TARGETS[target]
     for seed in range(CASES_PER_TARGET):
+        case = _case_dir(tmp_path, seed)
+        path = case / _JSON_TARGETS[target]
         mutated, what = _mutate_json(text, random.Random(seed))
         path.write_text(mutated)
-        code = _run(_argv(corpus_dir, target, str(path), str(tmp_path / "out")),
+        code = _run(_argv(corpus_dir, target, str(path), str(case / "out")),
                     f"seed {seed}: {what}")
         assert code in (0, 1), f"seed {seed}: {what}"
 
@@ -262,8 +273,8 @@ def test_mutated_json_file(corpus_dir, tmp_path, target):
 @pytest.mark.parametrize("key", _SETTINGS_KEYS)
 def test_wrong_typed_setting(corpus_dir, tmp_path, key):
     config = json.loads((corpus_dir / "config.json").read_text())
-    path = tmp_path / "config.json"
-    for value in _VALUES:
+    for k, value in enumerate(_VALUES):
+        path = _case_dir(tmp_path, k) / "config.json"
         path.write_text(json.dumps({**config, key: value}))
         code = _run(["experiment", "--config", str(path)], f"{key} = {value!r}")
         assert code in (0, 1), f"{key} = {value!r}"
