@@ -3,7 +3,7 @@
 from .aggregate import PredictionTable, aggregate_rows
 from .corpus import (AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable,
                      WordVectorTable, load_annotations_csv, load_captions_csv,
-                     load_feature_csv, load_labels_csv, load_word_vectors)
+                     load_feature_csv, load_labels_csv, load_word_vectors, tokenize)
 from .decay import DecayFit, adjust_labels, fit_decay
 from .ensemble import EnsembleWeights, apply_weights, enumerate_simplex, grid_search
 from .harness import (FeatureModelConfig, SplitSpec, SyntheticCorpusSpec,
@@ -12,7 +12,7 @@ from .harness import (FeatureModelConfig, SplitSpec, SyntheticCorpusSpec,
 from .metrics import srcc
 from .regress import (LinearModel, Standardizer, SvrModel, fit_linear,
                       fit_standardizer, fit_svr)
-from .textmodel import GruRegressor, TrainConfig, embed, gru_train, tokenize
+from .textmodel import GruRegressor, TrainConfig, embed, gru_train
 
 __all__ = [
     "AnnotationLog", "CaptionSet", "Corpus", "DecayFit",

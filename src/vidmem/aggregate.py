@@ -84,8 +84,3 @@ def aggregate_rows(per_row_scores, strategy="median", id_universe=None,
                            scores={vid: direct.get(vid, fallback) for vid in ids},
                            coverage={vid: "direct" if vid in direct else "fallback"
                                      for vid in ids})
-
-
-def clamp_unit(x: float) -> float:
-    """[0, 1] clamp used only when scores are exported."""
-    return min(1.0, max(0.0, x))

@@ -17,7 +17,7 @@ from .decay import adjust_labels, fit_decay
 from .ensemble import grid_search
 from .harness import (ExperimentSettings, FeatureModelConfig, SyntheticCorpusSpec,
                       generate_synthetic, predict_table, report_to_json, report_to_text,
-                      run_full_experiment, train_feature_model, write_prediction_csv)
+                      run_full_experiment, train_feature_model)
 from .metrics import srcc
 from .regress import ConvergenceError
 from .textmodel import TrainingDivergedError
@@ -91,7 +91,7 @@ def cmd_predict(args):
     except ValueError as exc:  # the inputs do not fit the model
         inputs = args.word_vectors if model.kind == "gru" else args.features
         raise ValueError(f"{inputs}: {exc}") from None
-    write_prediction_csv(table, args.out)
+    corpus_mod.write_prediction_csv(table, args.out)
     print(f"wrote {len(ids)} predictions -> {args.out}")
 
 
@@ -180,6 +180,8 @@ def _check_config(cfg, path):
         for term in tables:
             if term not in TERMS:
                 fail(f"{where}: term must be one of {TERMS}, got {term!r}")
+    if not data.get("labels"):
+        fail("data.labels must name at least one term")
     for key, value in (("data.captions", data.get("captions") or ""),
                        ("data.word_vectors", data.get("word_vectors") or ""),
                        ("output_dir", cfg.get("output_dir", "out"))):

@@ -2,8 +2,8 @@
 
 All interchange is CSV (features, captions, labels, annotations) plus the
 standard token-per-line text format for pretrained word vectors.  Loaders
-validate eagerly and report the offending line number; nothing is dropped
-silently.  Loaded tables are treated as immutable.
+validate eagerly and report the offending line number; nothing but a UTF-8
+byte-order mark is dropped silently.  Loaded tables are treated as immutable.
 """
 
 from __future__ import annotations
@@ -13,12 +13,15 @@ import csv
 import functools
 import math
 import re
+import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
 MODALITIES = ("audio", "image", "video", "text")
 TERMS = ("short", "long")
+
+_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 class ParseError(ValueError):
@@ -28,6 +31,20 @@ class ParseError(ValueError):
         self.path = str(path)
         self.line_no = line_no
         super().__init__(f"{path}:{line_no}: {message}")
+
+
+class TokenizeError(ValueError):
+    """Caption produced no tokens."""
+
+
+def tokenize(caption: str) -> list[str]:
+    """Lowercase, strip punctuation, split on whitespace."""
+    if not caption or not caption.strip():
+        raise TokenizeError("empty caption")
+    tokens = caption.lower().translate(_PUNCT_TABLE).split()
+    if not tokens:
+        raise TokenizeError(f"caption {caption!r} contains no tokens")
+    return tokens
 
 
 @dataclass(frozen=True)
@@ -117,7 +134,7 @@ class FeatureSet:
 
 @dataclass(frozen=True)
 class CaptionSet:
-    """1-5 human captions per video."""
+    """1-5 human captions per video, each with at least one token."""
 
     captions: dict[str, tuple[str, ...]]
 
@@ -126,8 +143,11 @@ class CaptionSet:
             _check_video_id(vid)
             if not 1 <= len(caps) <= 5:
                 raise ValueError(f"video {vid!r}: expected 1-5 captions, got {len(caps)}")
-            if any(not c for c in caps):
-                raise ValueError(f"video {vid!r}: empty caption")
+            try:
+                for caption in caps:
+                    tokenize(caption)
+            except TokenizeError as exc:
+                raise ValueError(f"video {vid!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -251,7 +271,7 @@ def read_records(path, what, fields=None, unique=False):
     errors and a file without rows raise ParseError with path:line.
     """
     seen: dict[str, str] = {}  # one string object per distinct id
-    with _decoded(path), open(path, newline="") as fh:
+    with _decoded(path), open(path, newline="", encoding="utf-8-sig") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
                 continue
@@ -289,11 +309,11 @@ def _parse_columns(path, columns):
     """
     with open(path, "rb") as fh:
         data = fh.read()
-    first = re.match(rb"[^\r\n]*", data).group()
+    first = re.match(rb"(?:\xef\xbb\xbf)?([^\r\n]*)", data).group(1)  # after a BOM
     if not first or any(c in data for c in b'"\x1c\x1d\x1e\x1f\x00'):
         return None
     del data  # not held while loadtxt parses
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         try:
             table = np.loadtxt(fh, dtype=[("id", "O"), *columns(first.count(b","))],
                                delimiter=",", comments=None, quotechar=None, ndmin=1)
@@ -354,8 +374,10 @@ def load_captions_csv(path):
     """Load `video_id,"caption text"` rows (standard CSV quoting)."""
     caps: dict[str, list[str]] = {}
     for line_no, vid, row in read_records(path, "caption", (2,)):
-        if not row[1].strip():
-            raise ParseError(path, line_no, "empty caption")
+        try:
+            tokenize(row[1])
+        except TokenizeError as exc:
+            raise ParseError(path, line_no, str(exc)) from None
         video_caps = caps.setdefault(vid, [])
         if len(video_caps) == 5:
             raise ParseError(path, line_no, f"video {vid!r}: more than 5 captions")
@@ -408,11 +430,26 @@ def load_prediction_csv(path):
     return scores
 
 
+def clamp_unit(x: float) -> float:
+    """[0, 1] clamp used only when scores are exported."""
+    return min(1.0, max(0.0, x))
+
+
+def write_prediction_csv(table, path):
+    """One `video_id,score,coverage,raw score` row per video of a
+    `PredictionTable`: the score clamped into [0, 1] for label-style readers,
+    and the raw score that `load_prediction_csv` reads back, bit for bit."""
+    ids = _quoted_ids(table.scores)
+    with open(path, "w", newline="") as fh:
+        for vid, score in table.scores.items():
+            fh.write(f"{ids[vid]},{clamp_unit(score)!r},{table.coverage[vid]},{score!r}\n")
+
+
 def load_word_vectors(path):
     """Load a `token f0 ... f(D-1)` text file; D is inferred from line 1."""
     vectors: dict[str, np.ndarray] = {}
     dimension = None
-    with _decoded(path), open(path) as fh:
+    with _decoded(path), open(path, encoding="utf-8-sig") as fh:
         for line_no, line in enumerate(fh, start=1):
             parts = line.rstrip("\n").split(" ")
             if len(parts) < 2 or not parts[0]:
@@ -441,7 +478,7 @@ class _Echo:
         return text
 
 
-def quoted_ids(ids):
+def _quoted_ids(ids):
     """Each distinct id as `csv.writer` writes it in a field (an id may
     hold `"`), so that the writers below format the rest of each line
     themselves."""
@@ -450,25 +487,25 @@ def quoted_ids(ids):
 
 
 # The writers below stream one line per row, with the bytes `csv.writer`
-# writes: numbers never need quoting, and `quoted_ids` quotes the ids.
+# writes: numbers never need quoting, and `_quoted_ids` quotes the ids.
 
 def write_feature_csv(feature_set, path):
     """Inverse of load_feature_csv; writes the rows grouped by video."""
-    ids = quoted_ids(feature_set.video_id)
+    ids = _quoted_ids(feature_set.video_id)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{','.join(map(repr, row))}\r\n"
                       for vid, row in zip(feature_set.video_id, feature_set.values.tolist()))
 
 
 def write_labels_csv(table, path):
-    ids = quoted_ids(table.scores)
+    ids = _quoted_ids(table.scores)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{float(score)!r}\r\n" for vid, score in table.scores.items())
 
 
 def write_annotations_csv(log, path):
     """Inverse of load_annotations_csv; writes the trials in column order."""
-    ids = quoted_ids(log.video_id)
+    ids = _quoted_ids(log.video_id)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{delay!r},{hit}\r\n" for vid, delay, hit
                       in zip(log.video_id, log.delay_seconds.tolist(), log.recognized.tolist()))

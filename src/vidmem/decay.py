@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .aggregate import by_length, clamp_unit
-from .corpus import AnnotationLog, LabelTable
+from .aggregate import by_length
+from .corpus import AnnotationLog, LabelTable, clamp_unit
 
 DEGENERATE_WARNING = "all delays equal the target duration; decay rate not identifiable"
 

@@ -21,14 +21,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .aggregate import STRATEGIES, PredictionTable, aggregate_rows, by_length, clamp_unit
-from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, quoted_ids
+from .aggregate import STRATEGIES, PredictionTable, aggregate_rows, by_length
+from .corpus import AnnotationLog, CaptionSet, Corpus, FeatureSet, LabelTable, tokenize
 from .ensemble import apply_weights, bucket_count, grid_search
 from .metrics import srcc
 from .regress import (LINEAR_HYPER_KEYS, check_linear_hyper, check_svr_settings, fit_linear,
                       fit_svr)
-from .textmodel import (GruRegressor, TrainConfig, check_architecture, embed, gru_train,
-                        tokenize)
+from .textmodel import GruRegressor, TrainConfig, embed, gru_train
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -211,12 +210,13 @@ def _apply_rule(rule, fit, hyper):
     rule(*(values[name] for name in inspect.signature(rule).parameters))
 
 
-def _gru_settings(hyper):
-    """A GRU entry's hyperparameters as its `TrainConfig` (which checks its
-    own ranges) and its `GruRegressor` architecture keywords."""
+def _gru_model(hyper, input_dim, seed):
+    """The untrained model of a GRU entry's hyperparameters, which
+    `TrainConfig` and `GruRegressor` range-check."""
     arch = dict(hyper)
     train_keys = {k: arch.pop(k) for k in hyper if k in TrainConfig.__dataclass_fields__}
-    return TrainConfig(**train_keys), arch
+    return GruRegressor(input_dim=input_dim, seed=seed, train_config=TrainConfig(**train_keys),
+                        **arch)
 
 
 @dataclass(frozen=True)
@@ -246,7 +246,7 @@ class FeatureModelConfig:
         if self.model == "svr":
             _apply_rule(check_svr_settings, fit_svr, self.hyper)
         elif self.model == "gru":
-            _apply_rule(check_architecture, GruRegressor, _gru_settings(self.hyper)[1])
+            _gru_model(self.hyper, 1, 0)
         else:
             check_linear_hyper(self.model, self.hyper)
 
@@ -296,9 +296,7 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                    for x in xs]
         if not samples:
             raise ValueError("no caption samples in the training split")
-        train_config, arch = _gru_settings(config.hyper)
-        model = GruRegressor(input_dim=corpus.word_vectors.dimension, seed=seed,
-                             train_config=train_config, **arch)
+        model = _gru_model(config.hyper, corpus.word_vectors.dimension, seed)
         gru_train(model, samples)
         return model
     values, vids, starts, counts = _rows_of(corpus, config, ids)
@@ -559,13 +557,3 @@ def _align(table):
               for c in range(max(len(r) for r in table))]
     return ["  ".join(cell.ljust(widths[c]) for c, cell in enumerate(row)).rstrip()
             for row in table]
-
-
-def write_prediction_csv(table: PredictionTable, path):
-    """One `video_id,score,coverage,raw score` row per video: the 2nd column
-    is the score clamped into [0, 1] for label-style readers, and the raw 4th
-    column is what `load_prediction_csv` reads back, bit for bit."""
-    ids = quoted_ids(table.scores)
-    with open(path, "w", newline="") as fh:
-        for vid, score in table.scores.items():
-            fh.write(f"{ids[vid]},{clamp_unit(score)!r},{table.coverage[vid]},{score!r}\n")

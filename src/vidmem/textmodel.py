@@ -1,39 +1,22 @@
-"""Caption pipeline: tokenizer, word-vector lookup, and a GRU regressor
-(dense head, inverted dropout, Adam, early stopping) implemented directly in
-numpy with hand-written backprop through time.
+"""Caption pipeline: word-vector lookup and a GRU regressor (dense head,
+inverted dropout, Adam, early stopping) implemented directly in numpy with
+hand-written backprop through time.  Captions are tokenized by `corpus`.
 """
 
 from __future__ import annotations
 
-import string
 from dataclasses import dataclass
 
 import numpy as np
 
 from .corpus import WordVectorTable
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
-
 # Adam's fixed constants (Kingma & Ba, arXiv:1412.6980)
 _BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-class TokenizeError(ValueError):
-    """Caption produced no tokens."""
-
-
 class TrainingDivergedError(RuntimeError):
     """A training or validation loss became non-finite."""
-
-
-def tokenize(caption: str) -> list[str]:
-    """Lowercase, strip punctuation, split on whitespace."""
-    if not caption or not caption.strip():
-        raise TokenizeError("empty caption")
-    tokens = caption.lower().translate(_PUNCT_TABLE).split()
-    if not tokens:
-        raise TokenizeError(f"caption {caption!r} contains no tokens")
-    return tokens
 
 
 def embed(tokens, table: WordVectorTable) -> np.ndarray:
@@ -70,19 +53,6 @@ def _check_integer(key, value, least):
         raise ValueError(f"{key!r} must be an integer >= {least}")
 
 
-def check_architecture(hidden_units, dense_widths, recurrent_dropout_rate,
-                       dense_dropout_rate):
-    """The range rules of the `GruRegressor` settings of the same names."""
-    _check_integer("hidden_units", hidden_units, 1)
-    if not (isinstance(dense_widths, (list, tuple))
-            and all(type(w) is int and w > 0 for w in dense_widths)):
-        raise ValueError("'dense_widths' must be a list of positive integers")
-    if tuple(dense_widths)[-1:] != (1,):
-        raise ValueError("final dense width must be 1")
-    if not (0.0 <= recurrent_dropout_rate < 1.0 and 0.0 <= dense_dropout_rate < 1.0):
-        raise ValueError("dropout rates must lie in [0, 1)")
-
-
 def _glorot(rng, fan_in, fan_out, shape):
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape)
@@ -112,8 +82,14 @@ class GruRegressor:
                  recurrent_dropout_rate=0.8, dense_dropout_rate=0.25,
                  seed=0, train_config: TrainConfig | None = None):
         _check_integer("input_dim", input_dim, 1)
-        check_architecture(hidden_units, dense_widths, recurrent_dropout_rate,
-                           dense_dropout_rate)
+        _check_integer("hidden_units", hidden_units, 1)
+        if not (isinstance(dense_widths, (list, tuple))
+                and all(type(w) is int and w > 0 for w in dense_widths)):
+            raise ValueError("'dense_widths' must be a list of positive integers")
+        if tuple(dense_widths)[-1:] != (1,):
+            raise ValueError("final dense width must be 1")
+        if not (0.0 <= recurrent_dropout_rate < 1.0 and 0.0 <= dense_dropout_rate < 1.0):
+            raise ValueError("dropout rates must lie in [0, 1)")
         _check_integer("seed", seed, 0)
         self.input_dim = input_dim
         self.hidden_units = hidden_units
@@ -309,8 +285,8 @@ def gru_train(model: GruRegressor, samples):
     adam_t = 0
 
     def val_mse():
-        scores = model.predict([samples[i][1] for i in val_idx])
-        return float(np.mean([(s - samples[i][2]) ** 2 for i, s in zip(val_idx, scores)]))
+        scores = model.predict([samples[i][1] for i in val_idx])  # a huge score squares to inf
+        return float(np.mean((np.array(scores) - [samples[i][2] for i in val_idx]) ** 2))
 
     best_val = np.inf
     best_params = {k: v.copy() for k, v in model.params.items()}

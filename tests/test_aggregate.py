@@ -3,7 +3,8 @@ import statistics
 import numpy as np
 import pytest
 
-from vidmem.aggregate import STRATEGIES, aggregate_rows, by_length, clamp_unit
+from vidmem.aggregate import STRATEGIES, aggregate_rows, by_length
+from vidmem.corpus import clamp_unit
 
 
 def test_median_odd_count():

@@ -8,14 +8,15 @@ import numpy as np
 import pytest
 
 from settings_cases import BAD_SETTINGS
-from vidmem.aggregate import PredictionTable, clamp_unit
+from vidmem.aggregate import PredictionTable
 from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
-from vidmem.corpus import (Corpus, FeatureSet, LabelTable, load_captions_csv, load_feature_csv,
-                           load_labels_csv, load_prediction_csv, load_word_vectors,
-                           write_feature_csv, write_labels_csv)
+from vidmem.corpus import (Corpus, FeatureSet, LabelTable, clamp_unit, load_captions_csv,
+                           load_feature_csv, load_labels_csv, load_prediction_csv,
+                           load_word_vectors, write_feature_csv, write_labels_csv,
+                           write_prediction_csv)
 from vidmem.ensemble import grid_search
 from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec, generate_synthetic,
-                            predict_table, train_feature_model, write_prediction_csv)
+                            predict_table, train_feature_model)
 from vidmem.metrics import srcc
 from vidmem.regress import model_to_dict, save_model
 from vidmem.textmodel import GruRegressor, TrainingDivergedError
@@ -267,6 +268,10 @@ def _hyper_not_object(cfg):
     cfg["feature_models"][0]["hyper"] = [1]
 
 
+def _drop_labels(cfg):
+    del cfg["data"]["labels"]
+
+
 def _duplicate_feature_name(cfg):
     features = cfg["data"]["features"]
     features.append(dict(features[0], path=features[0]["path"].replace("featA", "featB")))
@@ -313,6 +318,7 @@ def _setting(*keys_and_value):
     (_setting("test_labels", ["labels_short.csv"]), "test_labels must map terms to path strings"),
     (_setting("data", "labels", {"medium": "labels_short.csv"}),
      "data.labels: term must be one of ('short', 'long'), got 'medium'"),
+    (_drop_labels, "data.labels must name at least one term"),
     (_setting("feature_models", 3), "'feature_models' must be a list"),
     (_setting("seed", [0]), "unknown key 'seed'"),
     (_setting("data", "feature", []), "data: unknown key 'feature'"),
@@ -368,7 +374,7 @@ def _setting(*keys_and_value):
         "feature-path-not-string", "unknown-modality", "duplicate-feature-name",
         "captions-not-string",
         "output-dir-not-string", "labels-not-object", "test-labels-not-object",
-        "unknown-label-term", "models-not-list", "unknown-top-key", "unknown-data-key",
+        "unknown-label-term", "no-labels", "models-not-list", "unknown-top-key", "unknown-data-key",
         "unknown-feature-set-key", "unknown-feature-model-entry-key",
         "unknown-ensemble-model-entry-key", "ensemble-hyper-not-number",
         "feature-hyper-not-number", "null-lam", "negative-ridge-lam", "negative-lasso-lam",
@@ -666,6 +672,38 @@ def _predict_narrow_word_vectors(synth_dir, tmp_path):
             "--word-vectors", str(tmp_path / "wv.txt"), "--out", str(tmp_path / "out.csv")]
 
 
+def _untokenizable_caption(synth_dir, tmp_path):
+    """A captions file whose line 2 has no tokens, and a 4-d word-vector file."""
+    lines = (synth_dir / "captions.csv").read_text().splitlines(keepends=True)
+    lines[1] = lines[1].split(",")[0] + ",!!!\n"
+    (tmp_path / "captions.csv").write_text("".join(lines))
+    (tmp_path / "wv.txt").write_text("a 0.1 0.2 0.3 0.4\n")
+    return str(tmp_path / "captions.csv"), str(tmp_path / "wv.txt")
+
+
+def _train_caption_without_tokens(synth_dir, tmp_path):
+    captions, wv = _untokenizable_caption(synth_dir, tmp_path)
+    return ["train", "--labels", str(synth_dir / "labels_short.csv"), "--model", "gru",
+            "--captions", captions, "--word-vectors", wv, "--out", str(tmp_path / "out.csv")]
+
+
+def _predict_caption_without_tokens(synth_dir, tmp_path):
+    captions, wv = _untokenizable_caption(synth_dir, tmp_path)
+    (tmp_path / "m.json").write_text(json.dumps(_GRU_FILE))
+    return ["predict", "--model", str(tmp_path / "m.json"), "--captions", captions,
+            "--word-vectors", wv, "--out", str(tmp_path / "out.csv")]
+
+
+def _experiment_caption_without_tokens(synth_dir, tmp_path):
+    captions, wv = _untokenizable_caption(synth_dir, tmp_path)
+    cfg = _feature_only_config(synth_dir)
+    cfg["data"].update(captions=captions, word_vectors=wv)
+    cfg["feature_models"].append({"feature": "captions", "model": "gru"})
+    cfg["output_dir"] = "out.csv"  # the path the test checks is not written
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return ["experiment", "--config", str(tmp_path / "config.json")]
+
+
 @pytest.mark.parametrize("argv, message", [
     (_train_ridge_without_features, "ridge model requires --features"),
     (_train_gru_without_word_vectors, "gru model requires --captions and --word-vectors"),
@@ -677,8 +715,13 @@ def _predict_narrow_word_vectors(synth_dir, tmp_path):
      "table '{tmp}/half.csv' missing ids ['v0030', 'v0031', 'v0032', 'v0033', 'v0034']"),
     (_predict_narrow_features, "{tmp}/narrow.csv: expected 4 features, got 1"),
     (_predict_narrow_word_vectors, "{tmp}/wv.txt: expected a non-empty (steps, 4) array"),
+    *[(argv, "{tmp}/captions.csv:2: caption '!!!' contains no tokens")
+      for argv in (_train_caption_without_tokens, _predict_caption_without_tokens,
+                   _experiment_caption_without_tokens)],
 ], ids=["ridge-without-features", "gru-without-word-vectors", "one-common-id", "no-common-id",
-        "search-table-missing-ids", "predict-narrow-features", "predict-narrow-word-vectors"])
+        "search-table-missing-ids", "predict-narrow-features", "predict-narrow-word-vectors",
+        "train-caption-without-tokens", "predict-caption-without-tokens",
+        "experiment-caption-without-tokens"])
 def test_missing_cli_input_reported_as_error(synth_dir, tmp_path, capsys, argv, message):
     """The error names each file that is at fault."""
     assert main(argv(synth_dir, tmp_path)) == 1
@@ -790,9 +833,12 @@ def test_readme_lists_the_allowed_config_keys():
     ('{"m_high": Infinity}', "'m_high' must be finite"),
     ('{"noise": -1}', "'noise' must be nonnegative"),
     ('{"target_duration": 0}', "'target_duration' must be positive"),
+    ('{"obs_per_video": 0}', "need at least one video and one observation"),
+    ('{"m_low": 0.9, "m_high": 0.3}', "memorability bounds must satisfy 0 <= low <= high <= 1"),
+    ('{"delay_low": 0}', "delay bounds must be positive and ordered"),
 ], ids=["unknown-key", "not-object", "string-count", "float-count", "invalid-json",
         "zero-feature-dim", "negative-rows", "nan-alpha", "infinite-m-high", "negative-noise",
-        "zero-target-duration"])
+        "zero-target-duration", "zero-observations", "reversed-m-bounds", "zero-delay-low"])
 def test_bad_synth_spec_rejected(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"
     spec.write_text(text)

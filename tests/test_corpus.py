@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from vidmem import corpus
-from vidmem.aggregate import PredictionTable, clamp_unit
-from vidmem.harness import write_prediction_csv
+from vidmem.aggregate import PredictionTable
+from vidmem.corpus import clamp_unit, write_prediction_csv
 
 
 def write(tmp_path, name, text):
@@ -228,6 +228,17 @@ class TestLabelLoader:
         with pytest.raises(corpus.ParseError):
             corpus.load_labels_csv(write(tmp_path, "l.csv", "v1,1.2\n"), "short")
 
+    def test_unknown_term_rejected(self):
+        with pytest.raises(ValueError, match=r"^term must be one of \('short', 'long'\), got 'mid'$"):
+            corpus.LabelTable("mid", {"v1": 0.5})
+
+
+def test_corpus_video_ids_fall_back_to_feature_ids():
+    fs = corpus.FeatureSet("video", "C3D", ["v2", "v1", "v2"], np.zeros((3, 1)))
+    assert corpus.Corpus(features={"C3D": fs}).video_ids == ["v1", "v2"]
+    labels = {"short": corpus.LabelTable("short", {"v3": 0.5})}
+    assert corpus.Corpus(features={"C3D": fs}, labels=labels).video_ids == ["v3"]
+
 
 class TestCaptionLoader:
     def test_quoted_commas(self, tmp_path):
@@ -240,6 +251,27 @@ class TestCaptionLoader:
         with pytest.raises(corpus.ParseError) as exc:
             corpus.load_captions_csv(p)
         assert exc.value.line_no == 6
+
+    @pytest.mark.parametrize("caption, message", [
+        ("!!!", "caption '!!!' contains no tokens"), ("  ", "empty caption")])
+    def test_caption_without_tokens_rejected_at_its_line(self, tmp_path, caption, message):
+        p = write(tmp_path, "c.csv", f"v1,a dog\nv1,{caption}\n")
+        with pytest.raises(corpus.ParseError) as exc:
+            corpus.load_captions_csv(p)
+        assert str(exc.value) == f"{p}:2: {message}"
+
+
+@pytest.mark.parametrize("caps, message", [
+    ((), "expected 1-5 captions, got 0"),
+    (("a dog",) * 6, "expected 1-5 captions, got 6"),
+    (("a dog", "!!!"), "caption '!!!' contains no tokens"),
+    (("a dog", "  "), "empty caption"),
+], ids=["none", "six", "no-tokens", "blank"])
+def test_caption_set_rejects_invalid_captions(caps, message):
+    """`CaptionSet` applies the tokenizer's rule, as the loader does."""
+    with pytest.raises(ValueError) as exc:
+        corpus.CaptionSet({"v1": caps})
+    assert str(exc.value) == f"video 'v1': {message}"
 
 
 class TestWordVectorLoader:
@@ -256,6 +288,12 @@ class TestWordVectorLoader:
         with pytest.raises(corpus.ParseError) as exc:
             corpus.load_word_vectors(p)
         assert exc.value.line_no == 2
+
+    def test_blank_file_rejected(self, tmp_path):
+        p = write(tmp_path, "wv.txt", "\n \n")
+        with pytest.raises(corpus.ParseError) as exc:
+            corpus.load_word_vectors(p)
+        assert str(exc.value) == f"{p}:0: empty word-vector file"
 
     def test_repeated_token_rejected_at_second_line(self, tmp_path):
         p = write(tmp_path, "wv.txt", "the 0.1 0.2\ncat 0.5 0.6\nThe 0.3 0.4\n")
@@ -282,6 +320,39 @@ def test_bad_video_id_reports_line(tmp_path, kind, vid):
         load(p)
     assert exc.value.line_no == 2
     assert str(exc.value) == f"{p}:2: invalid video id {vid!r}"
+
+
+# every reader of CSV and word-vector files, `vidmem predict --ids` included
+BOM_READERS = {
+    **{kind: (load, text.format(vid="v2")) for kind, (load, text) in LOADERS.items()},
+    "word-vector": (corpus.load_word_vectors, "v1 0.1\nv2 0.2\n"),
+    "ids": (lambda p: [vid for _, vid, _ in corpus.read_records(p, "id", (1,), unique=True)],
+            "v1\nv2\n"),
+}
+
+
+def _ids(table):
+    for column in ("video_id", "captions", "scores", "vectors"):
+        table = getattr(table, column, table)
+    return list(table)
+
+
+@pytest.mark.parametrize("kind", list(BOM_READERS))
+def test_byte_order_mark_dropped(tmp_path, kind):
+    load, text = BOM_READERS[kind]
+    clean = write(tmp_path, "clean.csv", text)
+    marked = write(tmp_path, "marked.csv", "\ufeff" + text)
+    assert _ids(load(marked)) == _ids(load(clean)) == ["v1", "v2"]
+
+
+@pytest.mark.parametrize("kind", list(BOM_READERS))
+def test_undecodable_byte_after_byte_order_mark_reported_at_its_line(tmp_path, kind):
+    load, text = BOM_READERS[kind]
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"\xef\xbb\xbf" + text.encode().replace(b"v2", b"v\xff2"))
+    with pytest.raises(corpus.ParseError) as exc:
+        load(p)
+    assert str(exc.value) == f"{p}:2: not valid utf-8: byte 0xff (invalid start byte)"
 
 
 @pytest.mark.parametrize("kind", ["label", "prediction"])

@@ -30,6 +30,17 @@ def test_empty_log_rejected():
         fit_decay(AnnotationLog((), (), ()), 75.0, 10)
 
 
+@pytest.mark.parametrize("target, iterations, message", [
+    (75.0, 0, "iterations must be >= 1"),
+    (0.0, 10, "target duration must be positive"),
+    (float("nan"), 10, "target duration must be positive"),
+])
+def test_bad_fit_settings_rejected(target, iterations, message):
+    log = make_log({"v1": [(1, 30.0), (0, 150.0)]})
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        fit_decay(log, target, iterations)
+
+
 def test_alpha_trajectory_recorded():
     log = make_log({"v1": [(1, 30.0), (0, 150.0)], "v2": [(1, 60.0), (1, 90.0)]})
     fit = fit_decay(log, 75.0, 5)

@@ -1,5 +1,6 @@
 import logging
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -57,6 +58,10 @@ class TestEnumerateSimplex:
         with pytest.raises(ValueError):
             enumerate_simplex(3, 0.07)
 
+    def test_no_models_rejected(self):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            enumerate_simplex(0)
+
 
 class TestGridSearch:
     def test_single_model_weight_one(self):
@@ -97,6 +102,10 @@ class TestGridSearch:
         truth = LabelTable("short", {"a": 0.2, "b": 0.3, "c": 0.8})
         w = grid_search([const, live], truth, bucket=0.5)
         assert w.weights[1] > 0.0
+
+    def test_no_tables_rejected(self):
+        with pytest.raises(ValueError, match="^need at least one prediction table$"):
+            grid_search([], LabelTable("short", {"a": 0.2, "b": 0.3}))
 
     def test_all_constant_rejected(self):
         const = table("const", {"a": 0.5, "b": 0.5})
@@ -179,6 +188,9 @@ class TestGridSearchExactness:
         truth = LabelTable("short", {"a": 0.2, "b": 0.3})
         with pytest.raises(ValueError, match="inputs must be finite"):
             grid_search([table("m", {"a": 0.1, "b": np.nan})], truth)
+        with pytest.raises(ValueError, match="inputs must be finite"):  # truth read as scores
+            grid_search([table("m", {"a": 0.1, "b": 0.2})],
+                        SimpleNamespace(scores={"a": 0.2, "b": np.nan}))
         with pytest.raises(ValueError, match="need at least two pairs"):
             grid_search([table("m", {"a": 0.1})], LabelTable("short", {"a": 0.2}))
         with pytest.raises(ValueError, match="every candidate produced constant scores"):

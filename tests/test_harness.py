@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import threading
 import time
 from pathlib import Path
@@ -9,13 +10,12 @@ import pytest
 
 from settings_cases import BAD_SETTINGS
 from vidmem import harness
-from vidmem.corpus import CaptionSet, Corpus, FeatureSet, LabelTable, WordVectorTable
+from vidmem.corpus import CaptionSet, Corpus, FeatureSet, LabelTable, WordVectorTable, tokenize
 from vidmem.harness import (DEFAULT_SEEDS, FeatureModelConfig, SyntheticCorpusSpec,
                             generate_synthetic, predict_table, report_to_json,
                             report_to_text, run_ensemble_experiment,
                             run_feature_experiment, run_full_experiment, split,
                             train_feature_model)
-from vidmem.textmodel import tokenize
 
 
 class TestSplit:
@@ -421,6 +421,12 @@ class TestReportRendering:
         assert "Mean (ST)" in text and "Variance (LT)" in text
         assert "Valid" in text and "Test" in text
 
+    def test_failed_row_rendered_as_error(self, small_corpus):
+        configs = CONFIGS[:1] + [FeatureModelConfig("missing", "ridge", {})]
+        text = report_to_text(run_full_experiment(small_corpus, configs, [], seeds=[0]))
+        assert re.search(r"^missing +ridge +ERROR: feature set 'missing' is not in the corpus$",
+                         text, re.M)
+
     def test_json_round_trip(self, small_corpus):
         report = run_feature_experiment(small_corpus, CONFIGS[:1], seeds=[0])
         assert json.loads(report_to_json(report)) == report
@@ -433,8 +439,16 @@ class TestReportRendering:
     (("featA", "gru"), "a gru model reads 'captions', not 'featA'"),
     (("featA", "svr", {"C": True}), "svr hyperparameter 'C' must be a number"),
     (("featA", "svr", {"C": 10 ** 400}), "svr hyperparameter 'C' must be a number"),
+    (("captions", "gru", {"hidden_units": 0}), "'hidden_units' must be an integer >= 1"),
+    (("captions", "gru", {"dense_widths": [4, 0, 1]}),
+     "'dense_widths' must be a list of positive integers"),
+    (("captions", "gru", {"dense_widths": [4, 2]}), "final dense width must be 1"),
+    (("captions", "gru", {"dense_dropout_rate": 1.0}), "dropout rates must lie in [0, 1)"),
+    (("captions", "gru", {"recurrent_dropout_rate": -0.5, "batch_size": 0}),
+     "'batch_size' must be an integer >= 1"),
 ], ids=["unknown-kind", "unknown-key", "hyper-not-dict", "gru-on-features", "boolean-c",
-        "c-beyond-float-range"])
+        "c-beyond-float-range", "gru-no-hidden-units", "gru-zero-width", "gru-final-width",
+        "gru-dropout-one", "gru-train-setting-checked-first"])
 def test_feature_model_config_rejects_invalid_entry(args, message):
     with pytest.raises(ValueError) as info:
         FeatureModelConfig(*args)
@@ -458,6 +472,13 @@ class TestSvrAndGruPaths:
                                 small_corpus.video_ids, 0)
         with pytest.raises(ValueError, match=message):
             predict_table(small_corpus, cfg, None, small_corpus.video_ids)
+
+    def test_gru_without_training_captions_rejected(self, small_corpus):
+        corpus = Corpus(captions=CaptionSet({"other": ("a dog",)}),
+                        word_vectors=WordVectorTable(2, {}))
+        with pytest.raises(ValueError, match="^no caption samples in the training split$"):
+            train_feature_model(corpus, FeatureModelConfig("captions", "gru"),
+                                small_corpus.labels["short"], small_corpus.video_ids, 0)
 
     def test_gru_feature_model(self, small_corpus):
         rng = np.random.default_rng(9)

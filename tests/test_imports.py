@@ -127,3 +127,28 @@ def test_no_private_name_of_another_module(path):
     crossings = [f"{path.name}:{line}: {name}"
                  for line, name in _private_crossings(ast.parse(path.read_text()))]
     assert crossings == []
+
+
+# the modules that own a file format: CSV and word-vector files, model files,
+# and configs, reports and sidecars
+FILE_OWNERS = {"corpus", "regress", "cli"}
+_FILE_METHODS = {"open", "read_text", "write_text", "read_bytes", "write_bytes"}
+
+
+def _file_calls(tree):
+    """(line, name) of every call of `open` or of a `Path` read or write method."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name) and func.id == "open":
+                yield node.lineno, "open"
+            elif isinstance(func, ast.Attribute) and func.attr in _FILE_METHODS:
+                yield node.lineno, func.attr
+
+
+def test_only_format_owners_touch_files():
+    calls = {path.stem: list(_file_calls(ast.parse(path.read_text()))) for path in MODULES}
+    outside = [f"{stem}.py:{line}: {name}" for stem, found in calls.items()
+               if stem not in FILE_OWNERS for line, name in found]
+    assert outside == []
+    assert all(calls[stem] for stem in FILE_OWNERS)

@@ -67,6 +67,13 @@ def test_too_short_rejected():
         srcc([1.0], [2.0])
 
 
+@pytest.mark.parametrize("a, b", [([1.0, 2.0], [1.0, 2.0, 3.0]),
+                                  ([[1.0, 2.0]], [[1.0, 2.0]])], ids=["lengths", "2-d"])
+def test_non_parallel_inputs_rejected(a, b):
+    with pytest.raises(ValueError, match="^inputs must be parallel 1-d lists$"):
+        srcc(a, b)
+
+
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="inputs must be finite"):
         srcc([1.0, np.nan, 3.0], [1.0, 2.0, 3.0])

@@ -87,6 +87,33 @@ class TestLinearFamily:
             assert min(b - a for a, b in zip(ev, ev[1:])) >= -1e-10
             assert model.history["iterations"] <= 300
 
+    def test_lasso_skips_constant_column(self):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 2))
+        y = X @ [1.0, -0.5] + 0.1 * rng.normal(size=40)
+        with_constant = np.column_stack([X[:, 0], np.full(40, 3.0), X[:, 1]])
+        got = fit_linear(with_constant, y, kind="lasso", hyper={"lam": 0.01})
+        expected = fit_linear(X, y, kind="lasso", hyper={"lam": 0.01})
+        assert got.weights[1] == 0.0
+        np.testing.assert_allclose(got.weights[[0, 2]], expected.weights, rtol=1e-12)
+        assert got.history["sweeps"] == expected.history["sweeps"]
+
+    def test_bayes_not_converged_raises_with_diagnostics(self):
+        rng = np.random.default_rng(13)
+        X = rng.normal(size=(30, 3))
+        y = X @ [0.5, -1.0, 0.2] + 0.3 * rng.normal(size=30)
+        with pytest.raises(ConvergenceError,
+                           match="^bayes_ridge did not converge in 2 iterations$") as err:
+            fit_linear(X, y, kind="bayes_ridge", hyper={"max_iter": 2, "tol": 1e-300})
+        diagnostics = err.value.diagnostics
+        assert set(diagnostics) == {"alpha_noise", "lambda_prior", "log_evidence"}
+        assert len(diagnostics["log_evidence"]) == 2
+        assert diagnostics["alpha_noise"] > 0 and diagnostics["lambda_prior"] > 0
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="^unknown linear kind 'forest'$"):
+            fit_linear(np.zeros((3, 2)), np.zeros(3), kind="forest")
+
     def test_bayes_ols_limit(self):
         rng = np.random.default_rng(6)
         X = rng.normal(size=(50, 6))
@@ -249,6 +276,15 @@ def test_non_finite_inputs_rejected(fit, where, value):
     data[where].flat[3] = value
     with pytest.raises(ValueError, match="^inputs must be finite$"):
         fit(data["X"], data["y"])
+
+
+@pytest.mark.parametrize("fit", [fit_linear, fit_svr], ids=["linear", "svr"])
+@pytest.mark.parametrize("X, y", [(np.zeros(3), np.zeros(3)), (np.zeros((3, 2)), np.zeros(2)),
+                                  (np.zeros((1, 2)), np.zeros(1))],
+                         ids=["1-d", "mismatched", "one-row"])
+def test_bad_shapes_rejected(fit, X, y):
+    with pytest.raises(ValueError, match=r"^need a row matrix with matching targets, >= 2 rows$"):
+        fit(X, y)
 
 
 def _full_beta(model, Xs):

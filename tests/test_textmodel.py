@@ -5,10 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vidmem.corpus import WordVectorTable
+from vidmem.corpus import TokenizeError, WordVectorTable, tokenize
 from vidmem.regress import model_from_dict, model_to_dict
-from vidmem.textmodel import (GruRegressor, TokenizeError, TrainConfig, TrainingDivergedError,
-                              _sigmoid, embed, gru_train, tokenize)
+from vidmem.textmodel import (GruRegressor, TrainConfig, TrainingDivergedError, _sigmoid, embed,
+                              gru_train)
 
 
 class TestTokenize:
@@ -245,6 +245,23 @@ class TestGruTraining:
             with pytest.raises(TrainingDivergedError,
                                match="^non-finite training loss at epoch 0$"):
                 gru_train(model, samples)
+
+    def test_update_after_last_batch_diverging_fails_on_validation_loss(self):
+        # one minibatch per epoch: its loss is finite, and the update after it overflows
+        rng = np.random.default_rng(8)
+        samples = make_samples(rng, 8, 5, lambda X: float(X.mean()))
+        model = small_model(recurrent_dropout_rate=0.5,
+                            train_config=TrainConfig(learning_rate=1e300, batch_size=64))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDivergedError,
+                               match="^non-finite validation loss at epoch 0$"):
+                gru_train(model, samples)
+
+    def test_fewer_than_two_samples_rejected(self):
+        samples = make_samples(np.random.default_rng(0), 1, 5, lambda X: 0.5, caps_per_video=1)
+        with pytest.raises(ValueError, match="^need at least 2 training samples$"):
+            gru_train(small_model(), samples)
 
     def test_synthetic_linear_task_reaches_low_mse(self):
         rng = np.random.default_rng(7)
