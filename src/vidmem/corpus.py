@@ -21,7 +21,7 @@ import numpy as np
 MODALITIES = ("audio", "image", "video", "text")
 TERMS = ("short", "long")
 
-_PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_PUNCT = re.compile(f"[{re.escape(string.punctuation)}]")  # faster than str.translate
 
 
 class ParseError(ValueError):
@@ -41,7 +41,7 @@ def tokenize(caption: str) -> list[str]:
     """Lowercase, strip punctuation, split on whitespace."""
     if not caption or not caption.strip():
         raise TokenizeError("empty caption")
-    tokens = caption.lower().translate(_PUNCT_TABLE).split()
+    tokens = _PUNCT.sub("", caption.lower()).split()
     if not tokens:
         raise TokenizeError(f"caption {caption!r} contains no tokens")
     return tokens

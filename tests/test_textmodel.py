@@ -1,4 +1,5 @@
 import json
+import string
 import warnings
 from pathlib import Path
 
@@ -17,6 +18,11 @@ class TestTokenize:
 
     def test_case_and_punctuation_folding(self):
         assert tokenize("dog,  DOG!") == ["dog", "dog"]
+
+    def test_deletes_exactly_ascii_punctuation(self):
+        text = string.punctuation + "".join(map(chr, range(32, 0x3000, 7)))
+        expected = text.lower().translate(str.maketrans("", "", string.punctuation)).split()
+        assert tokenize(text) == expected
 
     def test_all_punctuation_rejected(self):
         with pytest.raises(TokenizeError):
