@@ -332,6 +332,7 @@ BOM_READERS = {
 
 
 def _ids(table):
+    """The ids, or tokens, that a reader loaded, in load order."""
     for column in ("video_id", "captions", "scores", "vectors"):
         table = getattr(table, column, table)
     return list(table)
