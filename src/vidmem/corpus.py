@@ -491,7 +491,7 @@ def _quoted_ids(ids):
 
 def write_feature_csv(feature_set, path):
     """Inverse of load_feature_csv; writes the rows grouped by video."""
-    ids = _quoted_ids(feature_set.video_id)
+    ids = _quoted_ids(feature_set.videos)
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{','.join(map(repr, row))}\r\n"
                       for vid, row in zip(feature_set.video_id, feature_set.values.tolist()))
@@ -505,7 +505,7 @@ def write_labels_csv(table, path):
 
 def write_annotations_csv(log, path):
     """Inverse of load_annotations_csv; writes the trials in column order."""
-    ids = _quoted_ids(log.video_id)
+    ids = _quoted_ids(log.groups[0])
     with open(path, "w", newline="") as fh:
         fh.writelines(f"{ids[vid]},{delay!r},{hit}\r\n" for vid, delay, hit
                       in zip(log.video_id, log.delay_seconds.tolist(), log.recognized.tolist()))

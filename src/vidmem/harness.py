@@ -112,6 +112,25 @@ class SyntheticCorpus:
 _CAPTION_WORDS = ("person", "dog", "car", "ball", "street", "room", "tree",
                   "water", "child", "bike")
 
+_WORD_BLOCK = 512  # 32-bit words `_words` takes from the generator at a time
+
+
+def _words(rng):
+    """The generator's 32-bit words in stream order, the ones a bounded
+    `rng.integers` call reads, taken `_WORD_BLOCK` at a time."""
+    while True:
+        yield from rng.integers(0, 1 << 32, size=_WORD_BLOCK, dtype=np.uint32).tolist()
+
+
+def _draw(words, n):
+    """One draw from range(n), 1 < n < 2**32, as `rng.integers(0, n)` maps
+    the next words (Lemire's multiply-shift): a word u gives u*n >> 32,
+    unless the low half of u*n is below 2**32 % n, when it is skipped."""
+    threshold = (1 << 32) % n
+    for u in words:
+        if u * n & 0xFFFFFFFF >= threshold:
+            return u * n >> 32
+
 
 def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     """Draw a corpus from the decay model with a known link between one
@@ -127,9 +146,10 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     rows and (with noise) one label-noise draw; then per video its caption
     count and, per caption, a word count and the words.  Each of the first
     three kinds is drawn for all videos in one block whose rows follow that
-    order, which gives the bits of one call per video.  Bounded-integer
-    calls buffer 32-bit halves within a call, so the captions keep one call
-    per draw.
+    order, which gives the bits of one call per video.  The captions map
+    the generator's 32-bit words as `rng.integers` does, one word per draw
+    (`_draw`), so they equal one `integers` call per draw; they are the last
+    draws, so the unused words of the last block change nothing.
     """
     n, obs, k = spec.n_videos, spec.obs_per_video, spec.rows_per_video * spec.feature_dim
     rng = np.random.default_rng(spec.seed)
@@ -150,12 +170,13 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
         signal += 0.0 + spec.noise * z[:, 2 * k]  # as `normal(scale=noise)` computes it
     labels = {vid: 1.0 / (1.0 + math.exp(-s)) for vid, s in zip(vids, signal.tolist())}
 
-    captions = {}
+    words, captions = _words(rng), {}
     for vid in vids:
         caps = []
-        for _ in range(int(rng.integers(2, 6))):
-            words = rng.integers(0, len(_CAPTION_WORDS), size=int(rng.integers(3, 8)))
-            caps.append("a video of " + " ".join(_CAPTION_WORDS[w] for w in words.tolist()))
+        for _ in range(2 + _draw(words, 4)):  # as rng.integers(2, 6)
+            count = 3 + _draw(words, 5)  # as rng.integers(3, 8)
+            caps.append("a video of " + " ".join([_CAPTION_WORDS[_draw(words, 10)]
+                                                  for _ in range(count)]))
         captions[vid] = tuple(caps)
 
     row_ids = [vid for vid in vids for _ in range(spec.rows_per_video)]
@@ -500,8 +521,11 @@ def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs, test_
     With no ensemble configs the grid search is skipped and the ensemble
     section has an empty `rows`.  The settings are keyword-only fields of
     `ExperimentSettings`, checked with `vidmem experiment`'s rules and texts
-    before any split or fit; a corpus that cannot be split raises before any fit."""
+    before any split or fit; a corpus without labels, or one that cannot be
+    split, raises before any fit."""
     settings, ids = ExperimentSettings(**settings), corpus.video_ids
+    if not corpus.labels:
+        raise ValueError("the corpus has no label terms to fit")
     splits = {seed: split(ids, seed, settings.train_fraction) for seed in settings.seeds}
     fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), splits, settings)
     return {"features": _feature_report(corpus, feature_configs, fits, settings),

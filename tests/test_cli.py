@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from settings_cases import BAD_SETTINGS
+from vidmem import harness
 from vidmem.aggregate import PredictionTable
 from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
 from vidmem.corpus import (Corpus, FeatureSet, LabelTable, clamp_unit, load_captions_csv,
@@ -78,6 +79,15 @@ def _pinned_synth_corpora(tmp_path):
 def test_synth_bytes_match_recording(tmp_path):
     """The generator's draw order and the writers' bytes are pinned: a
     change to either moves these digests."""
+    recorded = (Path(__file__).parent / "data" / "synthetic_parent_corpora.json").read_text()
+    assert _pinned_synth_corpora(tmp_path) == recorded
+
+
+@pytest.mark.parametrize("block", [1, 10_000])
+def test_synth_bytes_independent_of_word_block(tmp_path, monkeypatch, block):
+    """Refilling the caption words after every word, or drawing far past the
+    last caption, leaves every file and `true_m` as recorded."""
+    monkeypatch.setattr(harness, "_WORD_BLOCK", block)
     recorded = (Path(__file__).parent / "data" / "synthetic_parent_corpora.json").read_text()
     assert _pinned_synth_corpora(tmp_path) == recorded
 

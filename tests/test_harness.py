@@ -65,6 +65,57 @@ class TestSynthetic:
         log = synth.corpus.annotations["short"]
         assert all(len(obs) == 9 for obs in log.entries.values())
 
+    def test_captions_match_one_integers_call_per_draw(self):
+        """300 random small specs: the captions equal those of the per-call
+        loop, kept here as the oracle."""
+        rng = np.random.default_rng(2027)
+        for _ in range(300):
+            spec = SyntheticCorpusSpec(
+                n_videos=int(rng.integers(1, 61)), obs_per_video=int(rng.integers(1, 6)),
+                feature_dim=int(rng.integers(1, 5)), rows_per_video=int(rng.integers(1, 4)),
+                noise=float(rng.choice([0.0, 0.1])), seed=int(rng.integers(0, 1 << 31)))
+            assert generate_synthetic(spec).corpus.captions.captions == _per_call_captions(spec)
+
+
+def _per_call_captions(spec):
+    """The captions of `generate_synthetic(spec)`, drawn after the same
+    earlier draws with one `rng.integers` call per draw."""
+    n, k = spec.n_videos, spec.rows_per_video * spec.feature_dim
+    rng = np.random.default_rng(spec.seed)
+    rng.uniform(size=n)
+    rng.random((n, 2 * spec.obs_per_video))
+    rng.normal(size=(n, 2 * k + (spec.noise > 0.0)))
+    captions = {}
+    for i in range(n):
+        caps = []
+        for _ in range(int(rng.integers(2, 6))):
+            words = rng.integers(0, len(harness._CAPTION_WORDS), size=int(rng.integers(3, 8)))
+            caps.append("a video of " + " ".join(harness._CAPTION_WORDS[w]
+                                                 for w in words.tolist()))
+        captions[f"v{i:04d}"] = tuple(caps)
+    return captions
+
+
+def _stream_near_zero_word(outputs_before):
+    """default_rng(12345) with its 32-bit word 206447234, u = 0, lying
+    2 * `outputs_before` words ahead (each 64-bit output is two words)."""
+    rng = np.random.default_rng(12345)
+    rng.bit_generator.advance(103223617 - outputs_before)
+    return rng
+
+
+def test_draw_skips_words_as_numpy_does():
+    """u = 0 gives a low half of 0, below 2**32 % n for n = 5 and 10, so
+    numpy skips it; `_draw` must too, in a scalar and in a vector draw."""
+    words = harness._words(_stream_near_zero_word(0))
+    assert 3 + harness._draw(words, 5) == _stream_near_zero_word(0).integers(3, 8)
+    first = _stream_near_zero_word(1).integers(0, 1 << 32, size=6, dtype=np.uint32).tolist()
+    assert first[2] == 0  # the vector draw below spans the skipped word
+    words = harness._words(_stream_near_zero_word(1))
+    expected = _stream_near_zero_word(1).integers(0, 10, size=6).tolist()
+    assert [harness._draw(words, 10) for _ in range(6)] == expected
+    assert expected != [u * 10 >> 32 for u in first]  # reading every word would differ
+
 
 @pytest.fixture(scope="module")
 def small_corpus():
@@ -249,6 +300,18 @@ def test_bad_settings_rejected_before_any_split_or_fit(small_corpus, monkeypatch
     with pytest.raises(ValueError) as info:
         _EXPERIMENTS[experiment](small_corpus, settings)
     assert (str(info.value), calls) == (message, [])
+
+
+@pytest.mark.parametrize("experiment", list(_EXPERIMENTS))
+def test_corpus_without_labels_rejected_before_any_split_or_fit(small_corpus, monkeypatch,
+                                                                experiment):
+    calls = []
+    monkeypatch.setattr(harness, "split", lambda *args: calls.append("split"))
+    monkeypatch.setattr(harness, "train_feature_model", lambda *args: calls.append("fit"))
+    corpus = Corpus(features=small_corpus.features, captions=small_corpus.captions)
+    with pytest.raises(ValueError, match="^the corpus has no label terms to fit$"):
+        _EXPERIMENTS[experiment](corpus, {})
+    assert calls == []
 
 
 def test_default_seeds_reported_as_a_list(small_corpus):
