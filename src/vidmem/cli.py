@@ -4,6 +4,7 @@ evaluation, ensemble weight search, full experiments, and synthetic data."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -18,7 +19,7 @@ from .ensemble import grid_search
 from .harness import (ExperimentSettings, FeatureModelConfig, SyntheticCorpusSpec,
                       generate_synthetic, predict_table, report_to_json, report_to_text,
                       run_full_experiment, train_feature_model)
-from .metrics import srcc
+from .metrics import ConstantInputError, srcc
 from .regress import ConvergenceError
 from .textmodel import TrainingDivergedError
 
@@ -101,7 +102,11 @@ def cmd_evaluate(args):
     ids = sorted(set(pred) & set(truth))
     if len(ids) < 2:
         raise ValueError(f"{args.pred}: need at least 2 video ids in common with {args.truth}")
-    value = srcc([pred[v] for v in ids], [truth[v] for v in ids])
+    p, t = [pred[v] for v in ids], [truth[v] for v in ids]
+    try:
+        value = srcc(p, t)
+    except ConstantInputError as exc:  # name the file whose scores are constant
+        raise ValueError(f"{args.pred if len(set(p)) == 1 else args.truth}: {exc}") from None
     print(f"{value:.6f}")
 
 
@@ -325,8 +330,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser `main` reuses: one per process."""
+    return build_parser()
+
+
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         args.func(args)
     except (ValueError, OSError, ConvergenceError, TrainingDivergedError) as exc:

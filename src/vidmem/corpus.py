@@ -75,7 +75,9 @@ class AnnotationLog:
         if not np.all((recognized == 0) | (recognized == 1)):
             raise ValueError("recognized must be 0 or 1")
         videos, order, counts = _group_by_video(self.video_id)
-        object.__setattr__(self, "video_id", tuple(self.video_id))
+        video_id = np.empty(len(order), dtype=object)
+        video_id[order] = np.repeat(np.array(videos, dtype=object), counts)
+        object.__setattr__(self, "video_id", tuple(video_id))
         object.__setattr__(self, "delay_seconds", delays)
         object.__setattr__(self, "recognized", recognized.astype(int))
         object.__setattr__(self, "groups", (videos, order, counts))
@@ -116,7 +118,8 @@ class FeatureSet:
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite feature value")
         videos, order, counts = _group_by_video(self.video_id)
-        object.__setattr__(self, "video_id", tuple(self.video_id[i] for i in order))
+        object.__setattr__(self, "video_id",
+                           tuple(np.repeat(np.array(videos, dtype=object), counts)))
         object.__setattr__(self, "values", values[order])
         object.__setattr__(self, "videos", videos)
         object.__setattr__(self, "starts", np.cumsum(counts) - counts)
@@ -218,9 +221,12 @@ def _group_by_video(video_id):
 
     Returns the distinct ids, the entry order, and each video's entry count.
     The column is cut into runs of equal ids, and the runs, not the entries,
-    are ranked by their id's first appearance and stably sorted.
+    are ranked by their id's first appearance and stably sorted.  An object
+    array is read without a copy.  Only the first id of each run is hashed,
+    so the tables intern their id columns from the result: each entry
+    becomes its video's object in the distinct ids, in one array gather.
     """
-    ids = np.array(video_id, dtype=object)
+    ids = np.asarray(video_id, dtype=object)
     starts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
     if len(ids):
         starts = np.r_[0, starts]
@@ -298,14 +304,15 @@ def _parse_columns(path, columns):
     every line into an object id column and the value columns `columns(n)`,
     n the first line's comma count, decoding as `read_records` decodes.
 
-    Returns `(video ids, table)` with one string object per distinct id, or
-    None where the record reader must re-read the file and decide: text that
-    does not decode, a blank first line (such as a file without rows, on
-    which loadtxt warns), a character the two readers treat apart (csv
-    unquotes `"`; loadtxt strips the separators U+001C-U+001F around a
-    number, float() does not; a `U` value column drops a trailing NUL), or a
-    parse error.  The first line and those characters are found in the
-    file's bytes, as each character is ASCII; loadtxt alone decodes.
+    Returns `(video ids, table)`, the ids a view of the table's object
+    column with one string object per row, or None where the record reader
+    must re-read the file and decide: text that does not decode, a blank
+    first line (such as a file without rows, on which loadtxt warns), a
+    character the two readers treat apart (csv unquotes `"`; loadtxt strips
+    the separators U+001C-U+001F around a number, float() does not; a `U`
+    value column drops a trailing NUL), or a parse error.  The first line
+    and those characters are found in the file's bytes, as each character
+    is ASCII; loadtxt alone decodes.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -319,10 +326,7 @@ def _parse_columns(path, columns):
                                delimiter=",", comments=None, quotechar=None, ndmin=1)
         except ValueError:  # a UnicodeDecodeError too: the record reader names the line
             return None
-    seen: dict[str, str] = {}
-    ids = table["id"].tolist()
-    table["id"] = None  # the table keeps no second copy of each row's id
-    return list(map(seen.setdefault, ids, ids)), table
+    return table["id"], table
 
 
 def load_feature_csv(path, modality, name):
@@ -478,12 +482,22 @@ class _Echo:
         return text
 
 
+_QUOTABLE = re.compile(r'[\s",\x00]')  # holds every character `csv.writer` quotes
+
+
 def _quoted_ids(ids):
     """Each distinct id as `csv.writer` writes it in a field (an id may
     hold `"`), so that the writers below format the rest of each line
-    themselves."""
-    writer = csv.writer(_Echo(), lineterminator="")
-    return {vid: writer.writerow([vid]) for vid in dict.fromkeys(ids)}
+    themselves.  Only an empty id, or one that holds a `_QUOTABLE`
+    character, goes through `csv.writer`; one scan of all the ids finds
+    whether any does."""
+    ids = dict.fromkeys(ids)
+    quoted = dict(zip(ids, ids))
+    if "" in ids or _QUOTABLE.search("".join(ids)):
+        writer = csv.writer(_Echo(), lineterminator="")
+        quoted.update((vid, writer.writerow([vid])) for vid in ids
+                      if not vid or _QUOTABLE.search(vid))
+    return quoted
 
 
 # The writers below stream one line per row, with the bytes `csv.writer`
@@ -503,12 +517,18 @@ def write_labels_csv(table, path):
         fh.writelines(f"{ids[vid]},{float(score)!r}\r\n" for vid, score in table.scores.items())
 
 
+_WRITE_ROWS = 4096  # trials the annotation writer turns into Python objects at a time
+
+
 def write_annotations_csv(log, path):
     """Inverse of load_annotations_csv; writes the trials in column order."""
     ids = _quoted_ids(log.groups[0])
     with open(path, "w", newline="") as fh:
-        fh.writelines(f"{ids[vid]},{delay!r},{hit}\r\n" for vid, delay, hit
-                      in zip(log.video_id, log.delay_seconds.tolist(), log.recognized.tolist()))
+        for i in range(0, len(log.video_id), _WRITE_ROWS):
+            rows = slice(i, i + _WRITE_ROWS)
+            fh.writelines(f"{ids[vid]},{delay!r},{hit}\r\n" for vid, delay, hit
+                          in zip(log.video_id[rows], log.delay_seconds[rows].tolist(),
+                                 log.recognized[rows].tolist()))
 
 
 def write_captions_csv(caption_set, path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from settings_cases import BAD_SETTINGS
-from vidmem import harness
+from vidmem import cli, harness
 from vidmem.aggregate import PredictionTable
 from vidmem.cli import _CONFIG_KEYS, LINEAR_ALIASES, main
 from vidmem.corpus import (Corpus, FeatureSet, LabelTable, clamp_unit, load_captions_csv,
@@ -177,6 +177,46 @@ def test_evaluate_prints_srcc(synth_dir, tmp_path, capsys):
     main(["evaluate", "--pred", str(synth_dir / "labels_short.csv"),
           "--truth", str(synth_dir / "labels_short.csv")])
     assert capsys.readouterr().out.strip() == "1.000000"
+
+
+@pytest.mark.parametrize("side", ["pred", "truth"])
+def test_evaluate_names_the_constant_file(tmp_path, capsys, side):
+    """A file whose scores over the common ids are all equal is named, with
+    the rank-correlation text after its path."""
+    paths = {"pred": tmp_path / "pred.csv", "truth": tmp_path / "truth.csv"}
+    paths["pred"].write_text("v0,0.1\nv1,0.3\nv2,0.2\n")
+    paths["truth"].write_text("v0,0.9\nv1,0.4,direct\nv2,0.6\n")
+    paths[side].write_text("v0,0.5\nv1,0.5\nv2,0.5\n")
+    assert main(["evaluate", "--pred", str(paths["pred"]), "--truth", str(paths["truth"])]) == 1
+    assert capsys.readouterr().err == (f"error: {paths[side]}: "
+                                       "constant input: rank correlation undefined\n")
+
+
+def test_parser_built_once_per_process(synth_dir, monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    argv = ["evaluate", "--pred", str(synth_dir / "labels_short.csv"),
+            "--truth", str(synth_dir / "labels_long.csv")]
+    assert main(argv) == main(argv) == 0
+    assert len(built) == 1
+
+
+def test_usage_error_leaves_the_parser_usable(synth_dir, capsys):
+    """A call that argparse rejects (exit 2) changes nothing for the next
+    call on the same parser."""
+    argv = ["evaluate", "--pred", str(synth_dir / "labels_short.csv"),
+            "--truth", str(synth_dir / "labels_long.csv")]
+    assert main(argv) == 0
+    expected = capsys.readouterr()
+    for bad in (["evaluate", "--pred", argv[2]], [*argv, "--bucket", "0.1"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr() == expected
 
 
 def test_ensemble_search_cli(synth_dir, tmp_path):

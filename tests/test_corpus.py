@@ -504,7 +504,58 @@ def test_fast_path_loads_without_record_reader(tmp_path, monkeypatch, kind, edit
     assert not isinstance(expected[0], type)
 
 
-QUOTED_IDS = ('a"b', '"lead', 'trail"', '""', "v1")
+def _id_order(order, rng):
+    """40 ids, each on 1-5 rows: one run per id, spread round-robin, in a
+    random row order, or one row per id."""
+    names = [f"v{k}" * int(rng.integers(1, 3)) for k in rng.permutation(40)]
+    if order == "one-per-id":
+        return names
+    rows = [(j, vid) for vid in names for j in range(rng.integers(1, 6))]
+    if order == "interleaved":
+        rows.sort(key=lambda row: row[0])  # each id's j-th row after every id's (j-1)-th
+    elif order == "shuffled":
+        rows = [rows[k] for k in rng.permutation(len(rows))]
+    return [vid for _, vid in rows]
+
+
+# each fast-path loader, the text of one row, the id orders its files allow,
+# and the loaded id column
+ID_COLUMN_LOADERS = {
+    "feature": (lambda p: corpus.load_feature_csv(p, "video", "C3D"), "{vid},{x},{y}\n",
+                ("grouped", "interleaved", "shuffled", "one-per-id"), lambda t: t.video_id),
+    "annotation": (corpus.load_annotations_csv, "{vid},{x},1\n",
+                   ("grouped", "interleaved", "shuffled", "one-per-id"), lambda t: t.video_id),
+    "label": (lambda p: corpus.load_labels_csv(p, "short"), "{vid},{y}\n", ("one-per-id",),
+              lambda t: tuple(t.scores)),
+    "prediction": (corpus.load_prediction_csv, "{vid},{y},direct,{x}\n", ("one-per-id",),
+                   tuple),
+}
+
+
+@pytest.mark.parametrize("kind, order", [(kind, order) for kind, (_, _, orders, _)
+                                         in ID_COLUMN_LOADERS.items() for order in orders])
+def test_fast_path_id_column_matches_record_reader(tmp_path, monkeypatch, kind, order):
+    """The fast path interns ids per run of equal ids: its id column equals
+    the record reader's in order, and holds one string object per distinct
+    id, on 20 seeded files of each id order."""
+    load, line, _, column = ID_COLUMN_LOADERS[kind]
+    rng = np.random.default_rng(sorted(ID_COLUMN_LOADERS).index(kind))
+    for case in range(20):
+        ids = _id_order(order, rng)
+        p = tmp_path / f"{case}.csv"
+        p.write_text("".join(line.format(vid=vid, x=rng.uniform(1, 9), y=rng.random())
+                             for vid in ids))
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "read_records", None)  # the fast path only
+            fast = column(load(p))
+        with monkeypatch.context() as m:
+            m.setattr(corpus, "_parse_columns", lambda path, columns: None)
+            assert fast == column(load(p))
+        assert sorted(fast) == sorted(ids)
+        assert len({id(vid) for vid in fast}) == len(set(ids))
+
+
+QUOTED_IDS =('a"b', '"lead', 'trail"', '""', "v1")
 
 
 @pytest.mark.parametrize("vid", QUOTED_IDS)
@@ -553,3 +604,24 @@ def test_writer_bytes_equal_csv_writer_and_load_back(tmp_path, kind):
     write_table(table, tmp_path / "out.csv")
     assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
     assert columns(load(tmp_path / "out.csv")) == columns(table)
+
+
+def test_quoted_ids_equal_csv_writer():
+    """Every id is written as `csv.writer` writes it in a field, whether a
+    batch holds no id that needs quoting or some do: each character up to
+    U+2FFF alone and inside an id, and the empty id."""
+    writer = csv.writer(corpus._Echo(), lineterminator="")
+    chars = list(map(chr, range(0x3000)))
+    for ids in ([f"v{k}" for k in range(50)], chars, [f"v{c}w" for c in chars], ["", "v1"]):
+        assert corpus._quoted_ids(ids) == {vid: writer.writerow([vid]) for vid in ids}
+
+
+@pytest.mark.parametrize("rows", [1, 3, 4])
+def test_annotation_writer_bytes_independent_of_slice_size(tmp_path, monkeypatch, rows):
+    """Writing the columns a few rows at a time gives the bytes of one pass."""
+    table, expected, *_ = _written_by("annotation", [*QUOTED_IDS, 'a"b', "v1", '"lead'])
+    with open(tmp_path / "expected.csv", "w", newline="") as fh:
+        csv.writer(fh).writerows(expected)
+    monkeypatch.setattr(corpus, "_WRITE_ROWS", rows)
+    corpus.write_annotations_csv(table, tmp_path / "out.csv")
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
