@@ -155,15 +155,10 @@ class CaptionSet:
 
 @dataclass(frozen=True)
 class WordVectorTable:
-    """Pretrained word vectors keyed by lowercase token.
-
-    `embedded` keeps each token sequence's embedding once it is made
-    (`harness` fills it), so a run embeds each distinct caption once."""
+    """Pretrained word vectors keyed by lowercase token."""
 
     dimension: int
     vectors: dict[str, np.ndarray]
-    embedded: dict[tuple[str, ...], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def get(self, token):
         return self.vectors.get(token.lower())
@@ -276,7 +271,7 @@ def read_records(path, what, fields=None, unique=False):
     value) and the video id (`unique`: at most one row per video); these
     errors and a file without rows raise ParseError with path:line.
     """
-    seen: dict[str, str] = {}  # one string object per distinct id
+    seen: set[str] = set()
     with _decoded(path), open(path, newline="", encoding="utf-8-sig") as fh:
         for line_no, row in enumerate(csv.reader(fh), start=1):
             if not row:
@@ -294,7 +289,8 @@ def read_records(path, what, fields=None, unique=False):
                 raise ParseError(path, line_no, str(exc)) from None
             if unique and vid in seen:
                 raise ParseError(path, line_no, f"duplicate video id {vid!r}")
-            yield line_no, seen.setdefault(vid, vid), row
+            seen.add(vid)
+            yield line_no, vid, row
     if not seen:
         raise ParseError(path, 0, f"empty {what} file")
 
@@ -391,14 +387,6 @@ def load_captions_csv(path):
 
 def load_labels_csv(path, term):
     """Load `video_id,score` rows, one per video; scores must lie in [0, 1]."""
-    parsed = _parse_columns(path, lambda commas: [("s", "f8")])
-    if parsed is not None:
-        scores = dict(zip(parsed[0], parsed[1]["s"].tolist()))
-        if len(scores) == len(parsed[1]):  # no id twice
-            try:
-                return LabelTable(term=term, scores=scores)
-            except ValueError:
-                pass
     scores = {}
     for line_no, vid, row in read_records(path, "label", (2,), unique=True):
         score = _parse_float(row[1], path, line_no, "score")

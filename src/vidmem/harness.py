@@ -278,12 +278,12 @@ class FeatureModelConfig:
 
 def _inputs(corpus, ids) -> dict:
     """What a GRU model reads for each of `ids` that has captions, in `ids`
-    order: one embedded array per caption, which its `predict` maps to one
-    score each."""
+    order: one embedding per caption, made on each call, which its `predict`
+    maps to one score each."""
     if corpus.captions is None or corpus.word_vectors is None:
         raise ValueError("gru model needs captions and word vectors in the corpus")
     captions = corpus.captions.captions
-    return {vid: [_embedded(c, corpus.word_vectors) for c in captions[vid]]
+    return {vid: [embed(tokenize(c), corpus.word_vectors) for c in captions[vid]]
             for vid in ids if vid in captions}
 
 
@@ -297,15 +297,6 @@ def _rows_of(corpus, config: FeatureModelConfig, ids):
     vids = list(dict.fromkeys(vid for vid in ids if vid in fs.codes))
     codes = np.fromiter(map(fs.codes.__getitem__, vids), np.intp, len(vids))
     return fs.values, vids, fs.starts[codes], fs.counts[codes]
-
-
-def _embedded(caption, table):
-    """The embedding of `caption`, made once per table and token sequence.
-    Fits run one at a time, so no lock guards the cache."""
-    tokens = tuple(tokenize(caption))
-    if tokens not in table.embedded:
-        table.embedded[tokens] = embed(tokens, table)
-    return table.embedded[tokens]
 
 
 def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,

@@ -118,7 +118,7 @@ class GruRegressor:
     # -- forward / backward ------------------------------------------------
 
     def forward(self, sequences, train=False, rng=None):
-        """Score a minibatch of embedded captions, each a non-empty
+        """Score a minibatch of caption embeddings, each a non-empty
         (steps, input_dim) array; returns (scores, cache for backward).
 
         The rows still running at step t are the mask `lengths > t`.  Every
@@ -220,7 +220,7 @@ class GruRegressor:
         return self.predict([vectors])[0]
 
     def predict(self, sequences) -> list[float]:
-        """One score per embedded caption, from eval forwards over
+        """One score per caption embedding, from eval forwards over
         `train_config.batch_size` captions at a time: a forward keeps every
         step of its batch for backward."""
         size = self.train_config.batch_size
@@ -267,7 +267,7 @@ def _split_by_video(samples, fraction, rng):
 
 
 def gru_train(model: GruRegressor, samples):
-    """Train on (video_id, embedded caption, label) triples with MSE + Adam.
+    """Train on (video_id, caption embedding, label) triples with MSE + Adam.
 
     A caption-level validation set is carved out by video id; early stopping
     restores the parameters of the best validation epoch.  Fully determined

@@ -366,19 +366,24 @@ def test_repeated_video_id_rejected_at_second_line(tmp_path, kind):
     assert str(exc.value) == f"{p}:3: duplicate video id 'v1'"
 
 
-# The CSV loaders other than the caption loader parse with numpy's C reader
+# The feature, annotation and prediction loaders parse with numpy's C reader
 # and re-read through the record reader when in doubt; the two must never
 # disagree.
 FAST_PATH_LOADERS = {
     "feature": (lambda p: corpus.load_feature_csv(p, "video", "C3D"),
                 "v1,0.5,1\nv2,1.5,-2\nv1,3,4\n"),
     "annotation": (corpus.load_annotations_csv, "v1,75,1\nv2,80.5,0\nv1,3,1\n"),
-    "label": (lambda p: corpus.load_labels_csv(p, "short"), "v1,0.5\nv2,1\nv3,0.25\n"),
     "prediction2": (corpus.load_prediction_csv, "v1,0.5\nv2,1\nv3,-3\n"),
     "prediction3": (corpus.load_prediction_csv, "v1,0.5,direct\nv2,3,fallback\nv3,-2,direct\n"),
     "prediction4": (corpus.load_prediction_csv,
                     "v1,0.5,direct,0.75\nv2,0.5,fallback,-2\nv3,3,direct,1\n"),
 }
+
+# The label loader reads only through the record reader: on every edit it
+# must give the same outcome with the fast path out of reach.
+MATCHED_LOADERS = {**FAST_PATH_LOADERS,
+                   "label": (lambda p: corpus.load_labels_csv(p, "short"),
+                             "v1,0.5\nv2,1\nv3,0.25\n")}
 
 EDITS = {
     "clean": lambda t: t,
@@ -459,17 +464,17 @@ def _assert_fast_path_matches_record_reader(load, path, monkeypatch):
 
 
 @pytest.mark.parametrize("edit", list(EDITS))
-@pytest.mark.parametrize("kind", list(FAST_PATH_LOADERS))
+@pytest.mark.parametrize("kind", list(MATCHED_LOADERS))
 def test_fast_path_matches_record_reader(tmp_path, monkeypatch, kind, edit):
-    load, text = FAST_PATH_LOADERS[kind]
+    load, text = MATCHED_LOADERS[kind]
     p = tmp_path / "f.csv"
     p.write_text(EDITS[edit](text), encoding="utf-8", newline="")
     _assert_fast_path_matches_record_reader(load, p, monkeypatch)
 
 
-@pytest.mark.parametrize("kind", list(FAST_PATH_LOADERS))
+@pytest.mark.parametrize("kind", list(MATCHED_LOADERS))
 def test_fast_path_matches_record_reader_on_random_edits(tmp_path, monkeypatch, kind):
-    load, text = FAST_PATH_LOADERS[kind]
+    load, text = MATCHED_LOADERS[kind]
     pieces = [",", "\n", "\r\n", "\r", " ", '"', "#", "\ufeff", "\x1c", "\u2028", "\x00",
               "v1", "1", "0", "1.0", "-1", "nan", "1e400", "1_0", "١", "x" * 70]
     rng = np.random.default_rng(0)
@@ -525,8 +530,6 @@ ID_COLUMN_LOADERS = {
                 ("grouped", "interleaved", "shuffled", "one-per-id"), lambda t: t.video_id),
     "annotation": (corpus.load_annotations_csv, "{vid},{x},1\n",
                    ("grouped", "interleaved", "shuffled", "one-per-id"), lambda t: t.video_id),
-    "label": (lambda p: corpus.load_labels_csv(p, "short"), "{vid},{y}\n", ("one-per-id",),
-              lambda t: tuple(t.scores)),
     "prediction": (corpus.load_prediction_csv, "{vid},{y},direct,{x}\n", ("one-per-id",),
                    tuple),
 }

@@ -223,24 +223,6 @@ class TestTrainOnce:
         assert calls == [(config.display_name, seed, term) for config in CONFIGS
                          for seed in (0, 1) for term in sorted(small_corpus.labels)]
 
-    def test_each_caption_embedded_once(self, monkeypatch):
-        base = _pinned_corpus()
-        token_seqs = {tuple(tokenize(c)) for caps in base.captions.captions.values() for c in caps}
-        words = sorted({w for seq in token_seqs for w in seq})
-        corpus = Corpus(captions=base.captions, labels=base.labels,
-                        word_vectors=WordVectorTable(3, {w: np.ones(3) for w in words}))
-        calls = []
-        original = harness.embed
-
-        def counting(tokens, table):
-            calls.append(tuple(tokens))
-            return original(tokens, table)
-
-        monkeypatch.setattr(harness, "embed", counting)
-        run_full_experiment(corpus, [PINNED_GRU], [PINNED_GRU], seeds=[0, 1], workers=2,
-                            test_labels=dict(corpus.labels))
-        assert len(calls) == len(set(calls)) == len(token_seqs)
-
     def test_each_seed_split_once(self, small_corpus, monkeypatch):
         seeds = []
         original = harness.split

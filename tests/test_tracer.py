@@ -81,10 +81,11 @@ def test_protocol_linear_counts_pinned(tmp_path):
 
 # The counts of one full-scale protocol-models iteration, seed 0, as the
 # two-thread pool gave them; running the fits one at a time must do the
-# same work.
+# same work.  Each GRU fit embeds the captions it reads, with no cache
+# across fits: 152 `embed` calls for 38 distinct captions.
 PROTOCOL_MODELS_COUNTS = {"harness.train_calls": 12, "regress.fit_svr_calls": 8,
                           "regress.svr_pair_updates": 3660, "textmodel.gru_epochs": 8,
-                          "textmodel.embed_calls": 38, "aggregate.rows_in": 266,
+                          "textmodel.embed_calls": 152, "aggregate.rows_in": 266,
                           "aggregate.fallback_videos": 94, "metrics.srcc_calls": 12,
                           "ensemble.candidates": 84, "corpus.load_lines": 651}
 
