@@ -187,6 +187,9 @@ def _check_config(cfg, path):
                 fail(f"{where}: term must be one of {TERMS}, got {term!r}")
     if not data.get("labels"):
         fail("data.labels must name at least one term")
+    for term in cfg.get("test_labels") or {}:
+        if term not in data["labels"]:
+            fail(f"test_labels: term {term!r} is not in data.labels")
     for key, value in (("data.captions", data.get("captions") or ""),
                        ("data.word_vectors", data.get("word_vectors") or ""),
                        ("output_dir", cfg.get("output_dir", "out"))):

@@ -95,6 +95,8 @@ class SyntheticCorpusSpec:
             raise ValueError("'target_duration' must be positive")
         if self.noise < 0.0:
             raise ValueError("'noise' must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("'seed' must be >= 0")
         if not (0.0 <= self.m_low <= self.m_high <= 1.0):
             raise ValueError("memorability bounds must satisfy 0 <= low <= high <= 1")
         if not (0.0 < self.delay_low <= self.delay_high):
@@ -132,6 +134,15 @@ def _draw(words, n):
             return u * n >> 32
 
 
+def _squash(s):
+    """1 / (1 + e**-s) through libm's `math.exp`, or 0.0, its limit, where
+    e**-s is beyond the largest double."""
+    try:
+        return 1.0 / (1.0 + math.exp(-s))
+    except OverflowError:
+        return 0.0
+
+
 def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     """Draw a corpus from the decay model with a known link between one
     feature set and the labels.
@@ -159,8 +170,9 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     u = rng.random((n, 2 * obs))  # row: the video's delay draws, then its trial draws
     low = float(spec.delay_low)
     delays = low + (float(spec.delay_high) - low) * u[:, :obs]  # as Generator.uniform computes
-    p = np.clip(m_star[:, None] + spec.true_alpha * np.log(delays / spec.target_duration),
-                0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):  # t/T overflowing or 0
+        log_ratio = np.log(delays / spec.target_duration)
+    p = np.clip(m_star[:, None] + spec.true_alpha * log_ratio, 0.0, 1.0)
     log = AnnotationLog([vid for vid in vids for _ in range(obs)],
                         delays.ravel(), (u[:, obs:] < p).ravel())
 
@@ -168,7 +180,7 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     signal = z[:, :k].mean(axis=1)  # each row summed as its own .mean() sums it
     if spec.noise > 0.0:
         signal += 0.0 + spec.noise * z[:, 2 * k]  # as `normal(scale=noise)` computes it
-    labels = {vid: 1.0 / (1.0 + math.exp(-s)) for vid, s in zip(vids, signal.tolist())}
+    labels = {vid: _squash(s) for vid, s in zip(vids, signal.tolist())}
 
     words, captions = _words(rng), {}
     for vid in vids:
@@ -512,11 +524,15 @@ def run_full_experiment(corpus: Corpus, feature_configs, ensemble_configs, test_
     With no ensemble configs the grid search is skipped and the ensemble
     section has an empty `rows`.  The settings are keyword-only fields of
     `ExperimentSettings`, checked with `vidmem experiment`'s rules and texts
-    before any split or fit; a corpus without labels, or one that cannot be
-    split, raises before any fit."""
+    before any split or fit; a corpus without labels, a `test_labels` term
+    the corpus has no labels for, or a corpus that cannot be split, raises
+    before any fit."""
     settings, ids = ExperimentSettings(**settings), corpus.video_ids
     if not corpus.labels:
         raise ValueError("the corpus has no label terms to fit")
+    untrained = [term for term in test_labels or () if term not in corpus.labels]
+    if untrained:
+        raise ValueError(f"test_labels: term {untrained[0]!r} is not in the corpus labels")
     splits = {seed: split(ids, seed, settings.train_fraction) for seed in settings.seeds}
     fits = _fit_all(corpus, list(feature_configs) + list(ensemble_configs), splits, settings)
     return {"features": _feature_report(corpus, feature_configs, fits, settings),

@@ -366,6 +366,8 @@ def _setting(*keys_and_value):
     (_setting("data", "labels", ["labels_short.csv"]),
      "data.labels must map terms to path strings"),
     (_setting("test_labels", ["labels_short.csv"]), "test_labels must map terms to path strings"),
+    (_setting("test_labels", {"long": "labels_long.csv"}),
+     "test_labels: term 'long' is not in data.labels"),
     (_setting("data", "labels", {"medium": "labels_short.csv"}),
      "data.labels: term must be one of ('short', 'long'), got 'medium'"),
     (_drop_labels, "data.labels must name at least one term"),
@@ -423,7 +425,7 @@ def _setting(*keys_and_value):
         "unknown-ensemble-model-key", "model-not-string", "feature-not-string", "feature-name-not-string",
         "feature-path-not-string", "unknown-modality", "duplicate-feature-name",
         "captions-not-string",
-        "output-dir-not-string", "labels-not-object", "test-labels-not-object",
+        "output-dir-not-string", "labels-not-object", "test-labels-not-object", "untrained-test-term",
         "unknown-label-term", "no-labels", "models-not-list", "unknown-top-key", "unknown-data-key",
         "unknown-feature-set-key", "unknown-feature-model-entry-key",
         "unknown-ensemble-model-entry-key", "ensemble-hyper-not-number",
@@ -886,15 +888,27 @@ def test_readme_lists_the_allowed_config_keys():
     ('{"obs_per_video": 0}', "need at least one video and one observation"),
     ('{"m_low": 0.9, "m_high": 0.3}', "memorability bounds must satisfy 0 <= low <= high <= 1"),
     ('{"delay_low": 0}', "delay bounds must be positive and ordered"),
+    ('{"seed": -1}', "'seed' must be >= 0"),
 ], ids=["unknown-key", "not-object", "string-count", "float-count", "invalid-json",
         "zero-feature-dim", "negative-rows", "nan-alpha", "infinite-m-high", "negative-noise",
-        "zero-target-duration", "zero-observations", "reversed-m-bounds", "zero-delay-low"])
+        "zero-target-duration", "zero-observations", "reversed-m-bounds", "zero-delay-low",
+        "negative-seed"])
 def test_bad_synth_spec_rejected(tmp_path, capsys, text, message):
     spec = tmp_path / "spec.json"
     spec.write_text(text)
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"error: {spec}: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_synth_with_overflowing_label_noise(tmp_path, capsys):
+    """Label noise that sends e**-s past the largest double writes the
+    label 0.0 instead of ending in a traceback."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"n_videos": 20, "obs_per_video": 2, "noise": 1000}')
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert 0.0 in load_labels_csv(tmp_path / "out" / "labels_short.csv", "short").scores.values()
 
 
 def test_bad_input_returns_error_code(tmp_path, capsys):

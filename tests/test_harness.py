@@ -3,6 +3,7 @@ import math
 import re
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -64,6 +65,31 @@ class TestSynthetic:
         synth = generate_synthetic(SyntheticCorpusSpec(n_videos=7, obs_per_video=9, seed=6))
         log = synth.corpus.annotations["short"]
         assert all(len(obs) == 9 for obs in log.entries.values())
+
+    def test_label_squash_overflow_gives_zero(self):
+        """A noise draw that sends e**-s past the largest double gives the
+        squash's limit 0.0; every other label keeps libm's bits."""
+        assert harness._squash(-710.0) == 0.0
+        assert harness._squash(-709.0) == 1.0 / (1.0 + math.exp(709.0)) > 0.0
+        assert harness._squash(1e308) == 1.0
+        scores = generate_synthetic(SyntheticCorpusSpec(n_videos=50, obs_per_video=2,
+                                                        noise=1000.0)).corpus.labels["short"].scores
+        assert 0.0 in scores.values() and all(0.0 <= s <= 1.0 for s in scores.values())
+
+    @pytest.mark.parametrize("spec, recognized", [
+        ({"target_duration": 1e-320}, 0),  # t/T overflows: log(t/T) is +inf, p clamps to 0
+        ({"delay_low": 1e-300, "delay_high": 1e-300, "target_duration": 1e300}, 1),  # t/T is 0
+    ], ids=["ratio-overflows", "ratio-underflows"])
+    def test_extreme_target_duration_without_warnings(self, spec, recognized):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = generate_synthetic(SyntheticCorpusSpec(n_videos=5, obs_per_video=4, **spec)
+                                     ).corpus.annotations["short"]
+        assert np.all(log.recognized == recognized)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="^'seed' must be >= 0$"):
+            SyntheticCorpusSpec(seed=-1)
 
     def test_captions_match_one_integers_call_per_draw(self):
         """300 random small specs: the captions equal those of the per-call
@@ -293,6 +319,16 @@ def test_corpus_without_labels_rejected_before_any_split_or_fit(small_corpus, mo
     corpus = Corpus(features=small_corpus.features, captions=small_corpus.captions)
     with pytest.raises(ValueError, match="^the corpus has no label terms to fit$"):
         _EXPERIMENTS[experiment](corpus, {})
+    assert calls == []
+
+
+def test_untrained_test_term_rejected_before_any_split_or_fit(small_corpus, monkeypatch):
+    calls = []
+    monkeypatch.setattr(harness, "split", lambda *args: calls.append("split"))
+    monkeypatch.setattr(harness, "train_feature_model", lambda *args: calls.append("fit"))
+    corpus = Corpus(features=small_corpus.features, labels={"short": small_corpus.labels["short"]})
+    with pytest.raises(ValueError, match="^test_labels: term 'long' is not in the corpus labels$"):
+        run_full_experiment(corpus, CONFIGS, CONFIGS, {"long": small_corpus.labels["long"]})
     assert calls == []
 
 
