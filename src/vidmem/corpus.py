@@ -296,9 +296,10 @@ def read_records(path, what, fields=None, unique=False):
 
 
 def _parse_columns(path, columns):
-    """Fast path of the CSV loaders: numpy's C reader parses every field of
-    every line into an object id column and the value columns `columns(n)`,
-    n the first line's comma count, decoding as `read_records` decodes.
+    """Fast path of the feature, annotation and prediction loaders: numpy's
+    C reader parses every field of every line into an object id column and
+    the value columns `columns(n)`, n the first line's comma count, decoding
+    as `read_records` decodes.
 
     Returns `(video ids, table)`, the ids a view of the table's object
     column with one string object per row, or None where the record reader
