@@ -12,14 +12,14 @@ from .harness import (FeatureModelConfig, SplitSpec, SyntheticCorpusSpec,
 from .metrics import srcc
 from .regress import (LinearModel, Standardizer, SvrModel, fit_linear,
                       fit_standardizer, fit_svr)
-from .textmodel import GruRegressor, TrainConfig, embed, gru_train
+from .textmodel import GruRegressor, embed, gru_train
 
 __all__ = [
     "AnnotationLog", "CaptionSet", "Corpus", "DecayFit",
     "EnsembleWeights", "FeatureModelConfig", "FeatureSet", "GruRegressor",
     "LabelTable", "LinearModel", "PredictionTable", "SplitSpec",
-    "Standardizer", "SvrModel", "SyntheticCorpusSpec", "TrainConfig",
-    "WordVectorTable", "adjust_labels", "aggregate_rows", "apply_weights",
+    "Standardizer", "SvrModel", "SyntheticCorpusSpec", "WordVectorTable",
+    "adjust_labels", "aggregate_rows", "apply_weights",
     "embed", "enumerate_simplex", "fit_decay", "fit_linear",
     "fit_standardizer", "fit_svr", "generate_synthetic", "grid_search",
     "gru_train", "load_annotations_csv", "load_captions_csv",

@@ -27,7 +27,7 @@ from .ensemble import apply_weights, bucket_count, grid_search
 from .metrics import srcc
 from .regress import (LINEAR_HYPER_KEYS, check_linear_hyper, check_svr_settings, fit_linear,
                       fit_svr)
-from .textmodel import GruRegressor, TrainConfig, embed, gru_train
+from .textmodel import GruRegressor, embed, gru_train
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -170,9 +170,11 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
     u = rng.random((n, 2 * obs))  # row: the video's delay draws, then its trial draws
     low = float(spec.delay_low)
     delays = low + (float(spec.delay_high) - low) * u[:, :obs]  # as Generator.uniform computes
-    with np.errstate(divide="ignore", over="ignore"):  # t/T overflowing or 0
-        log_ratio = np.log(delays / spec.target_duration)
-    p = np.clip(m_star[:, None] + spec.true_alpha * log_ratio, 0.0, 1.0)
+    decay = 0.0  # without decay: 0 * log(t/T) would be nan where t/T overflows
+    if spec.true_alpha != 0.0:
+        with np.errstate(divide="ignore", over="ignore"):  # t/T overflowing or 0
+            decay = spec.true_alpha * np.log(delays / spec.target_duration)
+    p = np.clip(m_star[:, None] + decay, 0.0, 1.0)
     log = AnnotationLog([vid for vid in vids for _ in range(obs)],
                         delays.ravel(), (u[:, obs:] < p).ravel())
 
@@ -219,8 +221,7 @@ def generate_synthetic(spec: SyntheticCorpusSpec) -> SyntheticCorpus:
 _HYPER_KEYS = {
     **LINEAR_HYPER_KEYS,
     "svr": set(inspect.signature(fit_svr).parameters) - {"X", "y"},
-    "gru": (set(inspect.signature(GruRegressor).parameters) - {"input_dim", "seed", "train_config"}
-            | set(TrainConfig.__dataclass_fields__)),
+    "gru": set(inspect.signature(GruRegressor).parameters) - {"input_dim", "seed"},
 }
 
 # what a hyperparameter's value must be (a bool is no number); a key not listed is a number
@@ -241,15 +242,6 @@ def _apply_rule(rule, fit, hyper):
     over the defaults of `fit`, whose settings it checks."""
     values = {p.name: p.default for p in inspect.signature(fit).parameters.values()} | hyper
     rule(*(values[name] for name in inspect.signature(rule).parameters))
-
-
-def _gru_model(hyper, input_dim, seed):
-    """The untrained model of a GRU entry's hyperparameters, which
-    `TrainConfig` and `GruRegressor` range-check."""
-    arch = dict(hyper)
-    train_keys = {k: arch.pop(k) for k in hyper if k in TrainConfig.__dataclass_fields__}
-    return GruRegressor(input_dim=input_dim, seed=seed, train_config=TrainConfig(**train_keys),
-                        **arch)
 
 
 @dataclass(frozen=True)
@@ -279,7 +271,7 @@ class FeatureModelConfig:
         if self.model == "svr":
             _apply_rule(check_svr_settings, fit_svr, self.hyper)
         elif self.model == "gru":
-            _gru_model(self.hyper, 1, 0)
+            GruRegressor(input_dim=1, **self.hyper)
         else:
             check_linear_hyper(self.model, self.hyper)
 
@@ -320,7 +312,7 @@ def train_feature_model(corpus, config: FeatureModelConfig, labels: LabelTable,
                    for x in xs]
         if not samples:
             raise ValueError("no caption samples in the training split")
-        model = _gru_model(config.hyper, corpus.word_vectors.dimension, seed)
+        model = GruRegressor(corpus.word_vectors.dimension, seed=seed, **config.hyper)
         gru_train(model, samples)
         return model
     values, vids, starts, counts = _rows_of(corpus, config, ids)

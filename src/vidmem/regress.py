@@ -441,8 +441,8 @@ def model_from_dict(doc) -> LinearModel | SvrModel | GruRegressor:
         if unmatched:
             what = "missing" if unmatched[0] in model.params else "unknown"
             raise ValueError(f"params: {what} key {unmatched[0]!r}")
-        model.params = {name: _array(value, model.params[name].shape, f"params: {name!r}")
-                        for name, value in params.items()}
+        for name, value in params.items():
+            model.params[name][...] = _array(value, model.params[name].shape, f"params: {name!r}")
         model.training_log = doc.get("training_log", [])
         return model
     if not (doc["family"] == "linear" and doc["kind"] in LINEAR_KINDS

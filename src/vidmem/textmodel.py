@@ -5,8 +5,6 @@ hand-written backprop through time.  Captions are tokenized by `corpus`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .corpus import WordVectorTable
@@ -30,24 +28,6 @@ def embed(tokens, table: WordVectorTable) -> np.ndarray:
     return vectors
 
 
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.001
-    batch_size: int = 64
-    max_epochs: int = 150
-    patience: int = 10
-    validation_fraction: float = 0.1
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("'learning_rate' must be > 0")
-        _check_integer("batch_size", self.batch_size, 1)
-        _check_integer("max_epochs", self.max_epochs, 1)
-        _check_integer("patience", self.patience, 1)
-        if not 0.0 <= self.validation_fraction < 1.0:
-            raise ValueError("'validation_fraction' must lie in [0, 1)")
-
-
 def _check_integer(key, value, least):
     if type(value) is not int or value < least:  # type(True) is bool
         raise ValueError(f"{key!r} must be an integer >= {least}")
@@ -69,18 +49,28 @@ class GruRegressor:
     The final hidden state feeds affine layers of the configured widths with
     ReLU on all but the last.  Dropout is inverted (scaled at train time).
 
-    `forward` and `backward` take a whole minibatch of captions of any
-    lengths at once, in batch order; each caption's score, dropout draws
-    and gradient have the bits they have in a minibatch of one.
-    `gru_train` makes one forward and one backward call per minibatch, and
-    `predict` one forward call per `train_config.batch_size` captions.
+    The constructor also takes the settings `gru_train` reads, checked before
+    the architecture.  `params` holds named views into one float vector,
+    `vector`.  `forward` and `backward` take a whole minibatch of captions of
+    any lengths at once, in batch order; each caption's score, dropout draws
+    and gradient have the bits they have in a minibatch of one.  `gru_train`
+    makes one forward and one backward call per minibatch, and `predict` one
+    forward call per `batch_size` captions.
     """
 
     kind = "gru"
 
     def __init__(self, input_dim, hidden_units=64, dense_widths=(32, 16, 8, 1),
                  recurrent_dropout_rate=0.8, dense_dropout_rate=0.25,
-                 seed=0, train_config: TrainConfig | None = None):
+                 seed=0, learning_rate=0.001, batch_size=64, max_epochs=150, patience=10,
+                 validation_fraction=0.1):
+        if not learning_rate > 0:
+            raise ValueError("'learning_rate' must be > 0")
+        _check_integer("batch_size", batch_size, 1)
+        _check_integer("max_epochs", max_epochs, 1)
+        _check_integer("patience", patience, 1)
+        if not 0.0 <= validation_fraction < 1.0:
+            raise ValueError("'validation_fraction' must lie in [0, 1)")
         _check_integer("input_dim", input_dim, 1)
         _check_integer("hidden_units", hidden_units, 1)
         if not (isinstance(dense_widths, (list, tuple))
@@ -97,9 +87,15 @@ class GruRegressor:
         self.recurrent_dropout_rate = recurrent_dropout_rate
         self.dense_dropout_rate = dense_dropout_rate
         self.seed = seed
-        self.train_config = train_config or TrainConfig()
+        self.learning_rate = learning_rate
+        self.batch_size = batch_size
+        self.max_epochs = max_epochs
+        self.patience = patience
+        self.validation_fraction = validation_fraction
         self.rng = np.random.default_rng(seed)
-        self.params = self._init_params(self.rng)
+        drawn = self._init_params(self.rng)
+        self.vector = np.concatenate([arr.ravel() for arr in drawn.values()])
+        self.params = _param_views(self.vector, drawn)
         self.training_log: list[dict] = []
 
     def _init_params(self, rng):
@@ -174,7 +170,7 @@ class GruRegressor:
                 for u, w, rate in zip(draws, drawn, rates)]
 
     def backward(self, cache, dscores):
-        """Gradients of sum_b dscores[b] * scores[b] w.r.t. every parameter.
+        """The gradient of sum_b dscores[b] * scores[b] in `vector`'s layout.
 
         Each sample's gradient builds up in its own row over its reversed
         steps, and the rows are added to zeros one at a time in batch order,
@@ -214,16 +210,16 @@ class GruRegressor:
         total = np.zeros(per_sample.shape[1])
         for row in per_sample:
             total += row
-        return _param_views(total, p)
+        return total
 
     def predict_sequence(self, vectors) -> float:
         return self.predict([vectors])[0]
 
     def predict(self, sequences) -> list[float]:
         """One score per caption embedding, from eval forwards over
-        `train_config.batch_size` captions at a time: a forward keeps every
-        step of its batch for backward."""
-        size = self.train_config.batch_size
+        `batch_size` captions at a time: a forward keeps every step of its
+        batch for backward."""
+        size = self.batch_size
         return [score for start in range(0, len(sequences), size)
                 for score in self.forward(sequences[start:start + size])[0].tolist()]
 
@@ -270,18 +266,17 @@ def gru_train(model: GruRegressor, samples):
     """Train on (video_id, caption embedding, label) triples with MSE + Adam.
 
     A caption-level validation set is carved out by video id; early stopping
-    restores the parameters of the best validation epoch.  Fully determined
-    by the model's seed.  Returns the model's training log.
+    restores the best validation epoch's `model.vector` in place.  Fully
+    determined by the model's seed.  Returns the model's training log.
     """
     if len(samples) < 2:
         raise ValueError("need at least 2 training samples")
-    cfg = model.train_config
-    rng = model.rng
+    rng, theta = model.rng, model.vector
 
-    train_idx, val_idx = _split_by_video(samples, cfg.validation_fraction, rng)
+    train_idx, val_idx = _split_by_video(samples, model.validation_fraction, rng)
 
-    adam_m = {k: np.zeros_like(v) for k, v in model.params.items()}
-    adam_v = {k: np.zeros_like(v) for k, v in model.params.items()}
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     adam_t = 0
 
     def val_mse():
@@ -289,19 +284,19 @@ def gru_train(model: GruRegressor, samples):
         return float(np.mean((np.array(scores) - [samples[i][2] for i in val_idx]) ** 2))
 
     best_val = np.inf
-    best_params = {k: v.copy() for k, v in model.params.items()}
+    best_theta = theta.copy()
     best_epoch = -1
-    patience_left = cfg.patience
+    patience_left = model.patience
     log = []
 
     # A diverging fit overflows to inf and nan on the way; the loss checks
     # report it as TrainingDivergedError, so the arithmetic stays quiet.
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(cfg.max_epochs):
+        for epoch in range(model.max_epochs):
             order = rng.permutation(len(train_idx))
             sq_sum, count = 0.0, 0
-            for start in range(0, len(order), cfg.batch_size):
-                batch = [train_idx[i] for i in order[start:start + cfg.batch_size]]
+            for start in range(0, len(order), model.batch_size):
+                batch = [train_idx[i] for i in order[start:start + model.batch_size]]
                 scores, cache = model.forward([samples[i][1] for i in batch], train=True, rng=rng)
                 dscores = []
                 for i, score in zip(batch, scores.tolist()):
@@ -309,14 +304,13 @@ def gru_train(model: GruRegressor, samples):
                     sq_sum += err * err
                     count += 1
                     dscores.append(2.0 * err / len(batch))
-                grads = model.backward(cache, dscores)
+                grad = model.backward(cache, dscores)
                 adam_t += 1
-                lr_t = (cfg.learning_rate * np.sqrt(1.0 - _BETA2 ** adam_t)
+                lr_t = (model.learning_rate * np.sqrt(1.0 - _BETA2 ** adam_t)
                         / (1.0 - _BETA1 ** adam_t))
-                for k, param in model.params.items():
-                    adam_m[k] = _BETA1 * adam_m[k] + (1.0 - _BETA1) * grads[k]
-                    adam_v[k] = _BETA2 * adam_v[k] + (1.0 - _BETA2) * grads[k] ** 2
-                    param -= lr_t * adam_m[k] / (np.sqrt(adam_v[k]) + _ADAM_EPS)
+                adam_m = _BETA1 * adam_m + (1.0 - _BETA1) * grad
+                adam_v = _BETA2 * adam_v + (1.0 - _BETA2) * grad ** 2
+                theta -= lr_t * adam_m / (np.sqrt(adam_v) + _ADAM_EPS)
 
             train_mse = sq_sum / max(count, 1)
             if not np.isfinite(train_mse):
@@ -328,14 +322,14 @@ def gru_train(model: GruRegressor, samples):
 
             if v_mse < best_val:
                 best_val = v_mse
-                best_params = {k: v.copy() for k, v in model.params.items()}
+                best_theta = theta.copy()
                 best_epoch = epoch
-                patience_left = cfg.patience
+                patience_left = model.patience
             else:
                 patience_left -= 1
                 if patience_left == 0:
                     break
 
-    model.params = best_params
+    theta[...] = best_theta
     model.training_log = log + [{"restored_epoch": best_epoch, "best_val_mse": best_val}]
     return model.training_log

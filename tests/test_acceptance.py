@@ -17,7 +17,7 @@ from vidmem.harness import (FeatureModelConfig, SyntheticCorpusSpec,
                             run_full_experiment, split)
 from vidmem.metrics import srcc
 from vidmem.regress import _kernel_matrix, fit_linear, fit_svr
-from vidmem.textmodel import GruRegressor, TrainConfig, gru_train
+from vidmem.textmodel import GruRegressor, _param_views, gru_train
 
 
 def test_criterion_01_decay_fit_recovery():
@@ -165,7 +165,7 @@ def test_criterion_07_gru_gradients_and_determinism():
         return (s[0] - label) ** 2
 
     s, cache = model.forward([X])
-    grads = model.backward(cache, [2.0 * (s[0] - label)])
+    grads = _param_views(model.backward(cache, [2.0 * (s[0] - label)]), model.params)
     h = 1e-5
     max_rel = 0.0
     for name, arr in model.params.items():
@@ -191,8 +191,7 @@ def test_criterion_07_gru_gradients_and_determinism():
         samples.append((f"v{i}", Xi, float(abs(np.tanh(Xi.mean())))))
     runs = []
     for _ in range(2):
-        m = GruRegressor(input_dim=5, hidden_units=6, seed=42,
-                         train_config=TrainConfig(batch_size=8, max_epochs=10))
+        m = GruRegressor(input_dim=5, hidden_units=6, seed=42, batch_size=8, max_epochs=10)
         log = gru_train(m, samples)
         runs.append((log, {k: v.copy() for k, v in m.params.items()}))
     assert runs[0][0] == runs[1][0]

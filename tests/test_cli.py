@@ -746,6 +746,17 @@ def _predict_caption_without_tokens(synth_dir, tmp_path):
             "--word-vectors", wv, "--out", str(tmp_path / "out.csv")]
 
 
+def _experiment_malformed_test_labels(synth_dir, tmp_path):
+    """A feature-only config still loads its `test_labels` files, so a
+    malformed one fails with its path and line."""
+    (tmp_path / "bad.csv").write_text("v0000,notanumber\n")
+    cfg = _feature_only_config(synth_dir)
+    cfg["test_labels"] = {"short": str(tmp_path / "bad.csv")}
+    cfg["output_dir"] = "out.csv"  # the path the test checks is not written
+    (tmp_path / "config.json").write_text(json.dumps(cfg))
+    return ["experiment", "--config", str(tmp_path / "config.json")]
+
+
 def _experiment_caption_without_tokens(synth_dir, tmp_path):
     captions, wv = _untokenizable_caption(synth_dir, tmp_path)
     cfg = _feature_only_config(synth_dir)
@@ -770,10 +781,11 @@ def _experiment_caption_without_tokens(synth_dir, tmp_path):
     *[(argv, "{tmp}/captions.csv:2: caption '!!!' contains no tokens")
       for argv in (_train_caption_without_tokens, _predict_caption_without_tokens,
                    _experiment_caption_without_tokens)],
+    (_experiment_malformed_test_labels, "{tmp}/bad.csv:1: non-numeric score: 'notanumber'"),
 ], ids=["ridge-without-features", "gru-without-word-vectors", "one-common-id", "no-common-id",
         "search-table-missing-ids", "predict-narrow-features", "predict-narrow-word-vectors",
         "train-caption-without-tokens", "predict-caption-without-tokens",
-        "experiment-caption-without-tokens"])
+        "experiment-caption-without-tokens", "feature-only-malformed-test-labels"])
 def test_missing_cli_input_reported_as_error(synth_dir, tmp_path, capsys, argv, message):
     """The error names each file that is at fault."""
     assert main(argv(synth_dir, tmp_path)) == 1
@@ -909,6 +921,20 @@ def test_synth_with_overflowing_label_noise(tmp_path, capsys):
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "out")]) == 0
     assert capsys.readouterr().err == ""
     assert 0.0 in load_labels_csv(tmp_path / "out" / "labels_short.csv", "short").scores.values()
+
+
+def test_synth_without_decay_ignores_target_duration(tmp_path, capsys):
+    """With `true_alpha` 0, a `target_duration` that makes t/T overflow
+    writes the trials of the ordinary duration, without a warning."""
+    written = []
+    for target_duration in ("75", "1e-320"):
+        spec, out = tmp_path / f"{target_duration}.json", tmp_path / target_duration
+        spec.write_text('{"n_videos": 200, "obs_per_video": 30, "true_alpha": 0.0, '
+                        f'"target_duration": {target_duration}}}')
+        assert main(["synth", "--spec", str(spec), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        written.append((out / "annotations.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 def test_bad_input_returns_error_code(tmp_path, capsys):

@@ -87,6 +87,20 @@ class TestSynthetic:
                                      ).corpus.annotations["short"]
         assert np.all(log.recognized == recognized)
 
+    def test_no_decay_ignores_target_duration(self):
+        """With `true_alpha` 0 every trial is recognized with probability m*,
+        even where t/T overflows: the log is that of the ordinary duration."""
+        logs = []
+        for target_duration in (75.0, 1e-320):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                spec = SyntheticCorpusSpec(n_videos=200, obs_per_video=30, true_alpha=0.0,
+                                           target_duration=target_duration)
+                logs.append(generate_synthetic(spec).corpus.annotations["short"])
+        assert logs[0].delay_seconds.tolist() == logs[1].delay_seconds.tolist()
+        assert logs[0].recognized.tolist() == logs[1].recognized.tolist()
+        assert 0.5 < logs[1].recognized.mean() < 0.75
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="^'seed' must be >= 0$"):
             SyntheticCorpusSpec(seed=-1)
@@ -534,6 +548,12 @@ def test_feature_model_config_rejects_invalid_entry(args, message):
     with pytest.raises(ValueError) as info:
         FeatureModelConfig(*args)
     assert str(info.value) == message
+
+
+def test_gru_hyper_keys_are_the_settable_values():
+    assert harness._HYPER_KEYS["gru"] == {
+        "hidden_units", "dense_widths", "recurrent_dropout_rate", "dense_dropout_rate",
+        "learning_rate", "batch_size", "max_epochs", "patience", "validation_fraction"}
 
 
 class TestSvrAndGruPaths:

@@ -9,7 +9,7 @@ from vidmem.regress import (ConvergenceError, LinearModel, SingularMatrixError,
                             Standardizer, SvrModel, _kernel_matrix, fit_linear,
                             fit_standardizer, fit_svr, load_model, model_from_dict,
                             model_to_dict, save_model)
-from vidmem.textmodel import GruRegressor, TrainConfig, gru_train
+from vidmem.textmodel import GruRegressor, gru_train
 
 
 class TestStandardizer:
@@ -362,8 +362,8 @@ def _pinned_models():
     models["svr_rbf"] = fit_svr(X, y, epsilon=0.05)
     models["svr_linear"] = fit_svr(X, y, kernel="linear", C=2.0, epsilon=0.05)
     models["svr_no_support_vectors"] = fit_svr(X, np.full(20, 0.42), kernel="linear")
-    gru = GruRegressor(input_dim=3, hidden_units=3, dense_widths=(2, 1), seed=5,
-                       train_config=TrainConfig(batch_size=4, max_epochs=2))
+    gru = GruRegressor(input_dim=3, hidden_units=3, dense_widths=(2, 1), seed=5, batch_size=4,
+                       max_epochs=2)
     gru_train(gru, [(f"v{i // 2}", rng.normal(size=(2 + i % 3, 3)), float(y[i]))
                     for i in range(12)])
     models["gru"] = gru

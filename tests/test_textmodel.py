@@ -8,7 +8,7 @@ import pytest
 
 from vidmem.corpus import TokenizeError, WordVectorTable, tokenize
 from vidmem.regress import model_from_dict, model_to_dict
-from vidmem.textmodel import (GruRegressor, TrainConfig, TrainingDivergedError, _sigmoid, embed,
+from vidmem.textmodel import (GruRegressor, TrainingDivergedError, _param_views, _sigmoid, embed,
                               gru_train)
 
 
@@ -58,6 +58,37 @@ def small_model(**kw):
                     recurrent_dropout_rate=0.0, dense_dropout_rate=0.0, seed=7)
     defaults.update(kw)
     return GruRegressor(**defaults)
+
+
+class TestGruSettings:
+    def test_training_settings_are_keywords(self):
+        model = small_model(learning_rate=0.5, batch_size=3, max_epochs=2, patience=1,
+                            validation_fraction=0.0)
+        assert (model.learning_rate, model.batch_size, model.max_epochs, model.patience,
+                model.validation_fraction) == (0.5, 3, 2, 1, 0.0)
+
+    @pytest.mark.parametrize("setting, message", [
+        ({"learning_rate": 0.0}, "'learning_rate' must be > 0"),
+        ({"batch_size": 0}, "'batch_size' must be an integer >= 1"),
+        ({"max_epochs": 1.0}, "'max_epochs' must be an integer >= 1"),
+        ({"patience": 0}, "'patience' must be an integer >= 1"),
+        ({"validation_fraction": 1.0}, "'validation_fraction' must lie in [0, 1)"),
+    ], ids=["learning-rate", "batch-size", "max-epochs", "patience", "validation-fraction"])
+    def test_bad_training_setting_reported_before_architecture(self, setting, message):
+        with pytest.raises(ValueError) as info:
+            small_model(input_dim=0, **setting)
+        assert str(info.value) == message
+
+    def test_params_are_views_of_one_vector(self):
+        samples = make_samples(np.random.default_rng(4), 6, 5, lambda X: float(X.mean()))
+        model = small_model(batch_size=4, max_epochs=3)
+        gru_train(model, samples)
+        loaded = model_from_dict(model_to_dict(model))
+        for m in (model, loaded):
+            assert m.vector.dtype == np.float64
+            assert m.vector.size == sum(arr.size for arr in m.params.values())
+            assert all(np.shares_memory(arr, m.vector) for arr in m.params.values())
+        assert loaded.vector.tolist() == model.vector.tolist()
 
 
 class TestSigmoid:
@@ -118,7 +149,7 @@ class TestGruForward:
         assert model.predict(sequences) == [model.forward([X])[0][0] for X in sequences]
 
     def test_predict_forwards_a_batch_size_at_a_time(self, monkeypatch):
-        model = small_model(train_config=TrainConfig(batch_size=4))
+        model = small_model(batch_size=4)
         rng = np.random.default_rng(6)
         sequences = [rng.normal(size=(n, 5)) for n in (3, 1, 4, 2, 5, 1, 2, 3, 6, 2)]
         whole = model.forward(sequences)[0].tolist()
@@ -136,7 +167,7 @@ def max_gradient_error(model, forward, label=0.3):
         return (s[0] - label) ** 2
 
     s, cache = forward()
-    grads = model.backward(cache, [2.0 * (s[0] - label)])
+    grads = _param_views(model.backward(cache, [2.0 * (s[0] - label)]), model.params)
 
     h = 1e-5
     max_rel = 0.0
@@ -172,14 +203,14 @@ class TestGruGradients:
 
         rng = np.random.default_rng(15)
         scores, cache = model.forward(sequences, train=True, rng=rng)
-        grads = model.backward(cache, dscores)
+        grads = _param_views(model.backward(cache, dscores), model.params)
 
         rng_one = np.random.default_rng(15)
         summed = {k: np.zeros_like(v) for k, v in model.params.items()}
         for X, d, score in zip(sequences, dscores, scores.tolist()):
             one, cache_one = model.forward([X], train=True, rng=rng_one)
             assert one.tolist() == [score]
-            g = model.backward(cache_one, [d])
+            g = _param_views(model.backward(cache_one, [d]), model.params)
             for k in summed:
                 summed[k] += g[k]
         assert {k: v.tolist() for k, v in grads.items()} == \
@@ -222,7 +253,7 @@ class TestGruTraining:
         samples = make_samples(rng, 15, 6, lambda X: 0.5)
         model = GruRegressor(input_dim=6, hidden_units=8,
                              recurrent_dropout_rate=0.0, dense_dropout_rate=0.0, seed=0,
-                             train_config=TrainConfig(batch_size=4, validation_fraction=0.0))
+                             batch_size=4, validation_fraction=0.0)
         gru_train(model, samples)
         preds = [model.predict_sequence(s) for _, s, _ in samples]
         assert max(abs(p - 0.5) for p in preds) <= 0.01
@@ -233,7 +264,7 @@ class TestGruTraining:
                                lambda X: float(1 / (1 + np.exp(-2 * X.mean()))))
         model = GruRegressor(input_dim=6, hidden_units=8,
                              recurrent_dropout_rate=0.5, dense_dropout_rate=0.25, seed=1,
-                             train_config=TrainConfig(batch_size=8, max_epochs=40))
+                             batch_size=8, max_epochs=40)
         log = gru_train(model, samples)
         epochs = [e for e in log if "epoch" in e]
         restored = log[-1]["restored_epoch"]
@@ -245,7 +276,7 @@ class TestGruTraining:
         rng = np.random.default_rng(8)
         samples = make_samples(rng, 8, 5, lambda X: float(X.mean()))
         model = small_model(recurrent_dropout_rate=0.5,
-                            train_config=TrainConfig(learning_rate=1e300, batch_size=4))
+                            learning_rate=1e300, batch_size=4)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError,
@@ -257,7 +288,7 @@ class TestGruTraining:
         rng = np.random.default_rng(8)
         samples = make_samples(rng, 8, 5, lambda X: float(X.mean()))
         model = small_model(recurrent_dropout_rate=0.5,
-                            train_config=TrainConfig(learning_rate=1e300, batch_size=64))
+                            learning_rate=1e300, batch_size=64)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(TrainingDivergedError,
@@ -277,7 +308,7 @@ class TestGruTraining:
                                lambda X: float(1 / (1 + np.exp(-2 * X.mean(axis=0) @ w))))
         model = GruRegressor(input_dim=8, hidden_units=64,
                              recurrent_dropout_rate=0.0, dense_dropout_rate=0.0, seed=2,
-                             train_config=TrainConfig(batch_size=16))
+                             batch_size=16)
         gru_train(model, samples)
         train_mse = float(np.mean([(model.predict_sequence(s) - y) ** 2
                                    for _, s, y in samples]))
@@ -288,8 +319,8 @@ class TestGruTraining:
         samples = make_samples(rng, 10, 5, lambda X: float(abs(np.tanh(X.mean()))))
         logs, params = [], []
         for _ in range(2):
-            model = GruRegressor(input_dim=5, hidden_units=6, seed=42,
-                                 train_config=TrainConfig(batch_size=8, max_epochs=10))
+            model = GruRegressor(input_dim=5, hidden_units=6, seed=42, batch_size=8,
+                                 max_epochs=10)
             logs.append(gru_train(model, samples))
             params.append(model.params)
         assert logs[0] == logs[1]
@@ -303,13 +334,13 @@ class TestGruTraining:
         assert len(doc["train"]) == 6
         for case in doc["train"]:
             samples = [(vid, np.array(X), y) for vid, X, y in case["samples"]]
-            cfg = TrainConfig(learning_rate=0.01, batch_size=case["batch_size"], max_epochs=5,
-                              validation_fraction=case["validation_fraction"])
             model = GruRegressor(input_dim=3, hidden_units=4,
                                  dense_widths=tuple(case["dense_widths"]),
                                  recurrent_dropout_rate=case["recurrent_dropout_rate"],
                                  dense_dropout_rate=case["dense_dropout_rate"],
-                                 seed=case["seed"], train_config=cfg)
+                                 seed=case["seed"], learning_rate=0.01,
+                                 batch_size=case["batch_size"], max_epochs=5,
+                                 validation_fraction=case["validation_fraction"])
             assert gru_train(model, samples) == case["training_log"]
             assert {k: v.tolist() for k, v in model.params.items()} == case["params"]
             assert model.rng.random() == case["next_draw"]
@@ -319,7 +350,7 @@ class TestGruTraining:
                              recurrent_dropout_rate=0.5, dense_dropout_rate=0.3, seed=11)
         rng = np.random.default_rng(step["rng_seed"])
         scores, cache = model.forward([np.array(step["X"])], train=True, rng=rng)
-        grads = model.backward(cache, [step["dscore"]])
+        grads = _param_views(model.backward(cache, [step["dscore"]]), model.params)
         assert scores[0] == step["score"]
         assert {k: v.tolist() for k, v in grads.items()} == step["grads"]
         assert rng.random() == step["next_draw"]
@@ -330,10 +361,9 @@ class TestGruTraining:
         doc = json.loads(
             (Path(__file__).parent / "data" / "gru_parent_batch_fits.json").read_text())
         samples = [(vid, np.array(X), y) for vid, X, y in doc["samples"]]
-        cfg = TrainConfig(batch_size=doc["batch_size"], max_epochs=doc["max_epochs"],
-                          validation_fraction=doc["validation_fraction"])
         model = GruRegressor(input_dim=16, hidden_units=doc["hidden_units"], seed=doc["seed"],
-                             train_config=cfg)
+                             batch_size=doc["batch_size"], max_epochs=doc["max_epochs"],
+                             validation_fraction=doc["validation_fraction"])
         assert gru_train(model, samples) == doc["training_log"]
         assert {k: v.tolist() for k, v in model.params.items()} == doc["params"]
         assert model.rng.random() == doc["next_draw"]
